@@ -19,7 +19,7 @@ parts), and the two values are required to agree exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -59,7 +59,6 @@ class BoundarySymbol:
     q: int
     xi_inds: tuple[Indeterminate, ...]
     jets: Mapping[int, SymbolJet]
-    tangential_jets_vanish: bool = True
 
     def jet(self, order: int, xn_order: int = 0) -> XiRational:
         if order not in self.jets:
@@ -186,7 +185,7 @@ def evaluate_case(pside: BoundarySymbol, qside: BoundarySymbol, case: CaseSpec,
         raise ValueError("factor symbols live over different Clifford models")
     if not 0 <= shift <= case.j + 1:
         raise ValueError(f"shift {shift} outside 0..{case.j + 1}")
-    if case.alpha_abs and qside.tangential_jets_vanish:
+    if case.alpha_abs:  # tangential x-derivatives of the jets vanish
         return CaseResult(case, ScalarPoly.zero(registry), note="tangential-base-jet-vanishes")
     if memo is None:
         memo = {}

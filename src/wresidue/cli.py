@@ -2,7 +2,7 @@
 
 ``wres-verify --suite all --format json`` recomputes every suite and prints
 a deterministic report; the exit code is 0 iff no claim is an unwaivered
-mismatch, 1 otherwise, and 2 on usage errors.
+mismatch, 1 otherwise, and 2 on usage, configuration and I/O errors.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .reference import ALL_SUITES
-from .verifier import run
+from .verifier import ConfigurationError, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,7 +30,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    code, text = run((args.suite,), fmt=args.fmt, emit_dir=args.emit_intermediates)
+    try:
+        code, text = run((args.suite,), fmt=args.fmt, emit_dir=args.emit_intermediates)
+    except ConfigurationError as exc:
+        sys.stderr.write(f"wres-verify: error: {exc}\n")
+        return 2
     sys.stdout.write(text)
     return code
 

@@ -18,7 +18,6 @@ from typing import Callable, Mapping
 
 from .scalars import (
     GR_ONE,
-    GR_ZERO,
     GaussianRational,
     Registry,
     RegistryMismatchError,
@@ -229,9 +228,6 @@ class CliffordElement:
             acc = piece if acc is None else acc + piece
         return acc if acc is not None else ScalarPoly.zero(self.registry)
 
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def map_coeffs(self, fn: Callable[[ScalarPoly], ScalarPoly]) -> "CliffordElement":
         return CliffordElement(self.registry, {w: fn(c) for w, c in self.terms.items()})
 
@@ -282,6 +278,48 @@ def c_frame(registry: Registry, p: int, q: int, a: int) -> CliffordElement:
 
 def hatc(registry: Registry, s: int) -> CliffordElement:
     return CliffordElement.generator(registry, HC, s)
+
+
+def connection_blocks(registry: Registry, p: int, q: int,
+                      leaf: Callable[[int, int], ScalarPoly],
+                      perp: Callable[[int, int], ScalarPoly],
+                      mix: Callable[[int, int], ScalarPoly]
+                      ) -> tuple[CliffordElement, CliffordElement, CliffordElement]:
+    """The three families of a spin-connection value, kept apart:
+
+      * leaf pairs ``c(f_j) c(f_l)`` weighted ``leaf(j, l) / 4``,
+      * perp pairs ``c(h_s) c(h_t) - hatc(h_s) hatc(h_t)`` weighted
+        ``perp(s, t) / 4``,
+      * mixed pairs ``c(f_j) c(h_s)`` weighted ``mix(j, s) / 2``.
+
+    Coefficients are requested in that order, each family row by row, and
+    zero coefficients are skipped.
+    """
+    def gen(kind: int, index: int) -> CliffordElement:
+        return CliffordElement.generator(registry, kind, index)
+
+    quarter = GaussianRational(Fraction(1, 4))
+    half = GaussianRational(Fraction(1, 2))
+    leaf_part = CliffordElement.zero(registry)
+    for j in range(1, p + 1):
+        for l in range(1, p + 1):
+            co = leaf(j, l)
+            if co:
+                leaf_part = leaf_part + gen(CF, j) * gen(CF, l) * (co * quarter)
+    perp_part = CliffordElement.zero(registry)
+    for s in range(1, q + 1):
+        for t in range(1, q + 1):
+            co = perp(s, t)
+            if co:
+                pair = gen(CN, s) * gen(CN, t) - gen(HC, s) * gen(HC, t)
+                perp_part = perp_part + pair * (co * quarter)
+    mixed_part = CliffordElement.zero(registry)
+    for j in range(1, p + 1):
+        for s in range(1, q + 1):
+            co = mix(j, s)
+            if co:
+                mixed_part = mixed_part + gen(CF, j) * gen(CN, s) * (co * half)
+    return leaf_part, perp_part, mixed_part
 
 
 def c_dxn(registry: Registry, p: int, q: int) -> CliffordElement:

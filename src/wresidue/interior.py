@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clifford import CF, CN, HC, CliffordElement
+from .clifford import CF, CN, HC, CliffordElement, connection_blocks
 from .scalars import GR, KIND_CURV, KIND_CONN, KIND_MARKER, Registry, ScalarPoly
 
 
@@ -110,24 +110,12 @@ class InteriorSetting:
     def connection_term(self, tag: str) -> CliffordElement:
         """Generic connection-form value: quarter-weighted quadratic families
         plus the half-weighted mixing family."""
-        out = CliffordElement.zero(self.registry)
-        quarter = GR(Fraction(1, 4))
-        for j in range(1, self.p + 1):
-            for l in range(1, self.p + 1):
-                co = self.conn_leaf(tag, j, l)
-                if co:
-                    out = out + self.cf(j) * self.cf(l) * (co * quarter)
-        for s in range(1, self.q + 1):
-            for t in range(1, self.q + 1):
-                co = self.conn_perp(tag, s, t)
-                if co:
-                    out = out + (self.cn(s) * self.cn(t) - self.hc(s) * self.hc(t)) * (co * quarter)
-        for j in range(1, self.p + 1):
-            for s in range(1, self.q + 1):
-                co = self.conn_mix(tag, j, s)
-                if co:
-                    out = out + self.cf(j) * self.cn(s) * (co * GR(Fraction(1, 2)))
-        return out
+        leaf, perp, mixed = connection_blocks(
+            self.registry, self.p, self.q,
+            lambda j, l: self.conn_leaf(tag, j, l),
+            lambda s, t: self.conn_perp(tag, s, t),
+            lambda j, s: self.conn_mix(tag, j, s))
+        return leaf + perp + mixed
 
 
 def endomorphism_blocks(setting: InteriorSetting) -> dict[str, CliffordElement]:

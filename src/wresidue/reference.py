@@ -20,10 +20,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .boundary import BoundarySymbol, SymbolJet
-from .clifford import CliffordElement, c_dxn, c_frame, c_xi_prime, hatc
+from .clifford import CliffordElement, c_dxn, c_frame, c_xi_prime, connection_blocks
 from .scalars import (
     GR,
     GR_I,
@@ -86,12 +86,12 @@ def _nshift(f, k):
 class Model:
     """Shared symbolic geometry for every suite, over one registry."""
 
-    def __init__(self, p: int = P_LEAF, q: int = Q_PERP):
+    def __init__(self):
         reg = Registry()
         self.registry = reg
-        self.p = p
-        self.q = q
-        self.n = p + q
+        self.p = p = P_LEAF
+        self.q = q = Q_PERP
+        self.n = N_DIM
 
         self.pi = reg.add("pi", KIND_MARKER)
         self.omega3 = reg.add("Omega3", KIND_MARKER)
@@ -201,100 +201,34 @@ class Model:
     def s_mix(self, j: int, s: int, d: int) -> ScalarPoly:
         return self.var(self.smix[(j, s, d)])
 
-    def block_atoms(self) -> tuple[Indeterminate, ...]:
-        """Every connection-family indeterminate except the xy-derivatives."""
-        pools = (self.nabf, self.nabp, self.nabtm, self.smix)
-        return tuple(ind for pool in pools for ind in pool.values())
-
     # -- connection blocks (quadratic Clifford words) ----------------------
 
-    def _cf(self, a: int) -> CliffordElement:
-        return c_frame(self.registry, self.p, self.q, a)
-
-    def _ch(self, s: int) -> CliffordElement:
-        return c_frame(self.registry, self.p, self.q, self.p + s)
-
-    def m_block(self, d: int) -> CliffordElement:
-        out = CliffordElement.zero(self.registry)
-        quarter = GR(Fraction(1, 4))
-        for j in range(1, self.p + 1):
-            for l in range(1, self.p + 1):
-                co = self.nab_f(j, l, d)
-                if co:
-                    out = out + self._cf(j) * self._cf(l) * (co * quarter)
-        return out
-
-    def n_block(self, d: int) -> CliffordElement:
-        out = CliffordElement.zero(self.registry)
-        quarter = GR(Fraction(1, 4))
-        for s in range(1, self.q + 1):
-            for t in range(1, self.q + 1):
-                co = self.nab_p(s, t, d)
-                if co:
-                    pair = (self._ch(s) * self._ch(t)
-                            - hatc(self.registry, s) * hatc(self.registry, t))
-                    out = out + pair * (co * quarter)
-        return out
-
-    def a_block(self, d: int) -> CliffordElement:
-        out = CliffordElement.zero(self.registry)
-        half = GR(_HALF)
-        for j in range(1, self.p + 1):
-            for s in range(1, self.q + 1):
-                out = out + self._cf(j) * self._ch(s) * (self.s_mix(j, s, d) * half)
-        return out
+    def connection_blocks(self, d: int, mix: Callable[[int, int, int], ScalarPoly]
+                          ) -> tuple[CliffordElement, CliffordElement, CliffordElement]:
+        """Leaf, perp and mixed connection blocks in direction ``d``; ``mix``
+        supplies the mixed family (``s_mix`` or ``nab_tm``)."""
+        return connection_blocks(self.registry, self.p, self.q,
+                                 lambda j, l: self.nab_f(j, l, d),
+                                 lambda s, t: self.nab_p(s, t, d),
+                                 lambda j, s: mix(j, s, d))
 
     def mna_block(self, d: int) -> CliffordElement:
-        return self.m_block(d) + self.n_block(d) + self.a_block(d)
+        leaf, perp, mixed = self.connection_blocks(d, self.s_mix)
+        return leaf + perp + mixed
+
+    def base_connection(self, d: int) -> CliffordElement:
+        """Connection value of the base operator in direction ``d``, whose
+        mixed family is ``nab_tm``."""
+        leaf, perp, mixed = self.connection_blocks(d, self.nab_tm)
+        return leaf + perp + mixed
 
     @functools.cached_property
     def sigma0_base(self) -> CliffordElement:
-        """Zeroth symbol of the base first-order operator: frame letters
-        against all four connection-coefficient families."""
-        reg = self.registry
-        out = CliffordElement.zero(reg)
-        quarter = GR(Fraction(1, 4))
-        half = GR(_HALF)
-        for i in range(1, self.p + 1):
-            for k in range(1, self.p + 1):
-                for l in range(1, self.p + 1):
-                    co = self.nab_f(k, l, i)
-                    if co:
-                        out = out + self._cf(i) * self._cf(k) * self._cf(l) * (co * quarter)
-        for s in range(1, self.q + 1):
-            for k in range(1, self.p + 1):
-                for l in range(1, self.p + 1):
-                    co = self.nab_f(k, l, self.p + s)
-                    if co:
-                        out = out + self._cf(k) * self._cf(l) * self._ch(s) * (co * quarter)
-        for i in range(1, self.p + 1):
-            for r in range(1, self.q + 1):
-                for t in range(1, self.q + 1):
-                    co = self.nab_p(r, t, i)
-                    if co:
-                        pair = (hatc(reg, r) * hatc(reg, t)
-                                - self._ch(r) * self._ch(t))
-                        out = out - self._cf(i) * pair * (co * quarter)
-        for s in range(1, self.q + 1):
-            for r in range(1, self.q + 1):
-                for t in range(1, self.q + 1):
-                    co = self.nab_p(r, t, self.p + s)
-                    if co:
-                        pair = (hatc(reg, r) * hatc(reg, t)
-                                - self._ch(r) * self._ch(t))
-                        out = out - self._ch(s) * pair * (co * quarter)
-        for i in range(1, self.p + 1):
-            for j in range(1, self.p + 1):
-                for s in range(1, self.q + 1):
-                    co = self.nab_tm(j, s, i)
-                    if co:
-                        out = out + self._cf(i) * self._cf(j) * self._ch(s) * (co * half)
-        for s in range(1, self.q + 1):
-            for t in range(1, self.q + 1):
-                for i in range(1, self.p + 1):
-                    co = self.nab_tm(i, t, self.p + s)
-                    if co:
-                        out = out - self._ch(s) * self._ch(t) * self._cf(i) * (co * half)
+        """Zeroth symbol of the base first-order operator: each frame letter
+        against the base connection in its direction."""
+        out = CliffordElement.zero(self.registry)
+        for d in range(1, self.n + 1):
+            out = out + c_frame(self.registry, self.p, self.q, d) * self.base_connection(d)
         return out
 
     @functools.cached_property
@@ -323,15 +257,9 @@ def build_model() -> Model:
 
 
 def _block_direction_sum(model: Model, d: int) -> CliffordElement:
-    """-2M - 2N - mixed in one direction: the traced-out first-order content
-    of the squared operator's subleading symbol."""
-    blk = model.m_block(d) * (-2) + model.n_block(d) * (-2)
-    for j in range(1, model.p + 1):
-        for s in range(1, model.q + 1):
-            co = model.nab_tm(j, s, d)
-            if co:
-                blk = blk - model._cf(j) * model._ch(s) * co
-    return blk
+    """-2 times the base connection in one direction: the traced-out
+    first-order content of the squared operator's subleading symbol."""
+    return model.base_connection(d) * (-2)
 
 
 def sigma_m3_square(model: Model) -> XiRational:
@@ -447,11 +375,12 @@ def sigma2_cube_num(model: Model):
     mn0 = CliffordElement.zero(model.registry)
     for k in range(1, model.n):
         xi_k = model.var(model.xi[k - 1])
-        brk0 = brk0 + model.mna_block(k) * (xi_k * 2)
-        mn0 = mn0 + (model.m_block(k) + model.n_block(k)) * xi_k
-    brk1 = (model.mna_block(model.n) * 2
-            - model.ident(hp * Fraction(3, 2)))
-    mn1 = model.m_block(model.n) + model.n_block(model.n)
+        leaf, perp, mixed = model.connection_blocks(k, model.s_mix)
+        brk0 = brk0 + (leaf + perp + mixed) * (xi_k * 2)
+        mn0 = mn0 + (leaf + perp) * xi_k
+    leaf, perp, mixed = model.connection_blocks(model.n, model.s_mix)
+    brk1 = (leaf + perp + mixed) * 2 - model.ident(hp * Fraction(3, 2))
+    mn1 = leaf + perp
     t2 = _nscale(_nmul(cxin, {0: brk0, 1: brk1}), 2)
     t3 = _nmul({0: mn0, 1: mn1}, {0: model.ident(GR_ONE), 2: model.ident(GR_ONE)})
     return _nadd(t1, t2, t3)
@@ -720,65 +649,67 @@ def _enc(model: Model, num, a: int, b: int = 0) -> XiRational:
     return XiRational.build(model.registry, num, a, b)
 
 
-def display_checks(model: Model) -> tuple[DisplayCheck, ...]:
+def display_checks(suite: Suite) -> tuple[DisplayCheck, ...]:
+    """The five pinned intermediate displays of one boundary suite, read off
+    the suite's own jets."""
     from .xicalc import pi_plus, xi_derivative
 
+    model = suite.model
     hp = model.hp_poly
     t, c, nn = model.t_hat, model.c_hat, model.n_hat
-    p2, q2 = symbols_d2d2(model)
-    p3, q3 = symbols_d1d3(model)
     checks = []
 
-    base2 = pi_plus(p2.jet(0))
-    enc = _enc(model, {0: (t - nn) * GR(0, _HALF) - c * GR(_HALF)}, 1)
-    checks.append(DisplayCheck("d2d2/plus-part-base", base2, enc))
+    if suite.name == "boundary-d2d2":
+        base = pi_plus(suite.pside.jet(0))
+        enc = _enc(model, {0: (t - nn) * GR(0, _HALF) - c * GR(_HALF)}, 1)
+        checks.append(DisplayCheck("plus-part-base", base, enc))
 
-    dxn2 = pi_plus(p2.jet(0, 1))
-    enc = _enc(model, {
-        0: model.ident(t * (hp * GR(Fraction(-1, 2))) + c * (hp * GR(0, Fraction(-1, 4)))),
-        1: model.ident((t + nn) * (hp * GR(0, Fraction(-1, 4)))),
-    }, 2)
-    checks.append(DisplayCheck(
-        "d2d2/plus-part-normal-jet", dxn2, enc,
-        note="source line omits the collar-rate factor on the two mixed terms"))
+        dxn = pi_plus(suite.pside.jet(0, 1))
+        enc = _enc(model, {
+            0: model.ident(t * (hp * GR(Fraction(-1, 2))) + c * (hp * GR(0, Fraction(-1, 4)))),
+            1: model.ident((t + nn) * (hp * GR(0, Fraction(-1, 4)))),
+        }, 2)
+        checks.append(DisplayCheck(
+            "plus-part-normal-jet", dxn, enc,
+            note="source line omits the collar-rate factor on the two mixed terms"))
 
-    enc = _enc(model, {0: (t - nn) * GR(0, Fraction(-1, 2)) + c * GR(_HALF)}, 2)
-    checks.append(DisplayCheck("d2d2/plus-part-first-derivative",
-                               xi_derivative(base2), enc))
+        enc = _enc(model, {0: (t - nn) * GR(0, Fraction(-1, 2)) + c * GR(_HALF)}, 2)
+        checks.append(DisplayCheck("plus-part-first-derivative",
+                                   xi_derivative(base), enc))
 
-    enc = _enc(model, {0: (t - nn) * GR_I - c}, 3)
-    checks.append(DisplayCheck(
-        "d2d2/plus-part-second-derivative", xi_derivative(base2, 2), enc,
-        note="imaginary unit restored on the normal-normal coefficient"))
+        enc = _enc(model, {0: (t - nn) * GR_I - c}, 3)
+        checks.append(DisplayCheck(
+            "plus-part-second-derivative", xi_derivative(base, 2), enc,
+            note="imaginary unit restored on the normal-normal coefficient"))
 
-    enc = _enc(model, {0: -2, 2: 6}, 3, 3)
-    checks.append(DisplayCheck("d2d2/right-second-derivative",
-                               xi_derivative(q2.jet(-2), 2), enc))
+        enc = _enc(model, {0: -2, 2: 6}, 3, 3)
+        checks.append(DisplayCheck("right-second-derivative",
+                                   xi_derivative(suite.qside.jet(-2), 2), enc))
+        return tuple(checks)
 
     xi_c = model.cxi + model.cdxn * GR_I          # c(xi') + i c(dxn)
     theta = model.cxi * _MI + model.cdxn          # -i c(xi') + c(dxn)
-    base3 = pi_plus(p3.jet(1))
+    base = pi_plus(suite.pside.jet(1))
     enc = _enc(model, {0: xi_c * ((nn - t) * GR(_HALF)) + theta * (c * GR(_HALF))}, 1)
-    checks.append(DisplayCheck("d1d3/plus-part-base", base3, enc))
+    checks.append(DisplayCheck("plus-part-base", base, enc))
 
     enc = _enc(model, {0: xi_c * ((t - nn) * GR(_HALF)) - theta * (c * GR(_HALF))}, 2)
-    checks.append(DisplayCheck("d1d3/plus-part-first-derivative",
-                               xi_derivative(base3), enc))
+    checks.append(DisplayCheck("plus-part-first-derivative",
+                               xi_derivative(base), enc))
 
     enc = _enc(model, {0: xi_c * (nn - t) + theta * c}, 3)
-    checks.append(DisplayCheck("d1d3/plus-part-second-derivative",
-                               xi_derivative(base3, 2), enc))
+    checks.append(DisplayCheck("plus-part-second-derivative",
+                               xi_derivative(base, 2), enc))
 
     enc = _enc(model, {0: model.cdxn * GR_I, 1: model.cxi * GR(0, -4),
                        2: model.cdxn * GR(0, -3)}, 3, 3)
-    checks.append(DisplayCheck("d1d3/right-first-derivative",
-                               xi_derivative(q3.jet(-3)), enc))
+    checks.append(DisplayCheck("right-first-derivative",
+                               xi_derivative(suite.qside.jet(-3)), enc))
 
     enc = _enc(model, {0: model.cxi * GR(0, -4), 1: model.cdxn * GR(0, -12),
                        2: model.cxi * GR(0, 20), 3: model.cdxn * GR(0, 12)}, 4, 4)
-    checks.append(DisplayCheck("d1d3/right-second-derivative",
-                               xi_derivative(q3.jet(-3), 2), enc))
-
+    checks.append(DisplayCheck("right-second-derivative",
+                               xi_derivative(suite.qside.jet(-3), 2), enc))
     return tuple(checks)
 
 
@@ -826,13 +757,15 @@ def source_c_bracket_d1d3(model: Model) -> XiRational:
 
 @dataclass(frozen=True)
 class Suite:
+    """One boundary suite's jets, case labels and expected rows, built once
+    per run by :func:`load_suite`."""
+
     name: str
     model: Model
     pside: BoundarySymbol
     qside: BoundarySymbol
     labels: Mapping[tuple[int, int, int, int, int], str]
     expected: Mapping[str, ScalarPoly]
-    waived: tuple[str, ...]
 
 
 BOUNDARY_SUITES = ("boundary-d2d2", "boundary-d1d3")
@@ -850,8 +783,7 @@ def load_suite(name: str, model: Model | None = None) -> Suite:
     else:
         pside, qside = symbols_d1d3(model)
         labels, expected = D1D3_LABELS, expected_d1d3(model)
-    waived = tuple(w.label for w in builtin_waivers() if w.suite == name)
-    return Suite(name, model, pside, qside, labels, expected, waived)
+    return Suite(name, model, pside, qside, labels, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -886,13 +818,14 @@ def interior_expected(p: int, q: int, n: int) -> dict[str, Fraction]:
 def dump_records(model: Model | None = None) -> str:
     """Human-auditable dump of every frozen expected row."""
     model = model or build_model()
+    waived = {(w.suite, w.label) for w in builtin_waivers()}
     lines = [f"version: {DATA_VERSION}", ""]
-    for name in BOUNDARY_SUITES:
-        suite = load_suite(name, model)
+    for name, expected in (("boundary-d2d2", expected_d2d2(model)),
+                           ("boundary-d1d3", expected_d1d3(model))):
         lines.append(f"[{name}]")
-        for label in sorted(suite.expected):
-            flag = " (waived)" if label in suite.waived else ""
-            lines.append(f"  {label}{flag}: {suite.expected[label].render()}")
+        for label in sorted(expected):
+            flag = " (waived)" if (name, label) in waived else ""
+            lines.append(f"  {label}{flag}: {expected[label].render()}")
         lines.append("")
     lines.append("[interior]")
     for p, q, n in INTERIOR_CASES:

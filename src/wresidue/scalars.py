@@ -53,16 +53,8 @@ class GaussianRational:
         return out
 
     @staticmethod
-    def zero() -> "GaussianRational":
-        return GaussianRational(0, 0)
-
-    @staticmethod
     def one() -> "GaussianRational":
         return GaussianRational(1, 0)
-
-    @staticmethod
-    def i() -> "GaussianRational":
-        return GaussianRational(0, 1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -415,14 +407,6 @@ class ScalarPoly:
 
     # -- structure queries -------------------------------------------------
 
-    def degree_in(self, ind: Indeterminate) -> int:
-        deg = 0
-        for mono in self.terms:
-            for iid, exp in mono:
-                if iid == ind.id:
-                    deg = max(deg, exp)
-        return deg
-
     def indeterminate_ids(self) -> set[int]:
         out = set()
         for mono in self.terms:
@@ -559,15 +543,6 @@ class ScalarPoly:
     def __repr__(self):
         return f"<ScalarPoly {self.render()}>"
 
-    @staticmethod
-    def parse(registry: Registry, text: str) -> "ScalarPoly":
-        """Parse the canonical rendering back into a polynomial."""
-        out = ScalarPoly.zero(registry)
-        for sign, term in _split_terms(text):
-            poly = _parse_term(registry, term)
-            out = out + (poly if sign > 0 else -poly)
-        return out
-
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
@@ -582,82 +557,3 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 
 def _mono_sort_key(mono: Monomial):
     return (tuple(iid for iid, _ in mono), tuple(exp for _, exp in mono))
-
-
-def _split_terms(text: str):
-    """Yield (sign, term) pairs splitting on top-level '+'/'-'."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty polynomial text")
-    depth = 0
-    sign = 1
-    cur = []
-    i = 0
-    out = []
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur and cur[-1] == " ":
-            out.append((sign, "".join(cur).strip()))
-            sign = 1 if ch == "+" else -1
-            cur = []
-            i += 2  # skip the space after the operator
-            continue
-        cur.append(ch)
-        i += 1
-    out.append((sign, "".join(cur).strip()))
-    return out
-
-
-def _parse_term(registry: Registry, term: str) -> ScalarPoly:
-    if term == "0":
-        return ScalarPoly.zero(registry)
-    negate = False
-    if term.startswith("-") and not term.startswith("-("):
-        # leading minus on the first term of a rendering
-        if not term[1:2].isdigit() and term[1:2] != "(":
-            negate = True
-            term = term[1:]
-    factors = _split_factors(term)
-    poly = ScalarPoly.const(registry, GR_ONE)
-    for factor in factors:
-        factor = factor.strip()
-        if not factor:
-            continue
-        if factor[0].isdigit() or factor[0] in "(-" or factor.endswith("i") and _looks_numeric(factor):
-            poly = poly * ScalarPoly.const(registry, GaussianRational.parse(factor))
-            continue
-        if "^" in factor:
-            name, exp_s = factor.split("^")
-            exp = int(exp_s)
-        else:
-            name, exp = factor, 1
-        poly = poly * ScalarPoly.var(registry, registry.by_name(name), exp)
-    return -poly if negate else poly
-
-
-def _split_factors(term: str):
-    depth = 0
-    cur = []
-    out = []
-    for ch in term:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "*" and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out
-
-
-def _looks_numeric(text: str) -> bool:
-    body = text[:-1] if text.endswith("i") else text
-    body = body.lstrip("-")
-    return bool(body) and all(c.isdigit() or c == "/" for c in body)

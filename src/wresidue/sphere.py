@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .clifford import CliffordElement
-from .scalars import GR, GR_ZERO, Indeterminate, Registry, ScalarPoly
+from .scalars import GR, GR_ZERO, Indeterminate, ScalarPoly
 
 
 def _double_factorial(n: int) -> int:

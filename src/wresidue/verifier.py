@@ -15,11 +15,11 @@ from fractions import Fraction
 
 from . import interior, reference
 from .boundary import assemble_boundary, drop_components, extrinsic_form
-from .clifford import CliffordElement
 from .report import (
     STATUS_FLAG,
     STATUS_MATCH,
     STATUS_MISMATCH,
+    WAIVER_ENV,
     ClaimRecord,
     SuiteReport,
     load_waivers,
@@ -36,6 +36,10 @@ NUMERIC_RTOL = 1e-9
 
 class UnknownSuiteError(ValueError):
     pass
+
+
+class ConfigurationError(RuntimeError):
+    """The waiver file or the intermediates directory cannot be used."""
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +237,7 @@ def _boundary_records(model, suite_name, waivers, emit_dir) -> tuple[ClaimRecord
     suite = load_suite(suite_name, model)
     result = assemble_boundary(suite.pside, suite.qside, suite_name,
                                suite.labels, model.pi, model.omega3)
-    if suite_name == "boundary-d2d2":
-        expected = reference.expected_d2d2(model)
-    else:
-        expected = reference.expected_d1d3(model)
+    expected = suite.expected
     rows = dict(result.groups)
     rows["total"] = result.total
     bindings = numeric_bindings(model)
@@ -270,12 +271,14 @@ def _boundary_records(model, suite_name, waivers, emit_dir) -> tuple[ClaimRecord
             evidence.append(f"engine equals frozen re-derived value: {frozen_ok}")
             if not (cases_ok and frozen_ok and gap > NUMERIC_RTOL):
                 note = "corroboration incomplete"
+        computed = structured_render(model, row)
+        recorded = structured_render(model, want)
         inter = ""
         if emit_dir:
             detail = [f"suite: {suite_name}", f"row: {label}", "",
                       f"engine (raw): {row.render()}", "",
-                      f"engine (structured): {structured_render(model, row)}", "",
-                      f"recorded (structured): {structured_render(model, want)}", ""]
+                      f"engine (structured): {computed}", "",
+                      f"recorded (structured): {recorded}", ""]
             for res in result.cases:
                 if res.label == label and res.traced is not None:
                     detail.append(f"case integrand (alpha={res.case.alpha}, "
@@ -287,8 +290,8 @@ def _boundary_records(model, suite_name, waivers, emit_dir) -> tuple[ClaimRecord
                                         "\n".join(detail))
         records.append(ClaimRecord(
             record_id=label,
-            recorded=structured_render(model, want),
-            computed=structured_render(model, row),
+            recorded=recorded,
+            computed=computed,
             status=status,
             note=note,
             waiver=waiver_reason(waivers, suite_name, label) if status == STATUS_MISMATCH else "",
@@ -310,11 +313,8 @@ def _boundary_records(model, suite_name, waivers, emit_dir) -> tuple[ClaimRecord
                 if sum_status == STATUS_MISMATCH else ""),
     ))
 
-    prefix = "d2d2" if suite_name == "boundary-d2d2" else "d1d3"
-    for check in reference.display_checks(model):
-        if not check.record_id.startswith(prefix):
-            continue
-        rid = check.record_id.split("/", 1)[1]
+    for check in reference.display_checks(suite):
+        rid = check.record_id
         same = check.engine == check.encoded
         records.append(ClaimRecord(
             record_id=rid,
@@ -378,9 +378,17 @@ def run(names, fmt="json", emit_dir=None, environ=None):
         else:
             raise UnknownSuiteError(name)
     if emit_dir:
-        os.makedirs(emit_dir, exist_ok=True)
+        try:
+            os.makedirs(emit_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create intermediates directory: {exc}") from exc
     model = build_model()
-    waivers = load_waivers(environ)
+    try:
+        waivers = load_waivers(environ)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigurationError(
+            f"cannot load waivers from {WAIVER_ENV}: {type(exc).__name__}: {exc}") from exc
     reports = tuple(run_suite(n, model, waivers, emit_dir) for n in expanded)
     text = to_json(reports) if fmt == "json" else to_markdown(reports)
     return exit_code(reports), text

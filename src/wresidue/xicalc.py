@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping
 
-from .clifford import CliffordElement, fiber_dimension
+from .clifford import CliffordElement
 from .scalars import (
     GR,
     GR_I,
@@ -107,10 +107,6 @@ class XiRational:
     @staticmethod
     def zero(registry: Registry) -> "XiRational":
         return XiRational(registry, {})
-
-    @staticmethod
-    def from_cliff(value: CliffordElement) -> "XiRational":
-        return XiRational(value.registry, {0: value})
 
     @staticmethod
     def const(registry: Registry, value) -> "XiRational":
@@ -311,9 +307,9 @@ class XiRational:
         reg = self.registry
         rem = dict(self.num)
         for _ in range(self.a):
-            rem = _strip_root(rem, reg, GR_I)
+            rem = _synthetic_div(rem, reg, GR_I)
         for _ in range(self.b):
-            rem = _strip_root(rem, reg, -GR_I)
+            rem = _synthetic_div(rem, reg, -GR_I)
         return _clean(rem)
 
     def residue_at_plus_i(self) -> CliffordElement:
@@ -369,11 +365,6 @@ class XiRational:
 
     def __repr__(self):
         return f"<XiRational {self.render()}>"
-
-
-def _strip_root(num: NumDict, registry: Registry, c: GaussianRational) -> NumDict:
-    """One long-division step by (xn - c), discarding the remainder."""
-    return _synthetic_div(num, registry, c)
 
 
 # -- module-level operation names ------------------------------------------

@@ -1,14 +1,13 @@
 import pytest
 
 from wresidue.boundary import assemble_boundary
-from wresidue.reference import build_model, load_suite
+from wresidue.reference import BOUNDARY_SUITES, build_model, load_suite
 from wresidue.verifier import run
 
 
-def _assembled(model, name):
-    suite = load_suite(name, model)
+def _assembled(suite):
     return assemble_boundary(suite.pside, suite.qside, suite.name, suite.labels,
-                             model.pi, model.omega3)
+                             suite.model.pi, suite.model.omega3)
 
 
 @pytest.fixture(scope="session")
@@ -17,13 +16,19 @@ def model():
 
 
 @pytest.fixture(scope="session")
-def d2d2(model):
-    return _assembled(model, "boundary-d2d2")
+def suites(model):
+    """Each boundary suite loaded once, keyed by name in suite order."""
+    return {name: load_suite(name, model) for name in BOUNDARY_SUITES}
 
 
 @pytest.fixture(scope="session")
-def d1d3(model):
-    return _assembled(model, "boundary-d1d3")
+def d2d2(suites):
+    return _assembled(suites["boundary-d2d2"])
+
+
+@pytest.fixture(scope="session")
+def d1d3(suites):
+    return _assembled(suites["boundary-d1d3"])
 
 
 @pytest.fixture(scope="session")

@@ -103,9 +103,15 @@ def test_second_composition_rows_exact(model, d2d2):
     assert derived["total"] == recorded["total"] - recorded["c"] + derived["c"]
 
 
-def test_plus_projection_milestones(model):
-    for check in display_checks(model):
-        assert check.engine == check.encoded, check.record_id
+def test_plus_projection_milestones(suites):
+    seen = []
+    for name, suite in suites.items():
+        checks = display_checks(suite)
+        assert len(checks) == 5, name
+        for check in checks:
+            assert check.engine == check.encoded, (name, check.record_id)
+            seen.append((name, check.record_id))
+    assert len(set(seen)) == 10
 
 
 def test_extrinsic_gauge_rewrite(model):

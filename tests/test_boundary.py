@@ -16,7 +16,6 @@ from wresidue.reference import (
     derived_d2d2,
     expected_d2d2,
     expected_d1d3,
-    load_suite,
 )
 from wresidue.scalars import GR, GR_I, ScalarPoly
 
@@ -67,19 +66,18 @@ def test_tangential_cases_vanish_with_note(d2d2):
         assert res.note == "tangential-base-jet-vanishes"
 
 
-def test_missing_jet_raises(model):
-    suite = load_suite("boundary-d2d2", model)
+def test_missing_jet_raises(suites):
+    suite = suites["boundary-d2d2"]
     with pytest.raises(MissingJetError):
         suite.pside.jet(99)
     with pytest.raises(MissingJetError):
         suite.pside.jet(suite.pside.orders()[0], 99)
 
 
-def test_derivative_transfer_invariance(model):
+def test_derivative_transfer_invariance(model, suites):
     """Moving one normal-covariable derivative across the product, with the
     sign flip, cannot change any case value."""
-    for name in ("boundary-d2d2", "boundary-d1d3"):
-        suite = load_suite(name, model)
+    for name, suite in suites.items():
         cases = enumerate_cases(name, suite.pside.orders(), suite.qside.orders(),
                                 suite.labels)
         for case in cases[:4]:
@@ -90,8 +88,8 @@ def test_derivative_transfer_invariance(model):
             assert plain.value == moved.value, case.label
 
 
-def test_shift_range_validated(model):
-    suite = load_suite("boundary-d2d2", model)
+def test_shift_range_validated(model, suites):
+    suite = suites["boundary-d2d2"]
     case = enumerate_cases("boundary-d2d2", suite.pside.orders(),
                            suite.qside.orders(), suite.labels)[0]
     with pytest.raises(ValueError):

@@ -65,9 +65,15 @@ def test_recorded_row_coefficients(model):
                                GR(Fraction(-245, 96), Fraction(26, 96)))
 
 
-def test_display_checks_all_reproduce(model):
-    for check in display_checks(model):
-        assert check.engine == check.encoded, check.record_id
+def test_display_checks_all_reproduce(suites):
+    seen = []
+    for name, suite in suites.items():
+        checks = display_checks(suite)
+        assert len(checks) == 5, name
+        for check in checks:
+            assert check.engine == check.encoded, (name, check.record_id)
+            seen.append((name, check.record_id))
+    assert len(set(seen)) == 10
 
 
 def test_recorded_final_case_integrand_second_composition(model):

@@ -109,6 +109,17 @@ def test_corrupt_recorded_table_fails_run(model, monkeypatch):
     assert exit_code([rep]) == 1
 
 
+def test_boundary_suite_builds_its_jets_once(model, monkeypatch):
+    calls = {"symbols_d2d2": 0, "symbols_d1d3": 0}
+    for name in calls:
+        def counted(m, _orig=getattr(reference, name), _name=name):
+            calls[_name] += 1
+            return _orig(m)
+        monkeypatch.setattr(reference, name, counted)
+    run_suite("boundary-d2d2", model)
+    assert calls == {"symbols_d2d2": 1, "symbols_d1d3": 0}
+
+
 def test_waiver_file_from_environment(tmp_path):
     path = tmp_path / "waivers.json"
     path.write_text(json.dumps(
@@ -167,6 +178,29 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["--format", "xml"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("case", ["waiver-shape", "waiver-missing", "emit-under-file"])
+def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
+    argv = ["--suite", "interior"]
+    if case == "waiver-shape":
+        path = tmp_path / "waivers.json"
+        path.write_text(json.dumps({"a": 1}))
+        monkeypatch.setenv(WAIVER_ENV, str(path))
+        want = f"cannot load waivers from {WAIVER_ENV}: TypeError: "
+    elif case == "waiver-missing":
+        monkeypatch.setenv(WAIVER_ENV, str(tmp_path / "absent.json"))
+        want = f"cannot load waivers from {WAIVER_ENV}: FileNotFoundError: "
+    else:
+        monkeypatch.delenv(WAIVER_ENV, raising=False)
+        (tmp_path / "plain").write_text("")
+        argv += ["--emit-intermediates", str(tmp_path / "plain" / "sub")]
+        want = "cannot create intermediates directory: "
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"wres-verify: error: {want}")
+    assert err.endswith("\n") and err.count("\n") == 1
 
 
 def test_cli_parser_defaults():
