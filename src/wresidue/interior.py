@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .clifford import CF, CN, HC, CliffordElement, connection_blocks
 from .scalars import GR, KIND_CURV, KIND_CONN, KIND_MARKER, Registry, ScalarPoly
@@ -125,37 +126,22 @@ def endomorphism_blocks(setting: InteriorSetting) -> dict[str, CliffordElement]:
     quarter = GR(Fraction(1, 4))
     scalar = setting.ident(setting.var(setting.scurv) * quarter)
 
-    mixed = CliffordElement.zero(setting.registry)
-    for i in range(1, p + 1):
-        for r in range(1, q + 1):
-            for t in range(1, q + 1):
-                for s in range(1, q + 1):
-                    co = setting.r_mixed(i, r, t, s)
-                    if co:
-                        mixed = mixed + (setting.cf(i) * setting.cn(r)
-                                         * setting.hc(s) * setting.hc(t)) * (co * quarter)
+    def block(curv, first, n_first, second, n_second) -> CliffordElement:
+        # curv(a, b, t, s) * first(a) second(b) hc(s) hc(t), summed in the
+        # nesting order a, b, t, s so atoms and terms keep their order
+        out = CliffordElement.zero(setting.registry)
+        for a, b, t, s in product(range(1, n_first + 1), range(1, n_second + 1),
+                                  range(1, q + 1), range(1, q + 1)):
+            co = curv(a, b, t, s)
+            if co:
+                out = out + (first(a) * second(b)
+                             * setting.hc(s) * setting.hc(t)) * (co * quarter)
+        return out
 
-    leaf = CliffordElement.zero(setting.registry)
-    for i in range(1, p + 1):
-        for j in range(1, p + 1):
-            for t in range(1, q + 1):
-                for s in range(1, q + 1):
-                    co = setting.r_leaf(i, j, t, s)
-                    if co:
-                        leaf = leaf + (setting.cf(i) * setting.cf(j)
-                                       * setting.hc(s) * setting.hc(t)) * (co * quarter)
-
-    perp = CliffordElement.zero(setting.registry)
-    for r in range(1, q + 1):
-        for u in range(1, q + 1):
-            for t in range(1, q + 1):
-                for s in range(1, q + 1):
-                    co = setting.r_perp(r, u, t, s)
-                    if co:
-                        perp = perp + (setting.cn(r) * setting.cn(u)
-                                       * setting.hc(s) * setting.hc(t)) * (co * quarter)
-
-    return {"scalar": scalar, "mixed-pair": mixed, "leaf-pair": leaf, "perp-pair": perp}
+    return {"scalar": scalar,
+            "mixed-pair": block(setting.r_mixed, setting.cf, p, setting.cn, q),
+            "leaf-pair": block(setting.r_leaf, setting.cf, p, setting.cf, p),
+            "perp-pair": block(setting.r_perp, setting.cn, q, setting.cn, q)}
 
 
 def trace_identity(p: int, q: int) -> Fraction:

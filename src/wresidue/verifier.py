@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 from . import interior, reference
@@ -39,7 +40,14 @@ class UnknownSuiteError(ValueError):
 
 
 class ConfigurationError(RuntimeError):
-    """The waiver file or the intermediates directory cannot be used."""
+    """The waiver file, a waiver in it, or the intermediates directory cannot
+    be used."""
+
+
+def _claim(record_id, recorded, computed, same, **kw) -> ClaimRecord:
+    """A record whose status is ``match`` exactly when ``same`` holds."""
+    return ClaimRecord(record_id=record_id, recorded=recorded, computed=computed,
+                       status=STATUS_MATCH if same else STATUS_MISMATCH, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +79,8 @@ def _fmt(x: float) -> str:
     return format(x, ".6e")
 
 
-def _case_corroboration(model, cases, label, bound_atoms, markers,
-                        memo=None) -> tuple[list[str], bool]:
+def _case_corroboration(model, cases, label, bound_atoms, bindings,
+                        memo) -> tuple[list[str], bool]:
     """Quadrature check of the normal-covariable integral for every case
     contributing to one row ("total" covers them all); returns evidence
     lines and an overall flag.
@@ -81,7 +89,6 @@ def _case_corroboration(model, cases, label, bound_atoms, markers,
     quadrature runs over a constant-coefficient rational function.  The
     memo shares per-case results between row claims and the total claim.
     """
-    memo = {} if memo is None else memo
     lines = []
     ok = True
     for idx, res in enumerate(cases):
@@ -90,8 +97,8 @@ def _case_corroboration(model, cases, label, bound_atoms, markers,
         got = memo.get(idx)
         if got is None:
             small = res.traced.substitute(bound_atoms)
-            sym = small.integrate(model.pi).scalar_part().eval_complex(markers)
-            num = numeric_xi_oracle(small, markers)
+            sym = small.integrate(model.pi).scalar_part().eval_complex(bindings)
+            num = numeric_xi_oracle(small, bindings)
             rel = abs(sym - num) / max(abs(sym), 1.0)
             got = memo[idx] = (
                 rel <= NUMERIC_RTOL,
@@ -106,63 +113,39 @@ def _case_corroboration(model, cases, label, bound_atoms, markers,
 # interior suite
 
 
-def _interior_records() -> tuple[ClaimRecord, ...]:
+def _interior_records() -> list[ClaimRecord]:
     records = []
     for p, q, n in reference.INTERIOR_CASES:
         got = interior.first_principles_coefficients(p, q, n)
         want = reference.interior_expected(p, q, n)
-        m = n // 2
-        pairs = (
-            ("einstein", f"{want['einstein']} * pi^{m}", f"{got.einstein} * pi^{m}",
-             got.einstein == want["einstein"]),
-            ("scalar", str(want["scalar"]), str(got.scalar),
-             got.scalar == want["scalar"]),
-            ("two-form", str(want["two-form"]), str(got.two_form),
-             got.two_form == want["two-form"]),
-            ("endo-trace", f"{want['endo-trace']} * s", f"{got.endo_trace} * s",
-             got.endo_trace == want["endo-trace"]),
-        )
-        for key, rec_text, got_text, same in pairs:
-            records.append(ClaimRecord(
-                record_id=f"rank-{p}-{q}-dim-{n}-{key}",
-                recorded=rec_text,
-                computed=got_text,
-                status=STATUS_MATCH if same else STATUS_MISMATCH,
-                note="closed form vs first-principles assembly",
-            ))
-    return tuple(records)
+        for key, unit in (("einstein", f" * pi^{n // 2}"), ("scalar", ""),
+                          ("two-form", ""), ("endo-trace", " * s")):
+            w, g = want[key], getattr(got, key.replace("-", "_"))
+            records.append(_claim(f"rank-{p}-{q}-dim-{n}-{key}", f"{w}{unit}",
+                                  f"{g}{unit}", g == w,
+                                  note="closed form vs first-principles assembly"))
+    return records
 
 
 # ---------------------------------------------------------------------------
 # traces suite
 
 
-def _trace_records(model) -> tuple[ClaimRecord, ...]:
+def _trace_records(model) -> list[ClaimRecord]:
     records = []
 
-    block_names = (("mixed-pair", "endo-block-mixed-trace"),
-                   ("leaf-pair", "endo-block-leaf-trace"),
-                   ("perp-pair", "endo-block-perp-trace"))
     _, block_traces = interior.trace_endomorphism(2, 2)
-    for block, rec_id in block_names:
+    for block in ("mixed-pair", "leaf-pair", "perp-pair"):
         tr = block_traces[block]
-        records.append(ClaimRecord(
-            record_id=rec_id,
-            recorded="0",
-            computed=tr.render(),
-            status=STATUS_MATCH if tr.is_zero() else STATUS_MISMATCH,
-            note="curvature block of the endomorphism traces to zero",
-        ))
+        records.append(_claim(
+            f"endo-block-{block.removesuffix('-pair')}-trace", "0", tr.render(),
+            tr.is_zero(), note="curvature block of the endomorphism traces to zero"))
 
     for p, q in ((2, 2), (4, 2), (2, 4)):
         co, _ = interior.trace_endomorphism(p, q)
         want = Fraction(2) ** (p // 2 + q - 2)
-        records.append(ClaimRecord(
-            record_id=f"endo-trace-rank-{p}-{q}",
-            recorded=f"{want} * s",
-            computed=f"{co} * s",
-            status=STATUS_MATCH if co == want else STATUS_MISMATCH,
-        ))
+        records.append(_claim(f"endo-trace-rank-{p}-{q}", f"{want} * s",
+                              f"{co} * s", co == want))
 
     p, q = 2, 2
     setting = interior.InteriorSetting(p, q)
@@ -181,42 +164,32 @@ def _trace_records(model) -> tuple[ClaimRecord, ...]:
     diag = (setting.hc(1) * setting.hc(1) - setting.cn(1) * setting.cn(1)).trace(p, q)
     off = (setting.hc(1) * setting.hc(2) - setting.cn(1) * setting.cn(2)).trace(p, q)
     want = GR(2) ** (p // 2 + q + 1)
-    records.append(ClaimRecord(
-        record_id="perp-pair-difference",
-        recorded=f"{2 ** (p // 2 + q + 1)} (r = t); 0 (r != t)",
-        computed=f"{diag.constant_part().render()} (r = t); "
-                 f"{off.constant_part().render()} (r != t)",
-        status=STATUS_MATCH if diag.constant_part() == want and off.is_zero()
-        else STATUS_MISMATCH,
+    records.append(_claim(
+        "perp-pair-difference",
+        f"{2 ** (p // 2 + q + 1)} (r = t); 0 (r != t)",
+        f"{diag.constant_part().render()} (r = t); "
+        f"{off.constant_part().render()} (r != t)",
+        diag.constant_part() == want and off.is_zero(),
         note="recorded complement-factor value lifted by the distinguished "
-             f"factor dimension 2^(p/2) = {2 ** (p // 2)}",
-    ))
+             f"factor dimension 2^(p/2) = {2 ** (p // 2)}"))
 
     got = (model.sigma0_base * model.cdxn).trace(2, 2)
     want_poly = (model.var(model.registry.by_name("wM12d1"))
                  + model.var(model.registry.by_name("wM22d2"))
                  + model.var(model.registry.by_name("wP12d3"))) * GR(4)
-    records.append(ClaimRecord(
-        record_id="normal-divergence-trace",
-        recorded="4*(wM12d1 + wM22d2 + wP12d3)",
-        computed=got.render(),
-        status=STATUS_MATCH if got == want_poly else STATUS_MISMATCH,
-        note="equals -4 times the boundary divergence scalar",
-    ))
+    records.append(_claim(
+        "normal-divergence-trace", "4*(wM12d1 + wM22d2 + wP12d3)", got.render(),
+        got == want_poly, note="equals -4 times the boundary divergence scalar"))
 
     tang = (model.sigma0_base * model.cxi).trace(2, 2)
     avg = integrate_sphere(tang, model.xi, model.omega3)
-    records.append(ClaimRecord(
-        record_id="tangential-divergence-trace",
-        recorded="0",
-        computed=avg.render(),
-        status=STATUS_MATCH if avg.is_zero() else STATUS_MISMATCH,
+    records.append(_claim(
+        "tangential-divergence-trace", "0", avg.render(), avg.is_zero(),
         note="pointwise trace is odd in the tangential covariable; its "
              "sphere average vanishes",
-        evidence=(f"pointwise trace holds {len(tang.terms)} odd terms",),
-    ))
+        evidence=(f"pointwise trace holds {len(tang.terms)} odd terms",)))
 
-    return tuple(records)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +199,7 @@ def _trace_records(model) -> tuple[ClaimRecord, ...]:
 _ROW_ORDER = ("a-I", "a-II", "a-III", "b", "c", "total")
 
 
-def _write_intermediate(emit_dir, name, text) -> str:
-    fname = f"{name}.txt"
-    with open(os.path.join(emit_dir, fname), "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return fname
-
-
-def _boundary_records(model, suite_name, waivers, emit_dir) -> tuple[ClaimRecord, ...]:
+def _boundary_records(model, suite_name, emit_dir) -> list[ClaimRecord]:
     suite = load_suite(suite_name, model)
     result = assemble_boundary(suite.pside, suite.qside, suite_name,
                                suite.labels, model.pi, model.omega3)
@@ -242,7 +208,6 @@ def _boundary_records(model, suite_name, waivers, emit_dir) -> tuple[ClaimRecord
     rows["total"] = result.total
     bindings = numeric_bindings(model)
     bound_atoms = exact_bindings(model)
-    markers = {model.pi.id: complex(math.pi), model.omega3.id: 2.03125}
     fingerprints = reference.derived_fingerprints()[suite_name]
     quad_memo: dict = {}
 
@@ -251,13 +216,10 @@ def _boundary_records(model, suite_name, waivers, emit_dir) -> tuple[ClaimRecord
         row, want = rows[label], expected[label]
         evidence: list[str] = []
         note = ""
-        if row == want:
-            status = STATUS_MATCH
-        else:
-            status = STATUS_MISMATCH
+        if row != want:
             case_lines, cases_ok = _case_corroboration(model, result.cases,
                                                        label, bound_atoms,
-                                                       markers, quad_memo)
+                                                       bindings, quad_memo)
             evidence.extend(case_lines)
             got_num = row.eval_complex(bindings)
             want_num = want.eval_complex(bindings)
@@ -286,44 +248,24 @@ def _boundary_records(model, suite_name, waivers, emit_dir) -> tuple[ClaimRecord
                                   f"k={res.case.k}, j={res.case.j}):")
                     detail.append(res.traced.render())
                     detail.append("")
-            inter = _write_intermediate(emit_dir, f"{suite_name}-{label}",
-                                        "\n".join(detail))
-        records.append(ClaimRecord(
-            record_id=label,
-            recorded=recorded,
-            computed=computed,
-            status=status,
-            note=note,
-            waiver=waiver_reason(waivers, suite_name, label) if status == STATUS_MISMATCH else "",
-            evidence=tuple(evidence),
-            intermediates=inter,
-        ))
+            inter = f"{suite_name}-{label}.txt"
+            with open(os.path.join(emit_dir, inter), "w", encoding="utf-8") as fh:
+                fh.write("\n".join(detail))
+        records.append(_claim(label, recorded, computed, row == want, note=note,
+                              evidence=tuple(evidence), intermediates=inter))
 
     case_sum = ScalarPoly.zero(model.registry)
     for label in _ROW_ORDER[:-1]:
         case_sum = case_sum + expected[label]
-    sum_status = STATUS_MATCH if case_sum == expected["total"] else STATUS_MISMATCH
-    records.append(ClaimRecord(
-        record_id="recorded-sum-identity",
-        recorded=structured_render(model, expected["total"]),
-        computed=structured_render(model, case_sum),
-        status=sum_status,
-        note="pure arithmetic: the recorded case rows sum to the recorded total",
-        waiver=(waiver_reason(waivers, suite_name, "recorded-sum-identity")
-                if sum_status == STATUS_MISMATCH else ""),
-    ))
+    records.append(_claim(
+        "recorded-sum-identity", structured_render(model, expected["total"]),
+        structured_render(model, case_sum), case_sum == expected["total"],
+        note="pure arithmetic: the recorded case rows sum to the recorded total"))
 
     for check in reference.display_checks(suite):
-        rid = check.record_id
-        same = check.engine == check.encoded
-        records.append(ClaimRecord(
-            record_id=rid,
-            recorded=check.encoded.render(),
-            computed=check.engine.render(),
-            status=STATUS_MATCH if same else STATUS_MISMATCH,
-            note=check.note,
-            waiver="" if same else waiver_reason(waivers, suite_name, rid),
-        ))
+        records.append(_claim(check.record_id, check.encoded.render(),
+                              check.engine.render(), check.engine == check.encoded,
+                              note=check.note))
 
     if suite_name == "boundary-d2d2":
         tangential = drop_components(expected["total"],
@@ -332,19 +274,13 @@ def _boundary_records(model, suite_name, waivers, emit_dir) -> tuple[ClaimRecord
         want_poly = (model.sigma_hat * model.var(model.kext)
                      * model.var(model.pi) * model.var(model.omega3)
                      * GR(Fraction(5, 36)))
-        gauge_status = STATUS_MATCH if gauge == want_poly else STATUS_MISMATCH
-        records.append(ClaimRecord(
-            record_id="extrinsic-gauge-rewrite",
-            recorded="5/36*[sum_a<4 Xa*Ya]*K*pi*Omega3",
-            computed=gauge.render(),
-            status=gauge_status,
+        records.append(_claim(
+            "extrinsic-gauge-rewrite", "5/36*[sum_a<4 Xa*Ya]*K*pi*Omega3",
+            gauge.render(), gauge == want_poly,
             note="recorded total with the normal component dropped, collar "
-                 "rate rewritten as -(2/3)*K",
-            waiver=(waiver_reason(waivers, suite_name, "extrinsic-gauge-rewrite")
-                    if gauge_status == STATUS_MISMATCH else ""),
-        ))
+                 "rate rewritten as -(2/3)*K"))
 
-    return tuple(records)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +288,9 @@ def _boundary_records(model, suite_name, waivers, emit_dir) -> tuple[ClaimRecord
 
 
 def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
+    """Recompute one suite, then give each mismatch its waiver, if any.  A
+    waiver for an unknown suite, or for a record id this suite lacks, is a
+    :class:`ConfigurationError`."""
     if name not in reference.ALL_SUITES:
         raise UnknownSuiteError(name)
     model = model if model is not None else build_model()
@@ -361,8 +300,15 @@ def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
     elif name == "traces":
         records = _trace_records(model)
     else:
-        records = _boundary_records(model, name, waivers, emit_dir)
-    return SuiteReport(suite=name, records=records)
+        records = _boundary_records(model, name, emit_dir)
+    ids = {r.record_id for r in records}
+    for w in waivers:
+        if w.suite not in reference.ALL_SUITES or (w.suite == name and w.label not in ids):
+            raise ConfigurationError(
+                f"waiver names no record: suite {w.suite!r}, label {w.label!r}")
+    return SuiteReport(suite=name, records=tuple(
+        replace(r, waiver=waiver_reason(waivers, name, r.record_id))
+        if r.status == STATUS_MISMATCH else r for r in records))
 
 
 def run(names, fmt="json", emit_dir=None, environ=None):

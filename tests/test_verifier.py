@@ -152,6 +152,29 @@ def test_environment_waiver_flows_through_run(model, monkeypatch, tmp_path):
     assert record["waiver"] == "test entry"
 
 
+def test_environment_waiver_covers_interior_records(monkeypatch, tmp_path):
+    orig = reference.interior_expected
+
+    def tampered(p, q, n):
+        row = dict(orig(p, q, n))
+        if (p, q, n) == (2, 2, 4):
+            row["scalar"] = row["scalar"] * 2
+        return row
+
+    monkeypatch.setattr(reference, "interior_expected", tampered)
+    code_bad, _ = run(("interior",), environ={})
+    assert code_bad == 1
+    path = tmp_path / "waivers.json"
+    path.write_text(json.dumps(
+        [{"suite": "interior", "label": "rank-2-2-dim-4-scalar",
+          "reason": "tampered closed form"}]))
+    code_ok, text = run(("interior",), environ={WAIVER_ENV: str(path)})
+    assert code_ok == 0
+    record = {r["id"]: r for r in _by_suite(text)["interior"]}["rank-2-2-dim-4-scalar"]
+    assert record["status"] == STATUS_MISMATCH
+    assert record["waiver"] == "tampered closed form"
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -180,10 +203,18 @@ def test_cli_usage_errors():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("case", ["waiver-shape", "waiver-missing", "emit-under-file"])
+@pytest.mark.parametrize("case", ["waiver-shape", "waiver-missing", "waiver-suite",
+                                  "waiver-label", "emit-under-file"])
 def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
     argv = ["--suite", "interior"]
-    if case == "waiver-shape":
+    if case in ("waiver-suite", "waiver-label"):
+        suite, label = (("boundary-d2d3", "c") if case == "waiver-suite"
+                        else ("interior", "rank-2-2-dim-4-scalr"))
+        path = tmp_path / "waivers.json"
+        path.write_text(json.dumps([{"suite": suite, "label": label, "reason": "typo"}]))
+        monkeypatch.setenv(WAIVER_ENV, str(path))
+        want = f"waiver names no record: suite {suite!r}, label {label!r}"
+    elif case == "waiver-shape":
         path = tmp_path / "waivers.json"
         path.write_text(json.dumps({"a": 1}))
         monkeypatch.setenv(WAIVER_ENV, str(path))
