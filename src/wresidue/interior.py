@@ -57,53 +57,38 @@ class InteriorSetting:
             self._atoms[name] = self.var(ind)
         return self._atoms[name]
 
+    def _antisymmetric(self, prefix: str, kind: str, meta: tuple,
+                       *pairs: tuple[int, int]) -> ScalarPoly:
+        """The atom named ``prefix`` plus its slots, antisymmetric in each
+        slot pair: zero on equal slots, slots sorted with a sign per swap."""
+        sign, slots = 1, ()
+        for a, b in pairs:
+            if a == b:
+                return ScalarPoly.zero(self.registry)
+            if a > b:
+                a, b, sign = b, a, -sign
+            slots += (a, b)
+        atom = self._atom(prefix + "".join(map(str, slots)), kind, meta + slots)
+        return atom * GR(sign)
+
     # curvature pairings; each is antisymmetric in its last two slots, and the
     # one-family / perp-family pairings also in their first two
     def r_mixed(self, i: int, r: int, t: int, s: int) -> ScalarPoly:
-        if t == s:
-            return ScalarPoly.zero(self.registry)
-        sign = 1
-        if t > s:
-            t, s, sign = s, t, -1
-        atom = self._atom(f"Rm{i}{r}{t}{s}", KIND_CURV, ("curvature-mixed", i, r, t, s))
-        return atom * GR(sign)
-
-    def _pairwise(self, tag: str, label: str, a: int, b: int, t: int, s: int) -> ScalarPoly:
-        if a == b or t == s:
-            return ScalarPoly.zero(self.registry)
-        sign = 1
-        if a > b:
-            a, b, sign = b, a, -sign
-        if t > s:
-            t, s, sign = s, t, -sign
-        atom = self._atom(f"{tag}{a}{b}{t}{s}", KIND_CURV, (label, a, b, t, s))
-        return atom * GR(sign)
+        return self._antisymmetric(f"Rm{i}{r}", KIND_CURV, ("curvature-mixed", i, r), (t, s))
 
     def r_leaf(self, i: int, j: int, t: int, s: int) -> ScalarPoly:
-        return self._pairwise("Rf", "curvature-leaf-pair", i, j, t, s)
+        return self._antisymmetric("Rf", KIND_CURV, ("curvature-leaf-pair",), (i, j), (t, s))
 
     def r_perp(self, r: int, u: int, t: int, s: int) -> ScalarPoly:
-        return self._pairwise("Rp", "curvature-perp-pair", r, u, t, s)
+        return self._antisymmetric("Rp", KIND_CURV, ("curvature-perp-pair",), (r, u), (t, s))
 
     # connection-term atoms for one direction tag; the two quadratic families
     # are antisymmetric, the mixing family is not
     def conn_leaf(self, tag: str, j: int, l: int) -> ScalarPoly:
-        if j == l:
-            return ScalarPoly.zero(self.registry)
-        sign = 1
-        if j > l:
-            j, l, sign = l, j, -1
-        atom = self._atom(f"w{tag}F{j}{l}", KIND_CONN, ("interior-leaf", tag, j, l))
-        return atom * GR(sign)
+        return self._antisymmetric(f"w{tag}F", KIND_CONN, ("interior-leaf", tag), (j, l))
 
     def conn_perp(self, tag: str, s: int, t: int) -> ScalarPoly:
-        if s == t:
-            return ScalarPoly.zero(self.registry)
-        sign = 1
-        if s > t:
-            s, t, sign = t, s, -1
-        atom = self._atom(f"w{tag}P{s}{t}", KIND_CONN, ("interior-perp", tag, s, t))
-        return atom * GR(sign)
+        return self._antisymmetric(f"w{tag}P", KIND_CONN, ("interior-perp", tag), (s, t))
 
     def conn_mix(self, tag: str, j: int, s: int) -> ScalarPoly:
         return self._atom(f"w{tag}S{j}{s}", KIND_CONN, ("interior-mix", tag, j, s))

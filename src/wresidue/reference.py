@@ -27,7 +27,6 @@ from .clifford import CliffordElement, c_dxn, c_frame, c_xi_prime, connection_bl
 from .scalars import (
     GR,
     GR_I,
-    GR_ONE,
     KIND_CONN,
     KIND_HPRIME,
     KIND_MARKER,
@@ -48,39 +47,6 @@ DATA_VERSION = "wres-data/1"
 
 _HALF = Fraction(1, 2)
 _MI = GR(0, -1)  # -i
-
-
-# ---------------------------------------------------------------------------
-# numerator polynomials in the normal covariable: dict[degree, CliffordElement]
-
-
-def _nadd(*nums):
-    out: dict[int, CliffordElement] = {}
-    for num in nums:
-        for k, v in num.items():
-            out[k] = out[k] + v if k in out else v
-    return out
-
-
-def _nmul(f, g):
-    out: dict[int, CliffordElement] = {}
-    for ka, va in f.items():
-        for kb, vb in g.items():
-            prod = va * vb
-            key = ka + kb
-            out[key] = out[key] + prod if key in out else prod
-    return out
-
-
-def _nscale(f, c):
-    return {k: v * c for k, v in f.items()}
-
-
-def _nshift(f, k):
-    return {d + k: v for d, v in f.items()}
-
-
-# ---------------------------------------------------------------------------
 
 
 class Model:
@@ -237,14 +203,15 @@ class Model:
         traced = (self.sigma0_base * self.cdxn).trace(self.p, self.q)
         return traced * GR(Fraction(-1, 4))
 
-    # -- numerators shared between jets ------------------------------------
+    # -- numerators shared between jets (xn-polynomials, no poles) ---------
 
-    def t_full_num(self):
-        return {0: self.ident(self.t_hat), 1: self.ident(self.c_hat),
-                2: self.ident(self.n_hat)}
+    @functools.cached_property
+    def t_full_num(self) -> XiRational:
+        return XiRational.build(self.registry, {0: self.t_hat, 1: self.c_hat, 2: self.n_hat})
 
-    def c_xi_num(self):
-        return {0: self.cxi, 1: self.cdxn}
+    @functools.cached_property
+    def c_xi_num(self) -> XiRational:
+        return XiRational(self.registry, {0: self.cxi, 1: self.cdxn})
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,27 +223,22 @@ def build_model() -> Model:
 # jets
 
 
-def _block_direction_sum(model: Model, d: int) -> CliffordElement:
-    """-2 times the base connection in one direction: the traced-out
-    first-order content of the squared operator's subleading symbol."""
-    return model.base_connection(d) * (-2)
-
-
 def sigma_m3_square(model: Model) -> XiRational:
     """Order ``-3`` symbol of the inverse square at the base point."""
     reg = model.registry
     hp = model.hp_poly
+    # -2 times the base connection per direction: the first-order content
+    # of the squared operator's subleading symbol
     brk0 = CliffordElement.zero(reg)
     for k in range(1, model.n):
-        brk0 = brk0 + _block_direction_sum(model, k) * model.var(model.xi[k - 1])
-    brk1 = model.ident(hp * Fraction(3, 2)) + _block_direction_sum(model, model.n)
-    term1 = {1: model.ident(hp * GR(0, -2))}
-    term2 = _nmul({0: model.ident(GR_ONE), 2: model.ident(GR_ONE)},
-                  {0: brk0 * _MI, 1: brk1 * _MI})
-    return XiRational.build(reg, _nadd(term1, term2), 3, 3)
+        brk0 = brk0 + model.base_connection(k) * (-2) * model.var(model.xi[k - 1])
+    brk1 = model.ident(hp * Fraction(3, 2)) + model.base_connection(model.n) * (-2)
+    term1 = XiRational.build(reg, {1: hp * GR(0, -2)})
+    term2 = XiRational.build(reg, {0: 1, 2: 1}) * XiRational(reg, {0: brk0 * _MI, 1: brk1 * _MI})
+    return XiRational(reg, (term1 + term2).num, 3, 3)
 
 
-def sigma1_conn_num(model: Model):
+def sigma1_conn_num(model: Model) -> XiRational:
     """Numerator of the first-order double-covariant symbol (no denominator)."""
     xblk = CliffordElement.zero(model.registry)
     yblk = CliffordElement.zero(model.registry)
@@ -296,32 +258,27 @@ def sigma1_conn_num(model: Model):
     d1 = (model.ident(model.var(model.dXY[-1]) * GR_I)
           + yblk * (model.var(model.X[-1]) * GR_I)
           + xblk * (model.var(model.Y[-1]) * GR_I))
-    return {0: d0, 1: d1}
+    return XiRational(model.registry, {0: d0, 1: d1})
 
 
 def order_minus1_parts_d2d2(model: Model) -> dict[str, XiRational]:
     """The three summands of the order ``-1`` left-factor symbol."""
     reg = model.registry
     hp = model.hp_poly
-    tneg = _nscale(model.t_full_num(), -1)
-    prod = XiRational.build(reg, tneg, 0, 0) * sigma_m3_square(model)
-    conn = XiRational.build(reg, sigma1_conn_num(model), 1, 1)
+    prod = -model.t_full_num * sigma_m3_square(model)
+    conn = XiRational(reg, sigma1_conn_num(model).num, 1, 1)
     transfer = XiRational.build(
-        reg,
-        {0: model.ident(model.c_hat * (hp * _MI)),
-         1: model.ident(model.n_hat * (hp * GR(0, -2)))},
-        2, 2)
+        reg, {0: model.c_hat * (hp * _MI), 1: model.n_hat * (hp * GR(0, -2))}, 2, 2)
     return {"prod": prod, "conn": conn, "transfer": transfer}
 
 
 def symbols_d2d2(model: Model) -> tuple[BoundarySymbol, BoundarySymbol]:
     reg = model.registry
     hp = model.hp_poly
-    tfull = model.t_full_num()
-    tneg = _nscale(tfull, -1)
+    tfull = model.t_full_num
 
-    s0 = XiRational.build(reg, tneg, 1, 1)
-    s0_dxn = XiRational.build(reg, _nscale(tfull, hp), 2, 2)
+    s0 = XiRational(reg, (-tfull).num, 1, 1)
+    s0_dxn = XiRational(reg, (tfull * hp).num, 2, 2)
     parts = order_minus1_parts_d2d2(model)
     sm1 = parts["prod"] + parts["conn"] + parts["transfer"]
     pside = BoundarySymbol("conn-square-inv2", reg, model.p, model.q, model.xi,
@@ -340,39 +297,34 @@ def sigma_m2_first(model: Model) -> XiRational:
     """Order ``-2`` symbol of the inverse first-order operator."""
     reg = model.registry
     hp = model.hp_poly
-    cxin = model.c_xi_num()
-    sandwich = _nmul(_nmul(cxin, {0: model.sigma0_base}), cxin)
-    lift = _nscale(_nmul(cxin, {0: model.cdxn * model.cxi}), hp * _HALF)
-    deep = _nscale(_nmul(_nmul(cxin, {0: model.cdxn}), cxin), -hp)
-    return (XiRational.build(reg, sandwich, 2, 2)
-            + XiRational.build(reg, lift, 2, 2)
-            + XiRational.build(reg, deep, 3, 3))
+    cxin = model.c_xi_num
+    sandwich = cxin * model.sigma0_base * cxin
+    lift = cxin * (model.cdxn * model.cxi) * (hp * _HALF)
+    deep = cxin * model.cdxn * cxin * -hp
+    return (XiRational(reg, sandwich.num, 2, 2)
+            + XiRational(reg, lift.num, 2, 2)
+            + XiRational(reg, deep.num, 3, 3))
 
 
 def order_zero_parts_d1d3(model: Model) -> dict[str, XiRational]:
     """The three summands of the order ``0`` left-factor symbol."""
     reg = model.registry
     hp = model.hp_poly
-    cxin = model.c_xi_num()
-    tneg = _nscale(model.t_full_num(), -1)
-    prod = XiRational.build(reg, tneg, 0, 0) * sigma_m2_first(model)
-    conn = (XiRational.build(reg, sigma1_conn_num(model), 0, 0)
-            * XiRational.build(reg, _nscale(cxin, GR_I), 1, 1))
-    transfer = (XiRational.build(
-        reg, {0: model.ident(-model.c_hat), 1: model.ident(model.n_hat * (-2))},
-        0, 0)
-        * (XiRational.build(reg, {0: model.cxi * (hp * _HALF)}, 1, 1)
-           + XiRational.build(reg, _nscale(cxin, -hp), 2, 2)))
+    cxin = model.c_xi_num
+    prod = -model.t_full_num * sigma_m2_first(model)
+    conn = sigma1_conn_num(model) * XiRational(reg, (cxin * GR_I).num, 1, 1)
+    transfer = (XiRational.build(reg, {0: -model.c_hat, 1: model.n_hat * (-2)})
+                * (XiRational(reg, {0: model.cxi * (hp * _HALF)}, 1, 1)
+                   + XiRational(reg, (cxin * -hp).num, 2, 2)))
     return {"prod": prod, "conn": conn, "transfer": transfer}
 
 
-def sigma2_cube_num(model: Model):
+def sigma2_cube_num(model: Model) -> XiRational:
     """Numerator of the second-order symbol of the cubed operator."""
+    reg = model.registry
     hp = model.hp_poly
-    cxin = model.c_xi_num()
-    t1 = {0: model.cdxn * hp}
-    brk0 = CliffordElement.zero(model.registry)
-    mn0 = CliffordElement.zero(model.registry)
+    brk0 = CliffordElement.zero(reg)
+    mn0 = CliffordElement.zero(reg)
     for k in range(1, model.n):
         xi_k = model.var(model.xi[k - 1])
         leaf, perp, mixed = model.connection_blocks(k, model.s_mix)
@@ -381,47 +333,46 @@ def sigma2_cube_num(model: Model):
     leaf, perp, mixed = model.connection_blocks(model.n, model.s_mix)
     brk1 = (leaf + perp + mixed) * 2 - model.ident(hp * Fraction(3, 2))
     mn1 = leaf + perp
-    t2 = _nscale(_nmul(cxin, {0: brk0, 1: brk1}), 2)
-    t3 = _nmul({0: mn0, 1: mn1}, {0: model.ident(GR_ONE), 2: model.ident(GR_ONE)})
-    return _nadd(t1, t2, t3)
+    t1 = XiRational(reg, {0: model.cdxn * hp})
+    t2 = model.c_xi_num * XiRational(reg, {0: brk0, 1: brk1}) * 2
+    t3 = XiRational(reg, {0: mn0, 1: mn1}) * XiRational.build(reg, {0: 1, 2: 1})
+    return t1 + t2 + t3
 
 
 def sigma_m4_cube(model: Model) -> XiRational:
     """Order ``-4`` symbol of the inverse cube at the base point."""
     reg = model.registry
     hp = model.hp_poly
-    cxin = model.c_xi_num()
-    first = _nmul(_nmul(cxin, sigma2_cube_num(model)), cxin)
+    cxin = model.c_xi_num
+    first = cxin * sigma2_cube_num(model) * cxin
     w = model.cdxn * model.cxi * (hp * _HALF)
-    bracket = _nadd(
-        {0: w, 2: w * 2, 4: w},
-        _nscale(_nmul({0: model.cdxn}, cxin), hp * (-2)),
-        _nscale(_nshift(_nmul(cxin, {0: model.cxi}), 1), hp),
-        {1: model.ident(hp * 4)},
-    )
-    second = _nscale(_nmul(cxin, bracket), GR_I)
-    return XiRational.build(reg, _nadd(first, second), 4, 4)
+    bracket = (XiRational(reg, {0: w, 2: w * 2, 4: w})
+               + cxin.scale_left(model.cdxn) * (hp * (-2))
+               + XiRational.build(reg, {1: 1}) * (cxin * model.cxi) * hp
+               + XiRational.build(reg, {1: hp * 4}))
+    second = cxin * bracket * GR_I
+    return XiRational(reg, (first + second).num, 4, 4)
 
 
 def symbols_d1d3(model: Model) -> tuple[BoundarySymbol, BoundarySymbol]:
     reg = model.registry
     hp = model.hp_poly
-    cxin = model.c_xi_num()
-    tfull = model.t_full_num()
+    cxin = model.c_xi_num
+    tfull = model.t_full_num
 
-    s1 = XiRational.build(reg, _nscale(_nmul(tfull, cxin), _MI), 1, 1)
-    inner = _nadd({0: model.cxi * (hp * _HALF), 2: model.cxi * (hp * _HALF)},
-                  _nscale(cxin, -hp))
-    s1_dxn = XiRational.build(reg, _nscale(_nmul(tfull, inner), _MI), 2, 2)
+    s1 = XiRational(reg, (tfull * cxin * _MI).num, 1, 1)
+    half = model.cxi * (hp * _HALF)
+    inner = XiRational(reg, {0: half, 2: half}) + cxin * -hp
+    s1_dxn = XiRational(reg, (tfull * inner * _MI).num, 2, 2)
     parts = order_zero_parts_d1d3(model)
     s0 = parts["prod"] + parts["conn"] + parts["transfer"]
     pside = BoundarySymbol("conn-square-inv1", reg, model.p, model.q, model.xi,
                            {1: SymbolJet(1, (s1, s1_dxn)),
                             0: SymbolJet(0, (s0,))})
 
-    sm3 = XiRational.build(reg, _nscale(cxin, GR_I), 2, 2)
-    sm3_dxn = (XiRational.build(reg, {0: model.cxi * (hp * _HALF * GR_I)}, 2, 2)
-               + XiRational.build(reg, _nscale(cxin, hp * GR(0, -2)), 3, 3))
+    sm3 = XiRational(reg, (cxin * GR_I).num, 2, 2)
+    sm3_dxn = (XiRational(reg, {0: model.cxi * (hp * _HALF * GR_I)}, 2, 2)
+               + XiRational(reg, (cxin * (hp * GR(0, -2))).num, 3, 3))
     qside = BoundarySymbol("inv-cube", reg, model.p, model.q, model.xi,
                            {-3: SymbolJet(-3, (sm3, sm3_dxn)),
                             -4: SymbolJet(-4, (sigma_m4_cube(model),))})
@@ -645,72 +596,51 @@ class DisplayCheck:
     note: str = ""
 
 
-def _enc(model: Model, num, a: int, b: int = 0) -> XiRational:
-    return XiRational.build(model.registry, num, a, b)
-
-
 def display_checks(suite: Suite) -> tuple[DisplayCheck, ...]:
     """The five pinned intermediate displays of one boundary suite, read off
     the suite's own jets."""
     from .xicalc import pi_plus, xi_derivative
 
     model = suite.model
+    reg = model.registry
     hp = model.hp_poly
     t, c, nn = model.t_hat, model.c_hat, model.n_hat
-    checks = []
 
     if suite.name == "boundary-d2d2":
         base = pi_plus(suite.pside.jet(0))
-        enc = _enc(model, {0: (t - nn) * GR(0, _HALF) - c * GR(_HALF)}, 1)
-        checks.append(DisplayCheck("plus-part-base", base, enc))
-
-        dxn = pi_plus(suite.pside.jet(0, 1))
-        enc = _enc(model, {
-            0: model.ident(t * (hp * GR(Fraction(-1, 2))) + c * (hp * GR(0, Fraction(-1, 4)))),
-            1: model.ident((t + nn) * (hp * GR(0, Fraction(-1, 4)))),
-        }, 2)
-        checks.append(DisplayCheck(
-            "plus-part-normal-jet", dxn, enc,
-            note="source line omits the collar-rate factor on the two mixed terms"))
-
-        enc = _enc(model, {0: (t - nn) * GR(0, Fraction(-1, 2)) + c * GR(_HALF)}, 2)
-        checks.append(DisplayCheck("plus-part-first-derivative",
-                                   xi_derivative(base), enc))
-
-        enc = _enc(model, {0: (t - nn) * GR_I - c}, 3)
-        checks.append(DisplayCheck(
-            "plus-part-second-derivative", xi_derivative(base, 2), enc,
-            note="imaginary unit restored on the normal-normal coefficient"))
-
-        enc = _enc(model, {0: -2, 2: 6}, 3, 3)
-        checks.append(DisplayCheck("right-second-derivative",
-                                   xi_derivative(suite.qside.jet(-2), 2), enc))
-        return tuple(checks)
+        return (
+            DisplayCheck("plus-part-base", base, XiRational.build(
+                reg, {0: (t - nn) * GR(0, _HALF) - c * GR(_HALF)}, 1)),
+            DisplayCheck("plus-part-normal-jet", pi_plus(suite.pside.jet(0, 1)), XiRational.build(
+                reg, {0: t * (hp * GR(Fraction(-1, 2))) + c * (hp * GR(0, Fraction(-1, 4))),
+                      1: (t + nn) * (hp * GR(0, Fraction(-1, 4)))}, 2),
+                note="source line omits the collar-rate factor on the two mixed terms"),
+            DisplayCheck("plus-part-first-derivative", xi_derivative(base), XiRational.build(
+                reg, {0: (t - nn) * GR(0, Fraction(-1, 2)) + c * GR(_HALF)}, 2)),
+            DisplayCheck("plus-part-second-derivative", xi_derivative(base, 2),
+                         XiRational.build(reg, {0: (t - nn) * GR_I - c}, 3),
+                         note="imaginary unit restored on the normal-normal coefficient"),
+            DisplayCheck("right-second-derivative", xi_derivative(suite.qside.jet(-2), 2),
+                         XiRational.build(reg, {0: -2, 2: 6}, 3, 3)),
+        )
 
     xi_c = model.cxi + model.cdxn * GR_I          # c(xi') + i c(dxn)
     theta = model.cxi * _MI + model.cdxn          # -i c(xi') + c(dxn)
     base = pi_plus(suite.pside.jet(1))
-    enc = _enc(model, {0: xi_c * ((nn - t) * GR(_HALF)) + theta * (c * GR(_HALF))}, 1)
-    checks.append(DisplayCheck("plus-part-base", base, enc))
-
-    enc = _enc(model, {0: xi_c * ((t - nn) * GR(_HALF)) - theta * (c * GR(_HALF))}, 2)
-    checks.append(DisplayCheck("plus-part-first-derivative",
-                               xi_derivative(base), enc))
-
-    enc = _enc(model, {0: xi_c * (nn - t) + theta * c}, 3)
-    checks.append(DisplayCheck("plus-part-second-derivative",
-                               xi_derivative(base, 2), enc))
-
-    enc = _enc(model, {0: model.cdxn * GR_I, 1: model.cxi * GR(0, -4),
-                       2: model.cdxn * GR(0, -3)}, 3, 3)
-    checks.append(DisplayCheck("right-first-derivative",
-                               xi_derivative(suite.qside.jet(-3)), enc))
-
-    enc = _enc(model, {0: model.cxi * GR(0, -4), 1: model.cdxn * GR(0, -12),
-                       2: model.cxi * GR(0, 20), 3: model.cdxn * GR(0, 12)}, 4, 4)
-    checks.append(DisplayCheck("right-second-derivative",
-                               xi_derivative(suite.qside.jet(-3), 2), enc))
-    return tuple(checks)
+    return (
+        DisplayCheck("plus-part-base", base, XiRational(
+            reg, {0: xi_c * ((nn - t) * GR(_HALF)) + theta * (c * GR(_HALF))}, 1)),
+        DisplayCheck("plus-part-first-derivative", xi_derivative(base), XiRational(
+            reg, {0: xi_c * ((t - nn) * GR(_HALF)) - theta * (c * GR(_HALF))}, 2)),
+        DisplayCheck("plus-part-second-derivative", xi_derivative(base, 2),
+                     XiRational(reg, {0: xi_c * (nn - t) + theta * c}, 3)),
+        DisplayCheck("right-first-derivative", xi_derivative(suite.qside.jet(-3)), XiRational(
+            reg, {0: model.cdxn * GR_I, 1: model.cxi * GR(0, -4),
+                  2: model.cdxn * GR(0, -3)}, 3, 3)),
+        DisplayCheck("right-second-derivative", xi_derivative(suite.qside.jet(-3), 2), XiRational(
+            reg, {0: model.cxi * GR(0, -4), 1: model.cdxn * GR(0, -12),
+                  2: model.cxi * GR(0, 20), 3: model.cdxn * GR(0, 12)}, 4, 4)),
+    )
 
 
 # ---------------------------------------------------------------------------

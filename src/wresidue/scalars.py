@@ -96,9 +96,6 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / den,
         )
 
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be int")
@@ -112,9 +109,6 @@ class GaussianRational:
             base = base * base
             n >>= 1
         return out
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     # -- predicates & conversions -----------------------------------------
 
@@ -154,32 +148,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    @staticmethod
-    def parse(text: str) -> "GaussianRational":
-        text = text.strip()
-        if text.startswith("(") and text.endswith(")"):
-            inner = text[1:-1]
-            if not inner.endswith("i"):
-                raise ValueError(f"bad complex literal {text!r}")
-            body = inner[:-1]
-            # split on the sign separating real and imaginary parts
-            for pos in range(1, len(body)):
-                if body[pos] in "+-" and body[pos - 1] not in "+-/":
-                    re_part = Fraction(body[:pos])
-                    im_part = Fraction(body[pos + 1:])
-                    if body[pos] == "-":
-                        im_part = -im_part
-                    return GaussianRational(re_part, im_part)
-            raise ValueError(f"bad complex literal {text!r}")
-        if text.endswith("i"):
-            body = text[:-1]
-            if body in ("", "+"):
-                return GaussianRational(0, 1)
-            if body == "-":
-                return GaussianRational(0, -1)
-            return GaussianRational(0, Fraction(body))
-        return GaussianRational(Fraction(text), 0)
 
 
 def _coerce(x) -> GaussianRational:
@@ -512,7 +480,7 @@ class ScalarPoly:
             total += acc
         return total
 
-    # -- rendering / parsing ----------------------------------------------
+    # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
         if not self.terms:

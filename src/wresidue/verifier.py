@@ -199,7 +199,9 @@ def _trace_records(model) -> list[ClaimRecord]:
 _ROW_ORDER = ("a-I", "a-II", "a-III", "b", "c", "total")
 
 
-def _boundary_records(model, suite_name, emit_dir) -> list[ClaimRecord]:
+def _boundary_records(model, suite_name, emit) -> tuple[list[ClaimRecord], dict[str, str]]:
+    """The suite's records and, when ``emit`` holds, the text of each row's
+    intermediate file keyed by file name (written by :func:`run_suite`)."""
     suite = load_suite(suite_name, model)
     result = assemble_boundary(suite.pside, suite.qside, suite_name,
                                suite.labels, model.pi, model.omega3)
@@ -212,6 +214,7 @@ def _boundary_records(model, suite_name, emit_dir) -> list[ClaimRecord]:
     quad_memo: dict = {}
 
     records = []
+    texts: dict[str, str] = {}
     for label in _ROW_ORDER:
         row, want = rows[label], expected[label]
         evidence: list[str] = []
@@ -236,7 +239,7 @@ def _boundary_records(model, suite_name, emit_dir) -> list[ClaimRecord]:
         computed = structured_render(model, row)
         recorded = structured_render(model, want)
         inter = ""
-        if emit_dir:
+        if emit:
             detail = [f"suite: {suite_name}", f"row: {label}", "",
                       f"engine (raw): {row.render()}", "",
                       f"engine (structured): {computed}", "",
@@ -249,8 +252,7 @@ def _boundary_records(model, suite_name, emit_dir) -> list[ClaimRecord]:
                     detail.append(res.traced.render())
                     detail.append("")
             inter = f"{suite_name}-{label}.txt"
-            with open(os.path.join(emit_dir, inter), "w", encoding="utf-8") as fh:
-                fh.write("\n".join(detail))
+            texts[inter] = "\n".join(detail)
         records.append(_claim(label, recorded, computed, row == want, note=note,
                               evidence=tuple(evidence), intermediates=inter))
 
@@ -280,39 +282,50 @@ def _boundary_records(model, suite_name, emit_dir) -> list[ClaimRecord]:
             note="recorded total with the normal component dropped, collar "
                  "rate rewritten as -(2/3)*K"))
 
-    return records
+    return records, texts
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
 
+def _check_waivers(waivers, name=None, ids=()) -> None:
+    """Reject a waiver for an unknown suite, or one for suite ``name`` whose
+    label is none of ``ids``."""
+    for w in waivers:
+        if w.suite not in reference.ALL_SUITES or (w.suite == name and w.label not in ids):
+            raise ConfigurationError(
+                f"waiver names no record: suite {w.suite!r}, label {w.label!r}")
+
+
 def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
     """Recompute one suite, then give each mismatch its waiver, if any.  A
     waiver for an unknown suite, or for a record id this suite lacks, is a
-    :class:`ConfigurationError`."""
+    :class:`ConfigurationError`, raised before any intermediate file is
+    written."""
     if name not in reference.ALL_SUITES:
         raise UnknownSuiteError(name)
     model = model if model is not None else build_model()
     waivers = waivers if waivers is not None else load_waivers()
+    texts: dict[str, str] = {}
     if name == "interior":
         records = _interior_records()
     elif name == "traces":
         records = _trace_records(model)
     else:
-        records = _boundary_records(model, name, emit_dir)
-    ids = {r.record_id for r in records}
-    for w in waivers:
-        if w.suite not in reference.ALL_SUITES or (w.suite == name and w.label not in ids):
-            raise ConfigurationError(
-                f"waiver names no record: suite {w.suite!r}, label {w.label!r}")
+        records, texts = _boundary_records(model, name, bool(emit_dir))
+    _check_waivers(waivers, name, {r.record_id for r in records})
+    for file_name, text in texts.items():
+        with open(os.path.join(emit_dir, file_name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     return SuiteReport(suite=name, records=tuple(
         replace(r, waiver=waiver_reason(waivers, name, r.record_id))
         if r.status == STATUS_MISMATCH else r for r in records))
 
 
 def run(names, fmt="json", emit_dir=None, environ=None):
-    """Run the named suites; returns (exit code, rendered report)."""
+    """Run the named suites; returns (exit code, rendered report).  Waivers
+    are loaded and their suites checked before any suite runs."""
     from .report import exit_code, to_json, to_markdown
 
     expanded = []
@@ -323,6 +336,12 @@ def run(names, fmt="json", emit_dir=None, environ=None):
             expanded.append(name)
         else:
             raise UnknownSuiteError(name)
+    try:
+        waivers = load_waivers(environ)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigurationError(
+            f"cannot load waivers from {WAIVER_ENV}: {type(exc).__name__}: {exc}") from exc
+    _check_waivers(waivers)
     if emit_dir:
         try:
             os.makedirs(emit_dir, exist_ok=True)
@@ -330,11 +349,6 @@ def run(names, fmt="json", emit_dir=None, environ=None):
             raise ConfigurationError(
                 f"cannot create intermediates directory: {exc}") from exc
     model = build_model()
-    try:
-        waivers = load_waivers(environ)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise ConfigurationError(
-            f"cannot load waivers from {WAIVER_ENV}: {type(exc).__name__}: {exc}") from exc
     reports = tuple(run_suite(n, model, waivers, emit_dir) for n in expanded)
     text = to_json(reports) if fmt == "json" else to_markdown(reports)
     return exit_code(reports), text

@@ -204,16 +204,28 @@ def test_cli_usage_errors():
 
 
 @pytest.mark.parametrize("case", ["waiver-shape", "waiver-missing", "waiver-suite",
-                                  "waiver-label", "emit-under-file"])
+                                  "waiver-label", "waiver-row-label", "emit-under-file"])
 def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
-    argv = ["--suite", "interior"]
-    if case in ("waiver-suite", "waiver-label"):
-        suite, label = (("boundary-d2d3", "c") if case == "waiver-suite"
-                        else ("interior", "rank-2-2-dim-4-scalr"))
+    """Exit 2 with one stderr line, and nothing written: no intermediate
+    file, and no jet built when the waiver file or a waiver's suite is bad."""
+    calls = []
+
+    def counted(m, _orig=reference.symbols_d1d3):
+        calls.append(m)
+        return _orig(m)
+
+    monkeypatch.setattr(reference, "symbols_d1d3", counted)
+    suites = {"waiver-label": "interior", "waiver-row-label": "boundary-d2d2"}
+    emit = tmp_path / "emit"
+    argv = ["--suite", suites.get(case, "boundary-d1d3"), "--emit-intermediates", str(emit)]
+    if case in ("waiver-suite", "waiver-label", "waiver-row-label"):
+        suite, label = {"waiver-suite": ("boundary-d2d3", "c"),
+                        "waiver-label": ("interior", "rank-2-2-dim-4-scalr"),
+                        "waiver-row-label": ("boundary-d2d2", "a-Il")}[case]
         path = tmp_path / "waivers.json"
         path.write_text(json.dumps([{"suite": suite, "label": label, "reason": "typo"}]))
         monkeypatch.setenv(WAIVER_ENV, str(path))
-        want = f"waiver names no record: suite {suite!r}, label {label!r}"
+        want = f"waiver names no record: suite {suite!r}, label {label!r}\n"
     elif case == "waiver-shape":
         path = tmp_path / "waivers.json"
         path.write_text(json.dumps({"a": 1}))
@@ -225,13 +237,15 @@ def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
     else:
         monkeypatch.delenv(WAIVER_ENV, raising=False)
         (tmp_path / "plain").write_text("")
-        argv += ["--emit-intermediates", str(tmp_path / "plain" / "sub")]
+        argv[-1] = str(tmp_path / "plain" / "sub")
         want = "cannot create intermediates directory: "
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"wres-verify: error: {want}")
     assert err.endswith("\n") and err.count("\n") == 1
+    assert not emit.exists() or os.listdir(emit) == []
+    assert calls == []
 
 
 def test_cli_parser_defaults():
