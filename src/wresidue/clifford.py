@@ -160,6 +160,13 @@ class CliffordElement:
                 self.registry, {w: c * other for w, c in self.terms.items()}
             )
         other = self._coerce(other)
+        # a factor on the identity word alone is a scalar: no word products
+        if len(other.terms) == 1 and () in other.terms:
+            scalar = other.terms[()]
+            return CliffordElement(self.registry, {w: c * scalar for w, c in self.terms.items()})
+        if len(self.terms) == 1 and () in self.terms:
+            scalar = self.terms[()]
+            return CliffordElement(self.registry, {w: scalar * c for w, c in other.terms.items()})
         out: dict[Word, ScalarPoly] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 
@@ -28,73 +29,88 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-_FR_ZERO = Fraction(0)
-
-
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    The value is stored as three ints, ``(a + b*i) / d`` with ``d > 0`` and
+    ``gcd(a, b, d) = 1`` (zero is ``(0, 0, 1)``).  That form is canonical,
+    so equality compares the three ints; ``re`` and ``im`` are read-only
+    :class:`~fractions.Fraction` views.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        re, im = _frac(re), _frac(im)
+        d1, d2 = re.denominator, im.denominator
+        d = d1 if d1 == d2 else d1 * d2 // gcd(d1, d2)
+        self._a = re.numerator * (d // d1)
+        self._b = im.numerator * (d // d2)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _make(re: Fraction, im: Fraction) -> "GaussianRational":
-        out = object.__new__(GaussianRational)
-        object.__setattr__(out, "re", re)
-        object.__setattr__(out, "im", im)
-        return out
-
-    @staticmethod
     def one() -> "GaussianRational":
-        return GaussianRational(1, 0)
+        return _new(1, 0, 1)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        return GaussianRational._make(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        return _add(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational._make(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational._make(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        return _add(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        # real arguments dominate in practice; skip the cross terms for them
-        if not self.im and not other.im:
-            return GaussianRational._make(self.re * other.re, _FR_ZERO)
-        return GaussianRational._make(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = other._a, other._b, other._d
+        # each factor is canonical, so cancelling across the factors leaves
+        # a canonical product whenever one of them is real
+        if not b2:
+            if d1 == 1 and d2 == 1:
+                return _new(a1 * a2, b1 * a2, 1)
+            g1, g2 = gcd(a2, d1), gcd(a1, b1, d2)
+            k = a2 // g1
+            return _new(k * (a1 // g2), k * (b1 // g2), (d1 // g1) * (d2 // g2))
+        if not b1:
+            g1, g2 = gcd(a1, d2), gcd(a2, b2, d1)
+            k = a1 // g1
+            return _new(k * (a2 // g2), k * (b2 // g2), (d1 // g2) * (d2 // g1))
+        return _canon(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        a, b, d = other._a, other._b, other._d
+        norm = a * a + b * b
+        if not norm:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        # 1 / ((a + b i) / d) = d (a - b i) / (a^2 + b^2)
+        return self * _canon(d * a, -d * b, norm)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -110,26 +126,37 @@ class GaussianRational:
             n >>= 1
         return out
 
+    def times_i_pow(self, k: int) -> "GaussianRational":
+        """``self * i**k``: a quarter turn swaps the integer parts and
+        negates one, so no gcd is taken."""
+        a, b = self._a, self._b
+        for _ in range(k % 4):
+            a, b = -b, a
+        return _new(a, b, self._d)
+
     # -- predicates & conversions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        try:
-            other = _coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussianRational:
+            try:
+                other = _coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int true division is correctly rounded, so this equals the float
+        # of the reduced fractions bit for bit
+        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
 
     # -- rendering ---------------------------------------------------------
 
@@ -137,12 +164,13 @@ class GaussianRational:
         """Canonical text form: '5/24', '-3i', '(1/2-3/4i)', '0'."""
         if self.is_zero():
             return "0"
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}i)"
 
     __str__ = render
 
@@ -150,11 +178,50 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+_object_new = object.__new__
+
+
+def _new(a: int, b: int, d: int) -> GaussianRational:
+    """A value from an already canonical triple."""
+    out = _object_new(GaussianRational)
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
+
+
+def _canon(a: int, b: int, d: int) -> GaussianRational:
+    """A value from any triple with ``d > 0``."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _new(a // g, b // g, d // g)
+    return _new(a, b, d)
+
+
+def _add(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRational:
+    """``(a1 + b1 i)/d1 + (a2 + b2 i)/d2`` for canonical operands."""
+    if d1 == d2:
+        return _canon(a1 + a2, b1 + b2, d1)
+    # as in Fraction: with g = gcd(d1, d2), only a factor of g can cancel
+    g = gcd(d1, d2)
+    if g == 1:
+        return _new(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+    s, t = d1 // g, d2 // g
+    a, b = a1 * t + a2 * s, b1 * t + b2 * s
+    g2 = gcd(a, b, g)
+    if g2 == 1:
+        return _new(a, b, s * d2)
+    return _new(a // g2, b // g2, s * (d2 // g2))
+
+
 def _coerce(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x, 0)
+    if isinstance(x, int):
+        return _new(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _new(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
 
@@ -267,6 +334,14 @@ class ScalarPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _pruned(registry: Registry, terms: dict) -> "ScalarPoly":
+        """A polynomial from terms that hold no zero coefficient, taken as is."""
+        out = _object_new(ScalarPoly)
+        _set_registry(out, registry)
+        _set_terms(out, terms)
+        return out
+
+    @staticmethod
     def zero(registry: Registry) -> "ScalarPoly":
         return ScalarPoly(registry, {})
 
@@ -311,17 +386,21 @@ class ScalarPoly:
         self._check(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = out.get(mono, GR_ZERO) + coeff
-            if acc.is_zero():
-                out.pop(mono, None)
-            else:
+            acc = out.get(mono)
+            if acc is None:
+                out[mono] = coeff
+                continue
+            acc = acc + coeff
+            if acc:
                 out[mono] = acc
-        return ScalarPoly(self.registry, out)
+            else:
+                del out[mono]
+        return ScalarPoly._pruned(self.registry, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarPoly(self.registry, {m: -c for m, c in self.terms.items()})
+        return ScalarPoly._pruned(self.registry, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -336,7 +415,7 @@ class ScalarPoly:
             c = _coerce(other)
             if c.is_zero():
                 return ScalarPoly.zero(self.registry)
-            return ScalarPoly(self.registry, {m: cc * c for m, cc in self.terms.items()})
+            return ScalarPoly._pruned(self.registry, {m: cc * c for m, cc in self.terms.items()})
         self._check(other)
         out: dict[Monomial, GaussianRational] = {}
         for m1, c1 in self.terms.items():
@@ -344,12 +423,15 @@ class ScalarPoly:
                 mono = _mono_mul(m1, m2)
                 prod = c1 * c2
                 acc = out.get(mono)
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero():
-                    out.pop(mono, None)
-                else:
+                if acc is None:
+                    out[mono] = prod
+                    continue
+                acc = acc + prod
+                if acc:
                     out[mono] = acc
-        return ScalarPoly(self.registry, out)
+                else:
+                    del out[mono]
+        return ScalarPoly._pruned(self.registry, out)
 
     __rmul__ = __mul__
 
@@ -421,13 +503,17 @@ class ScalarPoly:
             if ind.kind == KIND_MARKER:
                 raise MarkerSubstitutionError(f"cannot bind formal marker {ind.name!r}")
         values = {ind.id: _coerce(v) for ind, v in bindings.items()}
+        powers: dict[tuple[int, int], GaussianRational] = {}
         out: dict[Monomial, GaussianRational] = {}
         for mono, coeff in self.terms.items():
             acc = coeff
             rest = []
             for iid, exp in mono:
                 if iid in values:
-                    acc = acc * (values[iid] ** exp)
+                    power = powers.get((iid, exp))
+                    if power is None:
+                        power = powers[iid, exp] = values[iid] ** exp
+                    acc = acc * power
                 else:
                     rest.append((iid, exp))
             if acc.is_zero():
@@ -510,6 +596,10 @@ class ScalarPoly:
 
     def __repr__(self):
         return f"<ScalarPoly {self.render()}>"
+
+
+_set_registry = ScalarPoly.registry.__set__
+_set_terms = ScalarPoly.terms.__set__
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:

@@ -51,6 +51,33 @@ def _claim(record_id, recorded, computed, same, **kw) -> ClaimRecord:
 
 
 # ---------------------------------------------------------------------------
+# record ids
+
+
+_ROW_ORDER = ("a-I", "a-II", "a-III", "b", "c", "total")
+_BOUNDARY_IDS = _ROW_ORDER + ("recorded-sum-identity",)
+_INTERIOR_KEYS = ("einstein", "scalar", "two-form", "endo-trace")
+
+# Every record id each suite reports, in report order, so that waiver labels
+# can be checked before any suite runs.
+RECORD_IDS: dict[str, tuple[str, ...]] = {
+    "interior": tuple(f"rank-{p}-{q}-dim-{n}-{key}"
+                      for p, q, n in reference.INTERIOR_CASES for key in _INTERIOR_KEYS),
+    "traces": ("endo-block-mixed-trace", "endo-block-leaf-trace", "endo-block-perp-trace",
+               "endo-trace-rank-2-2", "endo-trace-rank-4-2", "endo-trace-rank-2-4",
+               "two-letter-leaf-pair", "perp-pair-difference",
+               "normal-divergence-trace", "tangential-divergence-trace"),
+    "boundary-d2d2": _BOUNDARY_IDS + (
+        "plus-part-base", "plus-part-normal-jet", "plus-part-first-derivative",
+        "plus-part-second-derivative", "right-second-derivative",
+        "extrinsic-gauge-rewrite"),
+    "boundary-d1d3": _BOUNDARY_IDS + (
+        "plus-part-base", "plus-part-first-derivative", "plus-part-second-derivative",
+        "right-first-derivative", "right-second-derivative"),
+}
+
+
+# ---------------------------------------------------------------------------
 # numeric corroboration
 
 
@@ -118,8 +145,9 @@ def _interior_records() -> list[ClaimRecord]:
     for p, q, n in reference.INTERIOR_CASES:
         got = interior.first_principles_coefficients(p, q, n)
         want = reference.interior_expected(p, q, n)
-        for key, unit in (("einstein", f" * pi^{n // 2}"), ("scalar", ""),
-                          ("two-form", ""), ("endo-trace", " * s")):
+        units = {"einstein": f" * pi^{n // 2}", "endo-trace": " * s"}
+        for key in _INTERIOR_KEYS:
+            unit = units.get(key, "")
             w, g = want[key], getattr(got, key.replace("-", "_"))
             records.append(_claim(f"rank-{p}-{q}-dim-{n}-{key}", f"{w}{unit}",
                                   f"{g}{unit}", g == w,
@@ -194,9 +222,6 @@ def _trace_records(model) -> list[ClaimRecord]:
 
 # ---------------------------------------------------------------------------
 # boundary suites
-
-
-_ROW_ORDER = ("a-I", "a-II", "a-III", "b", "c", "total")
 
 
 def _boundary_records(model, suite_name, emit) -> tuple[list[ClaimRecord], dict[str, str]]:
@@ -289,24 +314,28 @@ def _boundary_records(model, suite_name, emit) -> tuple[list[ClaimRecord], dict[
 # entry points
 
 
-def _check_waivers(waivers, name=None, ids=()) -> None:
-    """Reject a waiver for an unknown suite, or one for suite ``name`` whose
-    label is none of ``ids``."""
+def _check_waivers(waivers) -> None:
+    """Reject a waiver whose suite and label name no record in
+    :data:`RECORD_IDS`."""
     for w in waivers:
-        if w.suite not in reference.ALL_SUITES or (w.suite == name and w.label not in ids):
+        if w.label not in RECORD_IDS.get(w.suite, ()):
             raise ConfigurationError(
                 f"waiver names no record: suite {w.suite!r}, label {w.label!r}")
 
 
 def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
-    """Recompute one suite, then give each mismatch its waiver, if any.  A
-    waiver for an unknown suite, or for a record id this suite lacks, is a
-    :class:`ConfigurationError`, raised before any intermediate file is
-    written."""
+    """Recompute one suite, then give each mismatch its waiver, if any.
+
+    Waivers passed in are taken as checked (:func:`run` checks them once,
+    before any suite runs); waivers this function loads itself are checked
+    before the suite is computed.  A bad one is a
+    :class:`ConfigurationError`."""
     if name not in reference.ALL_SUITES:
         raise UnknownSuiteError(name)
     model = model if model is not None else build_model()
-    waivers = waivers if waivers is not None else load_waivers()
+    if waivers is None:
+        waivers = load_waivers()
+        _check_waivers(waivers)
     texts: dict[str, str] = {}
     if name == "interior":
         records = _interior_records()
@@ -314,7 +343,6 @@ def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
         records = _trace_records(model)
     else:
         records, texts = _boundary_records(model, name, bool(emit_dir))
-    _check_waivers(waivers, name, {r.record_id for r in records})
     for file_name, text in texts.items():
         with open(os.path.join(emit_dir, file_name), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -325,7 +353,7 @@ def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
 
 def run(names, fmt="json", emit_dir=None, environ=None):
     """Run the named suites; returns (exit code, rendered report).  Waivers
-    are loaded and their suites checked before any suite runs."""
+    are loaded and every label checked before any suite runs."""
     from .report import exit_code, to_json, to_markdown
 
     expanded = []

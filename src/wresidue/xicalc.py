@@ -45,13 +45,32 @@ def _clean(num: Mapping[int, CliffordElement]) -> NumDict:
     return {m: c for m, c in num.items() if not c.is_zero()}
 
 
-def _horner(num: NumDict, registry: Registry, c: GaussianRational) -> CliffordElement:
-    acc = CliffordElement.zero(registry)
-    for m in range(max(num, default=0), -1, -1):
-        acc = acc * c if acc else acc
-        if m in num:
-            acc = acc + num[m]
-    return acc
+def _vanishes_at(num: NumDict, sign: int) -> bool:
+    """Whether the numerator vanishes at ``xn = sign * i``.
+
+    The coefficient of xn^m is rotated by (sign * i)^m and the rotated
+    values are summed per (word, monomial); the numerator vanishes exactly
+    when every sum does."""
+    groups: dict = {}
+    for m, elem in num.items():
+        turn = m * sign
+        for word, poly in elem.terms.items():
+            for mono, c in poly.terms.items():
+                group = groups.get((word, mono))
+                if group is None:
+                    groups[word, mono] = [(turn, c)]
+                else:
+                    group.append((turn, c))
+    # a (word, monomial) met in one power of xn alone cannot cancel
+    if any(len(group) == 1 for group in groups.values()):
+        return False
+    for (turn, c), *rest in groups.values():
+        total = c.times_i_pow(turn)
+        for turn, c in rest:
+            total = total + c.times_i_pow(turn)
+        if total:
+            return False
+    return True
 
 
 def _synthetic_div(num: NumDict, registry: Registry, c: GaussianRational) -> NumDict:
@@ -74,6 +93,17 @@ def _num_mul_linear(num: NumDict, registry: Registry, c: GaussianRational) -> Nu
     return _clean(out)
 
 
+_FAR_PLUS = GR(0, 2)  # value of (xn + i) at xn = +i
+
+
+def _expansion_coeff(order: int, s: int, far: GaussianRational) -> GaussianRational:
+    """Coefficient e_s of t^s in (t + far)^-order; with order 0 only s = 0,
+    where it is 1, is asked for."""
+    if not order:
+        return GR_ONE
+    return GR((-1) ** s * math.comb(order + s - 1, s)) * far ** (-order - s)
+
+
 class XiRational:
     """Canonical quotient of a Clifford-coefficient polynomial by powers
     of ``(xn - i)`` and ``(xn + i)``."""
@@ -86,10 +116,10 @@ class XiRational:
             raise ValueError("pole orders must be nonnegative")
         cleaned = _clean(num or {})
         # canonical form: strip linear factors shared with the denominator
-        while cleaned and a > 0 and _horner(cleaned, registry, GR_I).is_zero():
+        while cleaned and a > 0 and _vanishes_at(cleaned, 1):
             cleaned = _synthetic_div(cleaned, registry, GR_I)
             a -= 1
-        while cleaned and b > 0 and _horner(cleaned, registry, -GR_I).is_zero():
+        while cleaned and b > 0 and _vanishes_at(cleaned, -1):
             cleaned = _synthetic_div(cleaned, registry, -GR_I)
             b -= 1
         if not cleaned:
@@ -189,12 +219,16 @@ class XiRational:
         return self.scale_left(other)
 
     def scale_left(self, value) -> "XiRational":
-        c = _coerce_cliff(self.registry, value)
-        return XiRational(self.registry, {m: c * v for m, v in self.num.items()}, self.a, self.b)
+        """``value * self``; a scalar commutes with every coefficient, so it
+        takes the scalar path of :meth:`scale_right`."""
+        if isinstance(value, CliffordElement):
+            return self.map_coeffs(lambda v: value * v)
+        return self.scale_right(value)
 
     def scale_right(self, value) -> "XiRational":
-        c = _coerce_cliff(self.registry, value)
-        return XiRational(self.registry, {m: v * c for m, v in self.num.items()}, self.a, self.b)
+        """``self * value``; a number or scalar polynomial multiplies each
+        coefficient's scalars without a Clifford product."""
+        return self.map_coeffs(lambda v: v * value)
 
     def map_coeffs(self, fn: Callable[[CliffordElement], CliffordElement]) -> "XiRational":
         return XiRational(self.registry, {m: fn(c) for m, c in self.num.items()}, self.a, self.b)
@@ -245,19 +279,24 @@ class XiRational:
                 term[m] = term.get(m, CliffordElement.zero(reg)) - c * GR(self.b)
         return XiRational(reg, term, self.a + 1, self.b + 1)
 
+    def _shifted(self, k: int, center: GaussianRational) -> CliffordElement:
+        """Coefficient of t^k in the numerator rewritten in t = xn - center."""
+        acc = CliffordElement.zero(self.registry)
+        for m in range(k, self.degree() + 1):
+            if m in self.num:
+                acc = acc + self.num[m] * (GR(math.comb(m, k)) * center ** (m - k))
+        return acc
+
     def laurent(self, at_plus: bool, upto: int = 0) -> dict[int, CliffordElement]:
         """Laurent coefficients in t = xn -+ i, from the pole order up to ``upto``."""
         reg = self.registry
         center = GR_I if at_plus else -GR_I
-        far = GR(0, 2) if at_plus else GR(0, -2)  # value of the other linear factor
+        far = _FAR_PLUS if at_plus else -_FAR_PLUS  # value of the other linear factor
         own, other = (self.a, self.b) if at_plus else (self.b, self.a)
         deg = self.degree()
         shifted: NumDict = {}
         for k in range(deg + 1):
-            acc = CliffordElement.zero(reg)
-            for m in range(k, deg + 1):
-                if m in self.num:
-                    acc = acc + self.num[m] * (GR(math.comb(m, k)) * center ** (m - k))
+            acc = self._shifted(k, center)
             if acc:
                 shifted[k] = acc
         out: dict[int, CliffordElement] = {}
@@ -267,11 +306,8 @@ class XiRational:
                 s = j + own - k
                 if s < 0:
                     continue
-                e = GR((-1) ** s * math.comb(other + s - 1, s)) * far ** (-other - s) if other else (
-                    GR_ONE if s == 0 else None)
-                if e is None:
-                    continue
-                acc = acc + coeff * e
+                if other or s == 0:
+                    acc = acc + coeff * _expansion_coeff(other, s, far)
             if acc:
                 out[j] = acc
         return out
@@ -313,7 +349,22 @@ class XiRational:
         return _clean(rem)
 
     def residue_at_plus_i(self) -> CliffordElement:
-        return self.laurent(True, upto=-1).get(-1, CliffordElement.zero(self.registry))
+        """The j = -1 coefficient of :meth:`laurent` at +i, built alone.
+
+        With N = sum_k S_k t^k in t = xn - i and (t + 2i)^-b = sum_s e_s t^s,
+        it is the sum of S_k e_(a-1-k) over k < a, taken in the order
+        :meth:`laurent` takes it; only S_0 .. S_(a-1) are needed, and only
+        S_(a-1) when there is no pole at -i (e_0 = 1, e_s = 0 otherwise)."""
+        reg = self.registry
+        own, other = self.a, self.b
+        out = CliffordElement.zero(reg)
+        if not own:
+            return out
+        for k in range(0 if other else own - 1, min(own, self.degree() + 1)):
+            coeff = self._shifted(k, GR_I)
+            if coeff:
+                out = out + coeff * _expansion_coeff(other, own - 1 - k, _FAR_PLUS)
+        return out
 
     def integrate(self, pi_ind: Indeterminate) -> CliffordElement:
         """Real-line integral, closing the contour in the upper half plane.

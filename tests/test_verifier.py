@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -16,7 +17,7 @@ from wresidue.report import (
     waiver_reason,
 )
 from wresidue.cli import build_parser, main
-from wresidue.verifier import UnknownSuiteError, run, run_suite
+from wresidue.verifier import RECORD_IDS, UnknownSuiteError, run, run_suite
 
 
 def _by_suite(text):
@@ -53,6 +54,13 @@ def test_full_run_statuses(cli_runs):
             if r["status"] == STATUS_MISMATCH:
                 assert r["waiver"], (name, r["id"])
                 assert r["evidence"], (name, r["id"])
+
+
+def test_record_ids_table_matches_report(cli_runs):
+    (_, text), _ = cli_runs
+    suites = _by_suite(text)
+    assert {name: tuple(r["id"] for r in records)
+            for name, records in suites.items()} == RECORD_IDS
 
 
 def test_waivered_mismatches_carry_numeric_corroboration(cli_runs):
@@ -178,6 +186,18 @@ def test_environment_waiver_covers_interior_records(monkeypatch, tmp_path):
 # -- command line ------------------------------------------------------------
 
 
+# sha256 of the ``--suite all`` JSON report; a deliberate change of the
+# report moves this pin together with the benchmark's pins.
+REPORT_SHA256 = "d0ecb5e623b70d386bfea452e9f33685442d412ab87e1b8c642419aea520dd31"
+
+
+def test_full_report_bytes_pinned(monkeypatch, capsys):
+    monkeypatch.delenv(WAIVER_ENV, raising=False)
+    assert main(["--suite", "all", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256
+
+
 def test_cli_json_run(capsys):
     code = main(["--suite", "interior"])
     out = capsys.readouterr().out
@@ -204,24 +224,26 @@ def test_cli_usage_errors():
 
 
 @pytest.mark.parametrize("case", ["waiver-shape", "waiver-missing", "waiver-suite",
-                                  "waiver-label", "waiver-row-label", "emit-under-file"])
+                                  "waiver-label", "waiver-row-label", "waiver-all-label",
+                                  "emit-under-file"])
 def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
     """Exit 2 with one stderr line, and nothing written: no intermediate
     file, and no jet built when the waiver file or a waiver's suite is bad."""
     calls = []
-
-    def counted(m, _orig=reference.symbols_d1d3):
-        calls.append(m)
-        return _orig(m)
-
-    monkeypatch.setattr(reference, "symbols_d1d3", counted)
-    suites = {"waiver-label": "interior", "waiver-row-label": "boundary-d2d2"}
+    for name in ("symbols_d2d2", "symbols_d1d3"):
+        def counted(m, _orig=getattr(reference, name), _name=name):
+            calls.append(_name)
+            return _orig(m)
+        monkeypatch.setattr(reference, name, counted)
+    suites = {"waiver-label": "interior", "waiver-row-label": "boundary-d2d2",
+              "waiver-all-label": "all"}
     emit = tmp_path / "emit"
     argv = ["--suite", suites.get(case, "boundary-d1d3"), "--emit-intermediates", str(emit)]
-    if case in ("waiver-suite", "waiver-label", "waiver-row-label"):
+    if case in ("waiver-suite", "waiver-label", "waiver-row-label", "waiver-all-label"):
         suite, label = {"waiver-suite": ("boundary-d2d3", "c"),
                         "waiver-label": ("interior", "rank-2-2-dim-4-scalr"),
-                        "waiver-row-label": ("boundary-d2d2", "a-Il")}[case]
+                        "waiver-row-label": ("boundary-d2d2", "a-Il"),
+                        "waiver-all-label": ("boundary-d1d3", "c-typo")}[case]
         path = tmp_path / "waivers.json"
         path.write_text(json.dumps([{"suite": suite, "label": label, "reason": "typo"}]))
         monkeypatch.setenv(WAIVER_ENV, str(path))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import props
 from wresidue.clifford import CF, HC, CliffordElement
@@ -144,6 +145,71 @@ def test_build_canonicalizes_shared_poles(reg):
     # (xn - i)/((xn - i)(xn + i)) reduces to 1/(xn + i)
     f = XiRational.build(reg, {0: GR(0, -1), 1: 1}, 1, 1)
     assert f == XiRational.build(reg, {0: 1}, 0, 1)
+
+
+def _random_numerator(reg, rng):
+    """Up to four powers of xn whose coefficients mix Clifford words and
+    monomials in two atoms."""
+    from wresidue.scalars import KIND_CONN
+    atoms = [ScalarPoly.var(reg, reg.get_or_add(f"w{k}F", KIND_CONN)) for k in range(2)]
+    num = {}
+    for m in range(rng.randint(1, 4)):
+        elem = CliffordElement.zero(reg)
+        for _ in range(rng.randint(0, 3)):
+            word = CliffordElement.generator(reg, *rng.choice(props.LETTERS))
+            scalar = ScalarPoly.const(reg, _random_gr(rng))
+            if rng.random() < 0.5:
+                scalar = scalar * rng.choice(atoms)
+            elem = elem + (word if rng.random() < 0.5 else _const(reg, 1)) * scalar
+        if elem:
+            num[m] = elem
+    return num
+
+
+def _value_at(num, reg, point):
+    """The numerator at xn = point, summed power by power."""
+    acc = CliffordElement.zero(reg)
+    for m, coeff in num.items():
+        acc = acc + coeff * point ** m
+    return acc
+
+
+def _times_linear(f, reg, k_plus, k_minus):
+    """``f * (xn - i)^k_plus * (xn + i)^k_minus`` for a polynomial ``f``."""
+    for c, k in ((GR(0, 1), k_plus), (GR(0, -1), k_minus)):
+        for _ in range(k):
+            f = XiRational.build(reg, {0: -c, 1: 1}) * f
+    return f
+
+
+@given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 3))
+def test_construction_strips_exactly_the_shared_factors(seed, k_plus, k_minus, a, b):
+    reg = Registry()
+    num = _random_numerator(reg, random.Random(seed))
+    assume(num and _value_at(num, reg, GR(0, 1)) and _value_at(num, reg, GR(0, -1)))
+    poly = _times_linear(XiRational.build(reg, num), reg, k_plus, k_minus)
+    got = XiRational(reg, poly.num, a, b)
+    strip_plus, strip_minus = min(a, k_plus), min(b, k_minus)
+    want = _times_linear(XiRational.build(reg, num), reg,
+                         k_plus - strip_plus, k_minus - strip_minus)
+    assert (got.a, got.b) == (a - strip_plus, b - strip_minus)
+    assert got.num == want.num
+
+
+@given(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 4))
+def test_residue_is_the_minus_one_laurent_coefficient(seed, a, b):
+    reg = Registry()
+    rng = random.Random(seed)
+    num = _random_numerator(reg, rng)
+    for _ in range(rng.randint(0, 2)):
+        num = {m + 1: c for m, c in num.items()}
+    f = XiRational(reg, num, a, b)
+    want = f.laurent(True, upto=-1).get(-1, CliffordElement.zero(reg))
+    got = f.residue_at_plus_i()
+    assert got == want
+    assert [(w, list(c.terms)) for w, c in got.terms.items()] == \
+        [(w, list(c.terms)) for w, c in want.terms.items()]
 
 
 def test_substitute_and_coeff_derivative(reg, pi_ind):
