@@ -77,7 +77,7 @@ class CliffordElement:
     __slots__ = ("registry", "terms")
 
     def __init__(self, registry: Registry, terms: Mapping[Word, ScalarPoly] | None = None):
-        object.__setattr__(self, "registry", registry)
+        self.registry = registry
         clean = {}
         if terms:
             for word, coeff in terms.items():
@@ -85,10 +85,7 @@ class CliffordElement:
                     raise RegistryMismatchError("coefficient over distinct registry")
                 if not coeff.is_zero():
                     clean[word] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CliffordElement is immutable")
+        self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -97,40 +94,41 @@ class CliffordElement:
         return CliffordElement(registry, {})
 
     @staticmethod
-    def identity(registry: Registry, coeff=None) -> "CliffordElement":
-        if coeff is None:
-            coeff = ScalarPoly.const(registry, GR_ONE)
-        elif isinstance(coeff, (int, Fraction, GaussianRational)):
+    def _monomial(registry: Registry, word: Word, coeff) -> "CliffordElement":
+        """``coeff``, a number or a polynomial, on a single word."""
+        if not isinstance(coeff, ScalarPoly):
             coeff = ScalarPoly.const(registry, coeff)
-        return CliffordElement(registry, {(): coeff})
+        return CliffordElement(registry, {word: coeff})
 
     @staticmethod
-    def generator(registry: Registry, kind: int, index: int, coeff=None) -> "CliffordElement":
+    def identity(registry: Registry, coeff=GR_ONE) -> "CliffordElement":
+        return CliffordElement._monomial(registry, (), coeff)
+
+    @staticmethod
+    def generator(registry: Registry, kind: int, index: int) -> "CliffordElement":
         if kind not in _SQ_SIGN:
             raise ValueError(f"unknown generator kind {kind}")
         if index < 1:
             raise ValueError("generator index starts at 1")
-        if coeff is None:
-            coeff = ScalarPoly.const(registry, GR_ONE)
-        elif isinstance(coeff, (int, Fraction, GaussianRational)):
-            coeff = ScalarPoly.const(registry, coeff)
-        return CliffordElement(registry, {((kind, index),): coeff})
+        return CliffordElement._monomial(registry, ((kind, index),), GR_ONE)
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "CliffordElement":
+    def _coerce(self, other):
+        """``other`` as an element over this registry; a number or polynomial
+        goes on the identity word, anything else is NotImplemented."""
         if isinstance(other, CliffordElement):
             if other.registry is not self.registry:
                 raise RegistryMismatchError("elements over distinct registries")
             return other
-        if isinstance(other, ScalarPoly):
-            return CliffordElement(self.registry, {(): other})
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
             return CliffordElement.identity(self.registry, other)
-        raise TypeError(f"cannot combine CliffordElement with {type(other).__name__}")
+        return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         out = dict(self.terms)
         for word, coeff in other.terms.items():
             acc = out.get(word)
@@ -147,10 +145,12 @@ class CliffordElement:
         return CliffordElement(self.registry, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        other = self._coerce(other)
+        return other if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
@@ -160,6 +160,8 @@ class CliffordElement:
                 self.registry, {w: c * other for w, c in self.terms.items()}
             )
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         # a factor on the identity word alone is a scalar: no word products
         if len(other.terms) == 1 and () in other.terms:
             scalar = other.terms[()]
@@ -183,17 +185,13 @@ class CliffordElement:
         return CliffordElement(self.registry, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
-            return self * other
-        return self._coerce(other) * self
+        # only a number or a polynomial lands here, and it commutes
+        return self * other
 
     def __eq__(self, other):
         if not isinstance(other, CliffordElement):
             return NotImplemented
         return self.registry is other.registry and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((w, hash(c)) for w, c in self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -39,7 +39,7 @@ class InteriorSetting:
     def var(self, ind) -> ScalarPoly:
         return ScalarPoly.var(self.registry, ind)
 
-    def ident(self, coeff=None) -> CliffordElement:
+    def ident(self, coeff=1) -> CliffordElement:
         return CliffordElement.identity(self.registry, coeff)
 
     def cf(self, i: int) -> CliffordElement:

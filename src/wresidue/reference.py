@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Callable, Mapping
 
 from .boundary import BoundarySymbol, SymbolJet
@@ -42,8 +43,6 @@ from .xicalc import XiRational
 P_LEAF = 2
 Q_PERP = 2
 N_DIM = P_LEAF + Q_PERP
-
-DATA_VERSION = "wres-data/1"
 
 _HALF = Fraction(1, 2)
 _MI = GR(0, -1)  # -i
@@ -75,30 +74,16 @@ class Model:
         self.dXY = tuple(reg.add(f"XdY{a}", KIND_CONN, ("xy-derivative", a))
                          for a in range(1, self.n + 1))
 
-        self.nabf: dict[tuple[int, int, int], Indeterminate] = {}
-        for j in range(1, p + 1):
-            for l in range(j + 1, p + 1):
-                for d in range(1, self.n + 1):
-                    self.nabf[(j, l, d)] = reg.add(
-                        f"wF{j}{l}d{d}", KIND_CONN, ("leaf", j, l, d))
-        self.nabp: dict[tuple[int, int, int], Indeterminate] = {}
-        for s in range(1, q + 1):
-            for t in range(s + 1, q + 1):
-                for d in range(1, self.n + 1):
-                    self.nabp[(s, t, d)] = reg.add(
-                        f"wP{s}{t}d{d}", KIND_CONN, ("perp", s, t, d))
-        self.nabtm: dict[tuple[int, int, int], Indeterminate] = {}
-        for j in range(1, p + 1):
-            for s in range(1, q + 1):
-                for d in range(1, self.n + 1):
-                    self.nabtm[(j, s, d)] = reg.add(
-                        f"wM{j}{s}d{d}", KIND_CONN, ("mixed", j, s, d))
-        self.smix: dict[tuple[int, int, int], Indeterminate] = {}
-        for j in range(1, p + 1):
-            for s in range(1, q + 1):
-                for d in range(1, self.n + 1):
-                    self.smix[(j, s, d)] = reg.add(
-                        f"sh{j}{s}d{d}", KIND_CONN, ("shape", j, s, d))
+        def family(prefix: str, meta: str, pairs) -> dict[tuple[int, int, int], Indeterminate]:
+            """One connection atom per index pair and direction."""
+            return {(i, k, d): reg.add(f"{prefix}{i}{k}d{d}", KIND_CONN, (meta, i, k, d))
+                    for i, k in pairs for d in range(1, self.n + 1)}
+
+        mixed = list(product(range(1, p + 1), range(1, q + 1)))
+        self.nabf = family("wF", "leaf", combinations(range(1, p + 1), 2))
+        self.nabp = family("wP", "perp", combinations(range(1, q + 1), 2))
+        self.nabtm = family("wM", "mixed", mixed)
+        self.smix = family("sh", "shape", mixed)
 
         self.cdxn = c_dxn(reg, p, q)
         self.cxi = c_xi_prime(reg, p, q, self.xi)
@@ -108,7 +93,7 @@ class Model:
     def var(self, ind: Indeterminate) -> ScalarPoly:
         return ScalarPoly.var(self.registry, ind)
 
-    def ident(self, coeff=None) -> CliffordElement:
+    def ident(self, coeff=1) -> CliffordElement:
         return CliffordElement.identity(self.registry, coeff)
 
     @functools.cached_property
@@ -347,7 +332,7 @@ def sigma_m4_cube(model: Model) -> XiRational:
     first = cxin * sigma2_cube_num(model) * cxin
     w = model.cdxn * model.cxi * (hp * _HALF)
     bracket = (XiRational(reg, {0: w, 2: w * 2, 4: w})
-               + cxin.scale_left(model.cdxn) * (hp * (-2))
+               + model.cdxn * cxin * (hp * (-2))
                + XiRational.build(reg, {1: 1}) * (cxin * model.cxi) * hp
                + XiRational.build(reg, {1: hp * 4}))
     second = cxin * bracket * GR_I
@@ -740,27 +725,3 @@ def interior_expected(p: int, q: int, n: int) -> dict[str, Fraction]:
         "two-form": Fraction(0),
         "endo-trace": _pow2(p // 2 + q - 2),
     }
-
-
-# ---------------------------------------------------------------------------
-
-
-def dump_records(model: Model | None = None) -> str:
-    """Human-auditable dump of every frozen expected row."""
-    model = model or build_model()
-    waived = {(w.suite, w.label) for w in builtin_waivers()}
-    lines = [f"version: {DATA_VERSION}", ""]
-    for name, expected in (("boundary-d2d2", expected_d2d2(model)),
-                           ("boundary-d1d3", expected_d1d3(model))):
-        lines.append(f"[{name}]")
-        for label in sorted(expected):
-            flag = " (waived)" if (name, label) in waived else ""
-            lines.append(f"  {label}{flag}: {expected[label].render()}")
-        lines.append("")
-    lines.append("[interior]")
-    for p, q, n in INTERIOR_CASES:
-        row = interior_expected(p, q, n)
-        parts = ", ".join(f"{k}={v}" for k, v in sorted(row.items()))
-        lines.append(f"  ({p},{q}) n={n}: {parts}")
-    lines.append("")
-    return "\n".join(lines)

@@ -63,13 +63,19 @@ def exit_code(reports) -> int:
 
 def load_waivers(environ=None) -> tuple[Waiver, ...]:
     """Built-in waivers plus any read from the file named by the environment
-    variable; the file holds a JSON list of {suite, label, reason}."""
+    variable; the file holds a JSON list of {suite, label, reason}, each a
+    non-empty string (anything else is a ValueError)."""
     out = list(builtin_waivers())
     path = (environ if environ is not None else os.environ).get(WAIVER_ENV)
     if path:
         with open(path, encoding="utf-8") as fh:
             for item in json.load(fh):
-                out.append(Waiver(item["suite"], item["label"], item["reason"]))
+                fields = {key: item[key] for key in ("suite", "label", "reason")}
+                for key, value in fields.items():
+                    if not isinstance(value, str) or not value:
+                        raise ValueError(f"waiver field {key!r} must be a non-empty string, "
+                                         f"got {value!r}")
+                out.append(Waiver(**fields))
     return tuple(out)
 
 

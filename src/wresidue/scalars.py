@@ -56,17 +56,13 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def one() -> "GaussianRational":
-        return _new(1, 0, 1)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if other.__class__ is not GaussianRational:
             other = _coerce(other)
+            if other is NotImplemented:
+                return other
         return _add(self._a, self._b, self._d, other._a, other._b, other._d)
 
     __radd__ = __add__
@@ -77,14 +73,19 @@ class GaussianRational:
     def __sub__(self, other):
         if other.__class__ is not GaussianRational:
             other = _coerce(other)
+            if other is NotImplemented:
+                return other
         return _add(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
         if other.__class__ is not GaussianRational:
             other = _coerce(other)
+            if other is NotImplemented:
+                return other
         a1, b1, d1 = self._a, self._b, self._d
         a2, b2, d2 = other._a, other._b, other._d
         # each factor is canonical, so cancelling across the factors leaves
@@ -105,6 +106,8 @@ class GaussianRational:
 
     def __truediv__(self, other):
         other = _coerce(other)
+        if other is NotImplemented:
+            return other
         a, b, d = other._a, other._b, other._d
         norm = a * a + b * b
         if not norm:
@@ -116,8 +119,8 @@ class GaussianRational:
         if not isinstance(n, int):
             raise TypeError("exponent must be int")
         if n < 0:
-            return GaussianRational.one() / (self ** (-n))
-        out = GaussianRational.one()
+            return GR_ONE / (self ** (-n))
+        out = GR_ONE
         base = self
         while n:
             if n & 1:
@@ -144,10 +147,9 @@ class GaussianRational:
 
     def __eq__(self, other):
         if other.__class__ is not GaussianRational:
-            try:
-                other = _coerce(other)
-            except TypeError:
-                return NotImplemented
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
@@ -215,14 +217,23 @@ def _add(a1: int, b1: int, d1: int, a2: int, b2: int, d2: int) -> GaussianRation
     return _new(a // g2, b // g2, s * (d2 // g2))
 
 
-def _coerce(x) -> GaussianRational:
+def _coerce(x):
+    """``x`` as a GaussianRational, or NotImplemented when it is not a number
+    of this tower, so Python tries the other operand's reflected method."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, int):
         return _new(x, 0, 1)
     if isinstance(x, Fraction):
         return _new(x.numerator, 0, x.denominator)
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+    return NotImplemented
+
+
+def _as_gr(x) -> GaussianRational:
+    out = _coerce(x)
+    if out is NotImplemented:
+        raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+    return out
 
 
 GR = GaussianRational
@@ -320,16 +331,13 @@ class ScalarPoly:
     __slots__ = ("registry", "terms")
 
     def __init__(self, registry: Registry, terms: Mapping[Monomial, GaussianRational] | None = None):
-        object.__setattr__(self, "registry", registry)
+        self.registry = registry
         clean = {}
         if terms:
             for mono, coeff in terms.items():
                 if not coeff.is_zero():
                     clean[mono] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarPoly is immutable")
+        self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -337,8 +345,8 @@ class ScalarPoly:
     def _pruned(registry: Registry, terms: dict) -> "ScalarPoly":
         """A polynomial from terms that hold no zero coefficient, taken as is."""
         out = _object_new(ScalarPoly)
-        _set_registry(out, registry)
-        _set_terms(out, terms)
+        out.registry = registry
+        out.terms = terms
         return out
 
     @staticmethod
@@ -347,7 +355,7 @@ class ScalarPoly:
 
     @staticmethod
     def const(registry: Registry, value) -> "ScalarPoly":
-        value = _coerce(value)
+        value = _as_gr(value)
         if value.is_zero():
             return ScalarPoly.zero(registry)
         return ScalarPoly(registry, {(): value})
@@ -362,9 +370,14 @@ class ScalarPoly:
 
     # -- helpers -----------------------------------------------------------
 
-    def _check(self, other: "ScalarPoly"):
-        if self.registry is not other.registry:
-            raise RegistryMismatchError("polynomials over distinct registries")
+    def _lift(self, other):
+        """``other`` as a polynomial over this registry, a number as a
+        GaussianRational constant, anything else as NotImplemented."""
+        if other.__class__ is ScalarPoly:
+            if other.registry is not self.registry:
+                raise RegistryMismatchError("polynomials over distinct registries")
+            return other
+        return _coerce(other)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -381,9 +394,11 @@ class ScalarPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
+        if other.__class__ is GaussianRational:
             other = ScalarPoly.const(self.registry, other)
-        self._check(other)
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc = out.get(mono)
@@ -403,20 +418,20 @@ class ScalarPoly:
         return ScalarPoly._pruned(self.registry, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = ScalarPoly.const(self.registry, other)
-        return self + (-other)
+        other = self._lift(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _coerce(other)
-            if c.is_zero():
+        other = self._lift(other)
+        if other is NotImplemented:
+            return other
+        if other.__class__ is GaussianRational:
+            if not other:
                 return ScalarPoly.zero(self.registry)
-            return ScalarPoly._pruned(self.registry, {m: cc * c for m, cc in self.terms.items()})
-        self._check(other)
+            return ScalarPoly._pruned(self.registry, {m: c * other for m, c in self.terms.items()})
         out: dict[Monomial, GaussianRational] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -452,9 +467,6 @@ class ScalarPoly:
             return NotImplemented
         return self.registry is other.registry and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     # -- structure queries -------------------------------------------------
 
     def indeterminate_ids(self) -> set[int]:
@@ -470,16 +482,8 @@ class ScalarPoly:
         Terms containing any of the given indeterminates with a different
         exponent do not contribute.
         """
-        want = {ind.id: exp for ind, exp in mono_inds.items() if exp}
-        watched = {ind.id for ind in mono_inds}
-        out = {}
-        for mono, coeff in self.terms.items():
-            present = {iid: exp for iid, exp in mono if iid in watched}
-            if present != want:
-                continue
-            rest = tuple((iid, exp) for iid, exp in mono if iid not in watched)
-            out[rest] = out.get(rest, GR_ZERO) + coeff
-        return ScalarPoly(self.registry, out)
+        key = tuple(sorted((ind.id, exp) for ind, exp in mono_inds.items() if exp > 0))
+        return self.project(mono_inds).get(key) or ScalarPoly.zero(self.registry)
 
     def project(self, inds: Iterable[Indeterminate]) -> dict[Monomial, "ScalarPoly"]:
         """Group terms by their submonomial in the given indeterminates."""
@@ -502,7 +506,7 @@ class ScalarPoly:
         for ind in bindings:
             if ind.kind == KIND_MARKER:
                 raise MarkerSubstitutionError(f"cannot bind formal marker {ind.name!r}")
-        values = {ind.id: _coerce(v) for ind, v in bindings.items()}
+        values = {ind.id: _as_gr(v) for ind, v in bindings.items()}
         powers: dict[tuple[int, int], GaussianRational] = {}
         out: dict[Monomial, GaussianRational] = {}
         for mono, coeff in self.terms.items():
@@ -596,10 +600,6 @@ class ScalarPoly:
 
     def __repr__(self):
         return f"<ScalarPoly {self.render()}>"
-
-
-_set_registry = ScalarPoly.registry.__set__
-_set_terms = ScalarPoly.terms.__set__
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:

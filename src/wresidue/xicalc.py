@@ -36,9 +36,7 @@ class InsufficientDecayError(ValueError):
 def _coerce_cliff(registry: Registry, value) -> CliffordElement:
     if isinstance(value, CliffordElement):
         return value
-    if isinstance(value, ScalarPoly):
-        return CliffordElement.identity(registry, value)
-    return CliffordElement.identity(registry, ScalarPoly.const(registry, value))
+    return CliffordElement.identity(registry, value)
 
 
 def _clean(num: Mapping[int, CliffordElement]) -> NumDict:
@@ -124,13 +122,10 @@ class XiRational:
             b -= 1
         if not cleaned:
             a = b = 0
-        object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "num", cleaned)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XiRational is immutable")
+        self.registry = registry
+        self.num = cleaned
+        self.a = a
+        self.b = b
 
     # -- constructors ------------------------------------------------------
 
@@ -164,9 +159,6 @@ class XiRational:
             return NotImplemented
         return (self.a, self.b, self.num) == (other.a, other.b, other.num)
 
-    def __hash__(self):
-        return hash((self.a, self.b, tuple(sorted((m, hash(c)) for m, c in self.num.items()))))
-
     # -- ring operations ---------------------------------------------------
 
     def _aligned(self, other: "XiRational") -> tuple[NumDict, NumDict, int, int]:
@@ -197,15 +189,16 @@ class XiRational:
         return XiRational(self.registry, {m: -c for m, c in self.num.items()}, self.a, self.b)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, XiRational) else -XiRational.const(self.registry, other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return XiRational.const(self.registry, other) - self
+        return -self + other
 
     def __mul__(self, other):
-        """Product; numerator coefficients multiply in left-to-right order."""
+        """Product; numerator coefficients multiply in left-to-right order,
+        and any lower operand multiplies each coefficient on its side."""
         if not isinstance(other, XiRational):
-            return self.scale_right(other)
+            return self.map_coeffs(lambda v: v * other)
         out: NumDict = {}
         for m1, c1 in self.num.items():
             for m2, c2 in other.num.items():
@@ -216,19 +209,7 @@ class XiRational:
         return XiRational(self.registry, out, self.a + other.a, self.b + other.b)
 
     def __rmul__(self, other):
-        return self.scale_left(other)
-
-    def scale_left(self, value) -> "XiRational":
-        """``value * self``; a scalar commutes with every coefficient, so it
-        takes the scalar path of :meth:`scale_right`."""
-        if isinstance(value, CliffordElement):
-            return self.map_coeffs(lambda v: value * v)
-        return self.scale_right(value)
-
-    def scale_right(self, value) -> "XiRational":
-        """``self * value``; a number or scalar polynomial multiplies each
-        coefficient's scalars without a Clifford product."""
-        return self.map_coeffs(lambda v: v * value)
+        return self.map_coeffs(lambda v: other * v)
 
     def map_coeffs(self, fn: Callable[[CliffordElement], CliffordElement]) -> "XiRational":
         return XiRational(self.registry, {m: fn(c) for m, c in self.num.items()}, self.a, self.b)
@@ -239,10 +220,6 @@ class XiRational:
 
     def substitute(self, bindings) -> "XiRational":
         return self.map_coeffs(lambda c: c.substitute(bindings))
-
-    def trace(self, p: int, q: int) -> "XiRational":
-        reg = self.registry
-        return self.map_coeffs(lambda c: CliffordElement.identity(reg, c.trace(p, q)))
 
     def product_trace(self, other: "XiRational", p: int, q: int) -> "XiRational":
         """Equivalent of ``(self * other).trace(p, q)`` via the word join."""

@@ -3,13 +3,11 @@ from fractions import Fraction
 import pytest
 
 from wresidue.reference import (
-    DATA_VERSION,
     FINGERPRINT_RECIPES,
     builtin_waivers,
     derived_d1d3_structure,
     derived_fingerprints,
     display_checks,
-    dump_records,
     expected_d2d2,
     expected_d1d3,
     interior_expected,
@@ -183,8 +181,3 @@ def test_interior_expected_closed_forms():
 def test_load_suite_rejects_unknown():
     with pytest.raises(KeyError):
         load_suite("no-such-suite")
-
-
-def test_dump_records_versioned(model):
-    text = dump_records(model)
-    assert DATA_VERSION in text

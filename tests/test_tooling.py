@@ -1,0 +1,22 @@
+"""Tooling that wraps the package from outside must keep finding its targets."""
+
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_tracer_covers_every_target(monkeypatch):
+    """The benchmark's tracer wraps every public name it lists and puts the
+    originals back; renaming or deleting a listed name breaks this."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    spans = tracer.Tracer()
+    try:
+        spans.install()
+    except tracer.CoverageError as exc:
+        pytest.fail(f"tracer coverage: {exc}")
+    finally:
+        spans.uninstall()

@@ -225,6 +225,7 @@ def test_cli_usage_errors():
 
 @pytest.mark.parametrize("case", ["waiver-shape", "waiver-missing", "waiver-suite",
                                   "waiver-label", "waiver-row-label", "waiver-all-label",
+                                  "waiver-suite-list", "waiver-empty-reason",
                                   "emit-under-file"])
 def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
     """Exit 2 with one stderr line, and nothing written: no intermediate
@@ -248,6 +249,15 @@ def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
         path.write_text(json.dumps([{"suite": suite, "label": label, "reason": "typo"}]))
         monkeypatch.setenv(WAIVER_ENV, str(path))
         want = f"waiver names no record: suite {suite!r}, label {label!r}\n"
+    elif case in ("waiver-suite-list", "waiver-empty-reason"):
+        key, value = {"waiver-suite-list": ("suite", ["boundary-d2d2"]),
+                      "waiver-empty-reason": ("reason", "")}[case]
+        waiver = {"suite": "boundary-d2d2", "label": "c", "reason": "x", key: value}
+        path = tmp_path / "waivers.json"
+        path.write_text(json.dumps([waiver]))
+        monkeypatch.setenv(WAIVER_ENV, str(path))
+        want = (f"cannot load waivers from {WAIVER_ENV}: ValueError: "
+                f"waiver field {key!r} must be a non-empty string")
     elif case == "waiver-shape":
         path = tmp_path / "waivers.json"
         path.write_text(json.dumps({"a": 1}))

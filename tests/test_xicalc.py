@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 import props
 from wresidue.clifford import CF, HC, CliffordElement
-from wresidue.scalars import GR, KIND_MARKER, Registry, ScalarPoly
+from wresidue.scalars import GR, KIND_MARKER, KIND_X, Registry, ScalarPoly
 from wresidue.xicalc import (
     InsufficientDecayError,
     XiRational,
@@ -224,3 +225,46 @@ def test_render_mentions_poles(reg):
     f = XiRational.build(reg, {0: 1}, 2, 1)
     text = f.render()
     assert "xn" in text
+
+
+def _tower(reg):
+    """A nonzero value of each exact type, lowest first, and two foreign ones."""
+    x = ScalarPoly.var(reg, reg.add("x", KIND_X))
+    cliff = (CliffordElement.generator(reg, CF, 1) * x
+             + CliffordElement.generator(reg, HC, 1) - 2)
+    return {"GR": GR(Fraction(1, 3), -2), "ScalarPoly": x * GR(1, 2) + 3,
+            "CliffordElement": cliff, "XiRational": XiRational.build(reg, {0: cliff, 2: x}, 1, 2),
+            "str": "x", "float": 1.5}
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_EXACT = ("GR", "ScalarPoly", "CliffordElement", "XiRational")
+
+
+@pytest.mark.parametrize("low, op, high", [
+    ("GR", "*", "XiRational"), ("ScalarPoly", "*", "XiRational"),
+    ("CliffordElement", "*", "XiRational"), ("GR", "*", "CliffordElement"),
+    ("ScalarPoly", "*", "CliffordElement"), ("ScalarPoly", "+", "CliffordElement"),
+    ("ScalarPoly", "+", "XiRational"), ("GR", "+", "XiRational"),
+    ("CliffordElement", "+", "XiRational"),
+    *[(foreign, op, kind) for foreign in ("str", "float") for kind in _EXACT for op in _OPS]])
+def test_mixed_operands_lift_the_lower_one(reg, low, op, high):
+    """Either order of a mixed expression equals the same expression with the
+    lower operand lifted by hand, and has the higher type; a foreign operand
+    raises TypeError on either side."""
+    fn = _OPS[op]
+    values = _tower(reg)
+    lower, higher = values[low], values[high]
+    if low in ("str", "float"):
+        for args in ((lower, higher), (higher, lower)):
+            with pytest.raises(TypeError):
+                fn(*args)
+        return
+    if high == "CliffordElement":
+        lifted = CliffordElement.identity(reg, lower)
+    else:
+        lifted = XiRational.build(reg, {0: lower})
+    for got, want in ((fn(lower, higher), fn(lifted, higher)),
+                      (fn(higher, lower), fn(higher, lifted))):
+        assert type(got) is type(higher)
+        assert got == want
