@@ -8,12 +8,13 @@ contribution is
     prefactor * Int_sphere Int_xn Tr[ d_xn^j d_xi'^alpha d_xn^k pi+ P_r
                                        x  d_x'^alpha d_xn^(j+1) d_xn^k Q_l ]
 
-with ``prefactor = (-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!)``.  Symbols are
-supplied as jets at a boundary base point in normal coordinates with the
-tangential covariable on its unit sphere; tangential x-derivatives of the
-jets vanish there.  Every case is evaluated twice, once as stated and once
-with one xn-covariable derivative moved across the product (integration by
-parts), and the two values are required to agree exactly.
+with ``prefactor = (-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!)``.  Each factor
+is a table of jets at a boundary base point in normal coordinates with the
+tangential covariable on its unit sphere, ``{order: (jet, d_xn jet, ...)}``,
+read with the model from a :class:`~wresidue.reference.Suite`; tangential
+x-derivatives of the jets vanish there.  Every case is evaluated twice, once
+as stated and once with one xn-covariable derivative moved across the
+product (integration by parts), and the two values must agree exactly.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .scalars import GR, GR_ONE, GaussianRational, Indeterminate, Registry, ScalarPoly, minus_i_pow
+from .reference import Jets, Suite
+from .scalars import GR, GR_ONE, GaussianRational, Indeterminate, ScalarPoly, minus_i_pow
 from .sphere import integrate_sphere
 from .xicalc import XiRational
-
-
-class MissingJetError(KeyError):
-    """A case asked for a jet the symbol does not carry."""
 
 
 class IbpMismatchError(AssertionError):
@@ -37,41 +35,7 @@ class IbpMismatchError(AssertionError):
 
 
 @dataclass(frozen=True)
-class SymbolJet:
-    """Jets of one homogeneity order: entry t is the t-th normal x-derivative."""
-
-    order: int
-    xn_jets: tuple[XiRational, ...]
-
-    def jet(self, xn_order: int) -> XiRational:
-        if xn_order >= len(self.xn_jets):
-            raise MissingJetError(f"order {self.order}: no xn-jet of depth {xn_order}")
-        return self.xn_jets[xn_order]
-
-
-@dataclass(frozen=True)
-class BoundarySymbol:
-    """A one-sided symbol expansion restricted to the boundary base point."""
-
-    name: str
-    registry: Registry
-    p: int
-    q: int
-    xi_inds: tuple[Indeterminate, ...]
-    jets: Mapping[int, SymbolJet]
-
-    def jet(self, order: int, xn_order: int = 0) -> XiRational:
-        if order not in self.jets:
-            raise MissingJetError(f"{self.name}: no jet of order {order}")
-        return self.jets[order].jet(xn_order)
-
-    def orders(self) -> tuple[int, ...]:
-        return tuple(sorted(self.jets, reverse=True))
-
-
-@dataclass(frozen=True)
 class CaseSpec:
-    suite: str
     label: str
     r: int
     l: int
@@ -105,13 +69,12 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def enumerate_cases(suite: str, p_orders: Sequence[int], q_orders: Sequence[int],
-                    labels: Mapping[tuple[int, int, int, int, int], str],
-                    n: int = 4) -> tuple[CaseSpec, ...]:
+def enumerate_cases(suite: Suite) -> tuple[CaseSpec, ...]:
     """All derivative cases meeting the order constraint, in report order."""
+    n = suite.model.n
     found = []
-    for r in p_orders:
-        for l in q_orders:
+    for r in sorted(suite.left, reverse=True):
+        for l in sorted(suite.right, reverse=True):
             budget = r + l + n - 1
             if budget < 0:
                 continue
@@ -119,10 +82,10 @@ def enumerate_cases(suite: str, p_orders: Sequence[int], q_orders: Sequence[int]
                 for j in range(budget + 1 - k):
                     rem = budget - k - j
                     key = (r, l, k, j, rem)
-                    if key not in labels:
-                        raise KeyError(f"no label registered for case {key} in {suite}")
+                    if key not in suite.labels:
+                        raise KeyError(f"no label registered for case {key} in {suite.name}")
                     for alpha in _compositions(rem, n - 1):
-                        found.append(CaseSpec(suite, labels[key], r, l, k, j, alpha))
+                        found.append(CaseSpec(suite.labels[key], r, l, k, j, alpha))
     found.sort(key=CaseSpec.sort_key)
     return tuple(found)
 
@@ -147,81 +110,65 @@ class BoundaryResult:
     total: ScalarPoly
 
 
-def _left_factor(pside: BoundarySymbol, case: CaseSpec, nxi: int, memo: dict):
-    key = ("L", case.r, case.j, case.alpha, nxi)
+def _factor(jets: Jets, order: int, xn_order: int, nxi: int, plus: bool,
+            memo: dict) -> XiRational:
+    """``nxi`` xn-covariable derivatives of one jet, taken after pi+ when
+    ``plus`` holds (the left factor)."""
+    key = (plus, order, xn_order, nxi)
     got = memo.get(key)
     if got is None:
         if nxi:
-            got = _left_factor(pside, case, nxi - 1, memo).xi_derivative()
+            got = _factor(jets, order, xn_order, nxi - 1, plus, memo).xi_derivative()
         else:
-            got = pside.jet(case.r, case.j)
-            for ind, times in zip(pside.xi_inds, case.alpha):
-                for _ in range(times):
-                    got = got.coeff_derivative(ind)
-            got = got.pi_plus()
+            got = jets[order][xn_order]
+            if plus:
+                got = got.pi_plus()
         memo[key] = got
     return got
 
 
-def _right_factor(qside: BoundarySymbol, case: CaseSpec, nxi: int, memo: dict):
-    key = ("R", case.l, case.k, nxi)
-    got = memo.get(key)
-    if got is None:
-        if nxi:
-            got = _right_factor(qside, case, nxi - 1, memo).xi_derivative()
-        else:
-            got = qside.jet(case.l, case.k)
-        memo[key] = got
-    return got
-
-
-def evaluate_case(pside: BoundarySymbol, qside: BoundarySymbol, case: CaseSpec,
-                  pi_ind: Indeterminate, omega_ind: Indeterminate,
-                  shift: int = 0, memo: dict | None = None) -> CaseResult:
+def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0,
+                  memo: dict | None = None) -> CaseResult:
     """One case; ``shift`` moves that many xn-covariable derivatives from the
     right factor onto the left one, with the integration-by-parts sign."""
-    registry = pside.registry
-    if pside.p != qside.p or pside.q != qside.q:
-        raise ValueError("factor symbols live over different Clifford models")
+    model = suite.model
     if not 0 <= shift <= case.j + 1:
         raise ValueError(f"shift {shift} outside 0..{case.j + 1}")
     if case.alpha_abs:  # tangential x-derivatives of the jets vanish
-        return CaseResult(case, ScalarPoly.zero(registry), note="tangential-base-jet-vanishes")
+        return CaseResult(case, ScalarPoly.zero(model.registry),
+                          note="tangential-base-jet-vanishes")
     if memo is None:
         memo = {}
 
-    left = _left_factor(pside, case, case.k + shift, memo)
-    right = _right_factor(qside, case, case.j + 1 - shift, memo)
+    left = _factor(suite.left, case.r, case.j, case.k + shift, True, memo)
+    right = _factor(suite.right, case.l, case.k, case.j + 1 - shift, False, memo)
 
-    traced = left.product_trace(right, pside.p, pside.q)
-    line_integral = traced.integrate(pi_ind).scalar_part()
-    averaged = integrate_sphere(line_integral, pside.xi_inds, omega_ind)
+    traced = left.product_trace(right, model.p, model.q)
+    line_integral = traced.integrate(model.pi).scalar_part()
+    averaged = integrate_sphere(line_integral, model.xi, model.omega3)
     sign = GR_ONE if shift % 2 == 0 else -GR_ONE
     value = averaged * (case_prefactor(case) * sign)
     return CaseResult(case, value, traced=traced)
 
 
-def assemble_boundary(pside: BoundarySymbol, qside: BoundarySymbol, suite: str,
-                      labels: Mapping[tuple[int, int, int, int, int], str],
-                      pi_ind: Indeterminate, omega_ind: Indeterminate,
-                      n: int = 4) -> BoundaryResult:
+def assemble_boundary(suite: Suite) -> BoundaryResult:
     """Evaluate every case both ways, check the two ways agree, and group."""
-    registry = pside.registry
+    registry = suite.model.registry
     results = []
     memo: dict = {}
-    for case in enumerate_cases(suite, pside.orders(), qside.orders(), labels, n):
-        plain = evaluate_case(pside, qside, case, pi_ind, omega_ind, shift=0, memo=memo)
-        moved = evaluate_case(pside, qside, case, pi_ind, omega_ind, shift=1, memo=memo)
+    for case in enumerate_cases(suite):
+        plain = evaluate_case(suite, case, shift=0, memo=memo)
+        moved = evaluate_case(suite, case, shift=1, memo=memo)
         if plain.value != moved.value:
             raise IbpMismatchError(
-                f"{suite} case {case.label}: derivative-transfer forms disagree")
+                f"{suite.name} case {case.label}: derivative-transfer forms disagree")
         results.append(plain)
     groups: dict[str, ScalarPoly] = {}
     total = ScalarPoly.zero(registry)
     for res in results:
         groups[res.label] = groups.get(res.label, ScalarPoly.zero(registry)) + res.value
         total = total + res.value
-    return BoundaryResult(suite, tuple(results), groups, total)
+    return BoundaryResult(suite.name, tuple(results), groups, total)
 
 
 def extrinsic_form(value: ScalarPoly, collar_ind: Indeterminate,

@@ -23,7 +23,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Mapping
 
-from .boundary import BoundarySymbol, SymbolJet
 from .clifford import CliffordElement, c_dxn, c_frame, c_xi_prime, connection_blocks
 from .scalars import (
     GR,
@@ -46,6 +45,9 @@ N_DIM = P_LEAF + Q_PERP
 
 _HALF = Fraction(1, 2)
 _MI = GR(0, -1)  # -i
+
+# One factor's jets at the boundary base point: {order: (jet, d_xn jet, ...)}.
+Jets = Mapping[int, tuple[XiRational, ...]]
 
 
 class Model:
@@ -257,7 +259,7 @@ def order_minus1_parts_d2d2(model: Model) -> dict[str, XiRational]:
     return {"prod": prod, "conn": conn, "transfer": transfer}
 
 
-def symbols_d2d2(model: Model) -> tuple[BoundarySymbol, BoundarySymbol]:
+def symbols_d2d2(model: Model) -> tuple[Jets, Jets]:
     reg = model.registry
     hp = model.hp_poly
     tfull = model.t_full_num
@@ -266,16 +268,10 @@ def symbols_d2d2(model: Model) -> tuple[BoundarySymbol, BoundarySymbol]:
     s0_dxn = XiRational(reg, (tfull * hp).num, 2, 2)
     parts = order_minus1_parts_d2d2(model)
     sm1 = parts["prod"] + parts["conn"] + parts["transfer"]
-    pside = BoundarySymbol("conn-square-inv2", reg, model.p, model.q, model.xi,
-                           {0: SymbolJet(0, (s0, s0_dxn)),
-                            -1: SymbolJet(-1, (sm1,))})
-
     sm2 = XiRational.build(reg, {0: 1}, 1, 1)
     sm2_dxn = XiRational.build(reg, {0: -hp}, 2, 2)
-    qside = BoundarySymbol("inv-square", reg, model.p, model.q, model.xi,
-                           {-2: SymbolJet(-2, (sm2, sm2_dxn)),
-                            -3: SymbolJet(-3, (sigma_m3_square(model),))})
-    return pside, qside
+    return ({0: (s0, s0_dxn), -1: (sm1,)},
+            {-2: (sm2, sm2_dxn), -3: (sigma_m3_square(model),)})
 
 
 def sigma_m2_first(model: Model) -> XiRational:
@@ -339,7 +335,7 @@ def sigma_m4_cube(model: Model) -> XiRational:
     return XiRational(reg, (first + second).num, 4, 4)
 
 
-def symbols_d1d3(model: Model) -> tuple[BoundarySymbol, BoundarySymbol]:
+def symbols_d1d3(model: Model) -> tuple[Jets, Jets]:
     reg = model.registry
     hp = model.hp_poly
     cxin = model.c_xi_num
@@ -351,17 +347,11 @@ def symbols_d1d3(model: Model) -> tuple[BoundarySymbol, BoundarySymbol]:
     s1_dxn = XiRational(reg, (tfull * inner * _MI).num, 2, 2)
     parts = order_zero_parts_d1d3(model)
     s0 = parts["prod"] + parts["conn"] + parts["transfer"]
-    pside = BoundarySymbol("conn-square-inv1", reg, model.p, model.q, model.xi,
-                           {1: SymbolJet(1, (s1, s1_dxn)),
-                            0: SymbolJet(0, (s0,))})
-
     sm3 = XiRational(reg, (cxin * GR_I).num, 2, 2)
     sm3_dxn = (XiRational(reg, {0: model.cxi * (hp * _HALF * GR_I)}, 2, 2)
                + XiRational(reg, (cxin * (hp * GR(0, -2))).num, 3, 3))
-    qside = BoundarySymbol("inv-cube", reg, model.p, model.q, model.xi,
-                           {-3: SymbolJet(-3, (sm3, sm3_dxn)),
-                            -4: SymbolJet(-4, (sigma_m4_cube(model),))})
-    return pside, qside
+    return ({1: (s1, s1_dxn), 0: (s0,)},
+            {-3: (sm3, sm3_dxn), -4: (sigma_m4_cube(model),)})
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +478,15 @@ FINGERPRINT_RECIPES: tuple[tuple[str, int, int], ...] = (
 )
 
 
-def fingerprint_binding(model: Model, offset: int, mul: int) -> dict[Indeterminate, GR]:
+def atom_binding(model: Model, rule: Callable[[int], GR]) -> dict[Indeterminate, GR]:
+    """``rule(k)`` for the k-th non-marker atom in sorted-name order, so the
+    values do not depend on registry construction order."""
     names = sorted(ind.name for ind in model.registry if ind.kind != KIND_MARKER)
-    return {model.registry.by_name(nm): GR(mul * (k + offset))
-            for k, nm in enumerate(names)}
+    return {model.registry.by_name(nm): rule(k) for k, nm in enumerate(names)}
+
+
+def fingerprint_binding(model: Model, offset: int, mul: int) -> dict[Indeterminate, GR]:
+    return atom_binding(model, lambda k: GR(mul * (k + offset)))
 
 
 def row_fingerprint(model: Model, row: ScalarPoly, offset: int, mul: int) -> GR:
@@ -592,11 +587,11 @@ def display_checks(suite: Suite) -> tuple[DisplayCheck, ...]:
     t, c, nn = model.t_hat, model.c_hat, model.n_hat
 
     if suite.name == "boundary-d2d2":
-        base = pi_plus(suite.pside.jet(0))
+        base = pi_plus(suite.left[0][0])
         return (
             DisplayCheck("plus-part-base", base, XiRational.build(
                 reg, {0: (t - nn) * GR(0, _HALF) - c * GR(_HALF)}, 1)),
-            DisplayCheck("plus-part-normal-jet", pi_plus(suite.pside.jet(0, 1)), XiRational.build(
+            DisplayCheck("plus-part-normal-jet", pi_plus(suite.left[0][1]), XiRational.build(
                 reg, {0: t * (hp * GR(Fraction(-1, 2))) + c * (hp * GR(0, Fraction(-1, 4))),
                       1: (t + nn) * (hp * GR(0, Fraction(-1, 4)))}, 2),
                 note="source line omits the collar-rate factor on the two mixed terms"),
@@ -605,13 +600,13 @@ def display_checks(suite: Suite) -> tuple[DisplayCheck, ...]:
             DisplayCheck("plus-part-second-derivative", xi_derivative(base, 2),
                          XiRational.build(reg, {0: (t - nn) * GR_I - c}, 3),
                          note="imaginary unit restored on the normal-normal coefficient"),
-            DisplayCheck("right-second-derivative", xi_derivative(suite.qside.jet(-2), 2),
+            DisplayCheck("right-second-derivative", xi_derivative(suite.right[-2][0], 2),
                          XiRational.build(reg, {0: -2, 2: 6}, 3, 3)),
         )
 
     xi_c = model.cxi + model.cdxn * GR_I          # c(xi') + i c(dxn)
     theta = model.cxi * _MI + model.cdxn          # -i c(xi') + c(dxn)
-    base = pi_plus(suite.pside.jet(1))
+    base = pi_plus(suite.left[1][0])
     return (
         DisplayCheck("plus-part-base", base, XiRational(
             reg, {0: xi_c * ((nn - t) * GR(_HALF)) + theta * (c * GR(_HALF))}, 1)),
@@ -619,51 +614,13 @@ def display_checks(suite: Suite) -> tuple[DisplayCheck, ...]:
             reg, {0: xi_c * ((t - nn) * GR(_HALF)) - theta * (c * GR(_HALF))}, 2)),
         DisplayCheck("plus-part-second-derivative", xi_derivative(base, 2),
                      XiRational(reg, {0: xi_c * (nn - t) + theta * c}, 3)),
-        DisplayCheck("right-first-derivative", xi_derivative(suite.qside.jet(-3)), XiRational(
+        DisplayCheck("right-first-derivative", xi_derivative(suite.right[-3][0]), XiRational(
             reg, {0: model.cdxn * GR_I, 1: model.cxi * GR(0, -4),
                   2: model.cdxn * GR(0, -3)}, 3, 3)),
-        DisplayCheck("right-second-derivative", xi_derivative(suite.qside.jet(-3), 2), XiRational(
+        DisplayCheck("right-second-derivative", xi_derivative(suite.right[-3][0], 2), XiRational(
             reg, {0: model.cxi * GR(0, -4), 1: model.cdxn * GR(0, -12),
                   2: model.cxi * GR(0, 20), 3: model.cdxn * GR(0, 12)}, 4, 4)),
     )
-
-
-# ---------------------------------------------------------------------------
-# source-integrand diagnostics (scalar already traced, still to be integrated)
-
-
-def source_c_integrand_d2d2(model: Model) -> XiRational:
-    """The recorded final-case integrand of the second composition, encoded
-    as recorded; integrating it reproduces that table's final-case row.
-
-    It exceeds the engine's traced integrand of the same case (the trace of
-    pi+ of the order -1 left jet against the xn-covariable derivative of the
-    order -2 right jet, keeping its collar-rate terms even in xi') by
-
-        hp * (-2i xn) * [2 nn (2 xn - i)(xn - i) - i t (xn - 3i)]
-            / ((xn - i)^5 (xn + i)^2),
-
-    with ``t``, ``nn`` the tangential and normal quadratic forms; it also
-    has no term in the normal xy-derivative atom."""
-    hp = model.hp_poly
-    t, nn = model.t_hat, model.n_hat
-    num = {
-        1: model.ident(t * (hp * GR(0, 18)) + nn * (hp * GR(0, 4))),
-        2: model.ident(t * (hp * GR(-10)) + nn * (hp * GR(-28))),
-        3: model.ident(nn * (hp * GR(0, -20))),
-    }
-    return XiRational.build(model.registry, num, 5, 2)
-
-
-def source_c_bracket_d1d3(model: Model) -> XiRational:
-    """Rational bracket shared by the recorded final-case integrand of the
-    dual composition (coefficient of the tangential quadratic block)."""
-    reg = model.registry
-    one = XiRational.build
-    part1 = one(reg, {0: 2, 1: GR(0, 2)}, 4, 2)
-    part2 = one(reg, {0: -8, 1: GR(4, -32), 2: GR(24, 4)}, 6, 4)
-    part3 = one(reg, {1: -2, 2: GR(0, -2)}, 5, 3)
-    return part1 + part2 + part3
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +629,13 @@ def source_c_bracket_d1d3(model: Model) -> XiRational:
 
 @dataclass(frozen=True)
 class Suite:
-    """One boundary suite's jets, case labels and expected rows, built once
-    per run by :func:`load_suite`."""
+    """One boundary suite's left- and right-factor jets, case labels and
+    expected rows, built once per run by :func:`load_suite`."""
 
     name: str
     model: Model
-    pside: BoundarySymbol
-    qside: BoundarySymbol
+    left: Jets
+    right: Jets
     labels: Mapping[tuple[int, int, int, int, int], str]
     expected: Mapping[str, ScalarPoly]
 
@@ -693,12 +650,12 @@ def load_suite(name: str, model: Model | None = None) -> Suite:
                        f"expected one of {BOUNDARY_SUITES}")
     model = model or build_model()
     if name == "boundary-d2d2":
-        pside, qside = symbols_d2d2(model)
+        left, right = symbols_d2d2(model)
         labels, expected = D2D2_LABELS, expected_d2d2(model)
     else:
-        pside, qside = symbols_d1d3(model)
+        left, right = symbols_d1d3(model)
         labels, expected = D1D3_LABELS, expected_d1d3(model)
-    return Suite(name, model, pside, qside, labels, expected)
+    return Suite(name, model, left, right, labels, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .report import (
     waiver_reason,
 )
 from .reference import build_model, load_suite
-from .scalars import GR, KIND_MARKER, ScalarPoly
+from .scalars import GR, ScalarPoly
 from .sphere import integrate_sphere
 from .xicalc import numeric_xi_oracle
 
@@ -82,14 +82,9 @@ RECORD_IDS: dict[str, tuple[str, ...]] = {
 
 
 def exact_bindings(model) -> dict:
-    """Deterministic nonzero rationals for every non-marker atom, keyed by
-    sorted name so the values do not depend on registry construction order."""
-    out = {}
-    names = sorted(ind.name for ind in model.registry if ind.kind != KIND_MARKER)
-    for k, nm in enumerate(names):
-        ind = model.registry.by_name(nm)
-        out[ind] = GR(Fraction((-1) ** k * (k + 3), 2 * k + 5))
-    return out
+    """Deterministic nonzero rationals for every non-marker atom."""
+    return reference.atom_binding(
+        model, lambda k: GR(Fraction((-1) ** k * (k + 3), 2 * k + 5)))
 
 
 def numeric_bindings(model) -> dict[int, complex]:
@@ -104,36 +99,6 @@ def numeric_bindings(model) -> dict[int, complex]:
 
 def _fmt(x: float) -> str:
     return format(x, ".6e")
-
-
-def _case_corroboration(model, cases, label, bound_atoms, bindings,
-                        memo) -> tuple[list[str], bool]:
-    """Quadrature check of the normal-covariable integral for every case
-    contributing to one row ("total" covers them all); returns evidence
-    lines and an overall flag.
-
-    The exact atom bindings are substituted before integrating, so the
-    quadrature runs over a constant-coefficient rational function.  The
-    memo shares per-case results between row claims and the total claim.
-    """
-    lines = []
-    ok = True
-    for idx, res in enumerate(cases):
-        if (label != "total" and res.label != label) or res.traced is None:
-            continue
-        got = memo.get(idx)
-        if got is None:
-            small = res.traced.substitute(bound_atoms)
-            sym = small.integrate(model.pi).scalar_part().eval_complex(bindings)
-            num = numeric_xi_oracle(small, bindings)
-            rel = abs(sym - num) / max(abs(sym), 1.0)
-            got = memo[idx] = (
-                rel <= NUMERIC_RTOL,
-                f"residue integral vs quadrature, case {res.label}: "
-                f"rel err {_fmt(rel)} (tol {_fmt(NUMERIC_RTOL)})")
-        ok = ok and got[0]
-        lines.append(got[1])
-    return lines, ok and bool(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -224,66 +189,92 @@ def _trace_records(model) -> list[ClaimRecord]:
 # boundary suites
 
 
-def _boundary_records(model, suite_name, emit) -> tuple[list[ClaimRecord], dict[str, str]]:
-    """The suite's records and, when ``emit`` holds, the text of each row's
-    intermediate file keyed by file name (written by :func:`run_suite`)."""
-    suite = load_suite(suite_name, model)
-    result = assemble_boundary(suite.pside, suite.qside, suite_name,
-                               suite.labels, model.pi, model.omega3)
-    expected = suite.expected
-    rows = dict(result.groups)
-    rows["total"] = result.total
+def _corroborate(suite, result, rows) -> dict[str, tuple[tuple[str, ...], str]]:
+    """Evidence lines and note for each row that disagrees with its recorded
+    value: the residue integral of every case contributing to the row
+    ("total" covers them all) against quadrature, the numeric gap to the
+    recorded row, and the frozen fingerprints.
+
+    The exact atom bindings are substituted before integrating, so the
+    quadrature runs over a constant-coefficient rational function; each
+    case is integrated once and shared between its row and the total."""
+    model = suite.model
     bindings = numeric_bindings(model)
     bound_atoms = exact_bindings(model)
-    fingerprints = reference.derived_fingerprints()[suite_name]
-    quad_memo: dict = {}
+    fingerprints = reference.derived_fingerprints()[suite.name]
+    quadrature: dict[int, tuple[bool, str]] = {}
+    out = {}
+    for label in _ROW_ORDER:
+        row, want = rows[label], suite.expected[label]
+        if row == want:
+            continue
+        evidence = []
+        cases_ok = True
+        for idx, res in enumerate(result.cases):
+            if (label != "total" and res.label != label) or res.traced is None:
+                continue
+            if idx not in quadrature:
+                small = res.traced.substitute(bound_atoms)
+                sym = small.integrate(model.pi).scalar_part().eval_complex(bindings)
+                num = numeric_xi_oracle(small, bindings)
+                rel = abs(sym - num) / max(abs(sym), 1.0)
+                quadrature[idx] = (rel <= NUMERIC_RTOL,
+                                   f"residue integral vs quadrature, case {res.label}: "
+                                   f"rel err {_fmt(rel)} (tol {_fmt(NUMERIC_RTOL)})")
+            cases_ok = cases_ok and quadrature[idx][0]
+            evidence.append(quadrature[idx][1])
+        cases_ok = cases_ok and bool(evidence)
+        got_num = row.eval_complex(bindings)
+        want_num = want.eval_complex(bindings)
+        gap = abs(got_num - want_num) / max(abs(got_num), abs(want_num), 1.0)
+        evidence.append(f"engine vs recorded at numeric bindings: rel gap {_fmt(gap)}")
+        frozen_ok = all(reference.row_fingerprint(model, row, off, mul) == fingerprints[tag][label]
+                        for tag, off, mul in reference.FINGERPRINT_RECIPES)
+        evidence.append(f"engine equals frozen re-derived value: {frozen_ok}")
+        complete = cases_ok and frozen_ok and gap > NUMERIC_RTOL
+        out[label] = (tuple(evidence), "" if complete else "corroboration incomplete")
+    return out
+
+
+def _intermediate_text(suite, result, label, row, computed, recorded) -> str:
+    detail = [f"suite: {suite.name}", f"row: {label}", "",
+              f"engine (raw): {row.render()}", "",
+              f"engine (structured): {computed}", "",
+              f"recorded (structured): {recorded}", ""]
+    for res in result.cases:
+        if res.label == label and res.traced is not None:
+            case = res.case
+            detail += [f"case integrand (alpha={case.alpha}, r={case.r}, l={case.l}, "
+                       f"k={case.k}, j={case.j}):", res.traced.render(), ""]
+    return "\n".join(detail)
+
+
+def _boundary_records(suite, emit) -> tuple[list[ClaimRecord], dict[str, str]]:
+    """The suite's records and, when ``emit`` holds, the text of each row's
+    intermediate file keyed by file name (written by :func:`run_suite`).
+
+    The rows are assembled, each row that disagrees with its recorded value
+    is corroborated, and then every row is rendered."""
+    model, expected = suite.model, suite.expected
+    result = assemble_boundary(suite)
+    rows = {**result.groups, "total": result.total}
+    corroborated = _corroborate(suite, result, rows)
 
     records = []
     texts: dict[str, str] = {}
     for label in _ROW_ORDER:
         row, want = rows[label], expected[label]
-        evidence: list[str] = []
-        note = ""
-        if row != want:
-            case_lines, cases_ok = _case_corroboration(model, result.cases,
-                                                       label, bound_atoms,
-                                                       bindings, quad_memo)
-            evidence.extend(case_lines)
-            got_num = row.eval_complex(bindings)
-            want_num = want.eval_complex(bindings)
-            gap = abs(got_num - want_num) / max(abs(got_num), abs(want_num), 1.0)
-            evidence.append(f"engine vs recorded at numeric bindings: "
-                            f"rel gap {_fmt(gap)}")
-            frozen_ok = all(
-                reference.row_fingerprint(model, row, off, mul)
-                == fingerprints[tag][label]
-                for tag, off, mul in reference.FINGERPRINT_RECIPES)
-            evidence.append(f"engine equals frozen re-derived value: {frozen_ok}")
-            if not (cases_ok and frozen_ok and gap > NUMERIC_RTOL):
-                note = "corroboration incomplete"
         computed = structured_render(model, row)
         recorded = structured_render(model, want)
-        inter = ""
+        inter = f"{suite.name}-{label}.txt" if emit else ""
         if emit:
-            detail = [f"suite: {suite_name}", f"row: {label}", "",
-                      f"engine (raw): {row.render()}", "",
-                      f"engine (structured): {computed}", "",
-                      f"recorded (structured): {recorded}", ""]
-            for res in result.cases:
-                if res.label == label and res.traced is not None:
-                    detail.append(f"case integrand (alpha={res.case.alpha}, "
-                                  f"r={res.case.r}, l={res.case.l}, "
-                                  f"k={res.case.k}, j={res.case.j}):")
-                    detail.append(res.traced.render())
-                    detail.append("")
-            inter = f"{suite_name}-{label}.txt"
-            texts[inter] = "\n".join(detail)
+            texts[inter] = _intermediate_text(suite, result, label, row, computed, recorded)
+        evidence, note = corroborated.get(label, ((), ""))
         records.append(_claim(label, recorded, computed, row == want, note=note,
-                              evidence=tuple(evidence), intermediates=inter))
+                              evidence=evidence, intermediates=inter))
 
-    case_sum = ScalarPoly.zero(model.registry)
-    for label in _ROW_ORDER[:-1]:
-        case_sum = case_sum + expected[label]
+    case_sum = sum((expected[label] for label in _ROW_ORDER[:-1]),
+                   ScalarPoly.zero(model.registry))
     records.append(_claim(
         "recorded-sum-identity", structured_render(model, expected["total"]),
         structured_render(model, case_sum), case_sum == expected["total"],
@@ -294,7 +285,7 @@ def _boundary_records(model, suite_name, emit) -> tuple[list[ClaimRecord], dict[
                               check.engine.render(), check.engine == check.encoded,
                               note=check.note))
 
-    if suite_name == "boundary-d2d2":
+    if suite.name == "boundary-d2d2":
         tangential = drop_components(expected["total"],
                                      (model.registry.by_name("X4"),))
         gauge = extrinsic_form(tangential, model.hp, model.kext)
@@ -314,35 +305,40 @@ def _boundary_records(model, suite_name, emit) -> tuple[list[ClaimRecord], dict[
 # entry points
 
 
-def _check_waivers(waivers) -> None:
-    """Reject a waiver whose suite and label name no record in
-    :data:`RECORD_IDS`."""
+def _checked_waivers(environ=None):
+    """Built-in waivers plus those of the waiver file, each naming a record
+    of :data:`RECORD_IDS`; an unreadable file or a waiver that names no
+    record is a :class:`ConfigurationError`."""
+    try:
+        waivers = load_waivers(environ)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigurationError(
+            f"cannot load waivers from {WAIVER_ENV}: {type(exc).__name__}: {exc}") from exc
     for w in waivers:
         if w.label not in RECORD_IDS.get(w.suite, ()):
             raise ConfigurationError(
                 f"waiver names no record: suite {w.suite!r}, label {w.label!r}")
+    return waivers
 
 
 def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
     """Recompute one suite, then give each mismatch its waiver, if any.
 
     Waivers passed in are taken as checked (:func:`run` checks them once,
-    before any suite runs); waivers this function loads itself are checked
-    before the suite is computed.  A bad one is a
-    :class:`ConfigurationError`."""
+    before any suite runs); without them, :func:`_checked_waivers` loads and
+    checks them before the suite is computed."""
     if name not in reference.ALL_SUITES:
         raise UnknownSuiteError(name)
     model = model if model is not None else build_model()
     if waivers is None:
-        waivers = load_waivers()
-        _check_waivers(waivers)
+        waivers = _checked_waivers()
     texts: dict[str, str] = {}
     if name == "interior":
         records = _interior_records()
     elif name == "traces":
         records = _trace_records(model)
     else:
-        records, texts = _boundary_records(model, name, bool(emit_dir))
+        records, texts = _boundary_records(load_suite(name, model), bool(emit_dir))
     for file_name, text in texts.items():
         with open(os.path.join(emit_dir, file_name), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -364,12 +360,7 @@ def run(names, fmt="json", emit_dir=None, environ=None):
             expanded.append(name)
         else:
             raise UnknownSuiteError(name)
-    try:
-        waivers = load_waivers(environ)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise ConfigurationError(
-            f"cannot load waivers from {WAIVER_ENV}: {type(exc).__name__}: {exc}") from exc
-    _check_waivers(waivers)
+    waivers = _checked_waivers(environ)
     if emit_dir:
         try:
             os.makedirs(emit_dir, exist_ok=True)

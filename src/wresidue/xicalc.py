@@ -13,6 +13,7 @@ numerically.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Callable, Mapping
 
 from .clifford import CliffordElement
@@ -31,6 +32,10 @@ NumDict = dict[int, CliffordElement]
 
 class InsufficientDecayError(ValueError):
     """Raised when an integrand does not vanish fast enough at infinity."""
+
+
+# the operand types below XiRational, which multiply each numerator coefficient
+_LOWER = (int, Fraction, GaussianRational, ScalarPoly, CliffordElement)
 
 
 def _coerce_cliff(registry: Registry, value) -> CliffordElement:
@@ -198,6 +203,8 @@ class XiRational:
         """Product; numerator coefficients multiply in left-to-right order,
         and any lower operand multiplies each coefficient on its side."""
         if not isinstance(other, XiRational):
+            if not isinstance(other, _LOWER):
+                return NotImplemented
             return self.map_coeffs(lambda v: v * other)
         out: NumDict = {}
         for m1, c1 in self.num.items():
@@ -209,6 +216,8 @@ class XiRational:
         return XiRational(self.registry, out, self.a + other.a, self.b + other.b)
 
     def __rmul__(self, other):
+        if not isinstance(other, _LOWER):
+            return NotImplemented
         return self.map_coeffs(lambda v: other * v)
 
     def map_coeffs(self, fn: Callable[[CliffordElement], CliffordElement]) -> "XiRational":

@@ -5,11 +5,6 @@ from wresidue.reference import BOUNDARY_SUITES, build_model, load_suite
 from wresidue.verifier import run
 
 
-def _assembled(suite):
-    return assemble_boundary(suite.pside, suite.qside, suite.name, suite.labels,
-                             suite.model.pi, suite.model.omega3)
-
-
 @pytest.fixture(scope="session")
 def model():
     return build_model()
@@ -23,12 +18,12 @@ def suites(model):
 
 @pytest.fixture(scope="session")
 def d2d2(suites):
-    return _assembled(suites["boundary-d2d2"])
+    return assemble_boundary(suites["boundary-d2d2"])
 
 
 @pytest.fixture(scope="session")
 def d1d3(suites):
-    return _assembled(suites["boundary-d1d3"])
+    return assemble_boundary(suites["boundary-d1d3"])
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from wresidue.boundary import (
     CaseSpec,
-    MissingJetError,
     case_prefactor,
     drop_components,
     enumerate_cases,
@@ -40,22 +40,21 @@ def test_case_labels_and_counts(d2d2, d1d3):
 
 
 def test_prefactor_values():
-    base = dict(suite="s", label="x", r=0, l=-2)
+    base = dict(label="x", r=0, l=-2)
     assert case_prefactor(CaseSpec(**base, k=0, j=0, alpha=(1, 0, 0))) == GR(-1)
     assert case_prefactor(CaseSpec(**base, k=0, j=1, alpha=(0, 0, 0))) == \
         GR(Fraction(-1, 2))
     assert case_prefactor(CaseSpec(**base, k=1, j=0, alpha=(0, 0, 0))) == \
         GR(Fraction(-1, 2))
-    assert case_prefactor(CaseSpec(suite="s", label="x", r=0, l=-3,
+    assert case_prefactor(CaseSpec(label="x", r=0, l=-3,
                                    k=0, j=0, alpha=(0, 0, 0))) == -GR_I
-    assert case_prefactor(CaseSpec(suite="s", label="x", r=0, l=-2,
-                                   k=0, j=0, alpha=(2, 0, 0))) == \
+    assert case_prefactor(CaseSpec(**base, k=0, j=0, alpha=(2, 0, 0))) == \
         GR(0, Fraction(1, 2))
 
 
-def test_enumerate_rejects_unlabelled_cases():
+def test_enumerate_rejects_unlabelled_cases(suites):
     with pytest.raises(KeyError):
-        enumerate_cases("s", (0,), (-2,), {})
+        enumerate_cases(replace(suites["boundary-d2d2"], labels={}))
 
 
 def test_tangential_cases_vanish_with_note(d2d2):
@@ -66,35 +65,21 @@ def test_tangential_cases_vanish_with_note(d2d2):
         assert res.note == "tangential-base-jet-vanishes"
 
 
-def test_missing_jet_raises(suites):
-    suite = suites["boundary-d2d2"]
-    with pytest.raises(MissingJetError):
-        suite.pside.jet(99)
-    with pytest.raises(MissingJetError):
-        suite.pside.jet(suite.pside.orders()[0], 99)
-
-
-def test_derivative_transfer_invariance(model, suites):
+def test_derivative_transfer_invariance(suites):
     """Moving one normal-covariable derivative across the product, with the
     sign flip, cannot change any case value."""
-    for name, suite in suites.items():
-        cases = enumerate_cases(name, suite.pside.orders(), suite.qside.orders(),
-                                suite.labels)
-        for case in cases[:4]:
-            plain = evaluate_case(suite.pside, suite.qside, case,
-                                  model.pi, model.omega3, shift=0)
-            moved = evaluate_case(suite.pside, suite.qside, case,
-                                  model.pi, model.omega3, shift=1)
+    for suite in suites.values():
+        for case in enumerate_cases(suite)[:4]:
+            plain = evaluate_case(suite, case, shift=0)
+            moved = evaluate_case(suite, case, shift=1)
             assert plain.value == moved.value, case.label
 
 
-def test_shift_range_validated(model, suites):
+def test_shift_range_validated(suites):
     suite = suites["boundary-d2d2"]
-    case = enumerate_cases("boundary-d2d2", suite.pside.orders(),
-                           suite.qside.orders(), suite.labels)[0]
+    case = enumerate_cases(suite)[0]
     with pytest.raises(ValueError):
-        evaluate_case(suite.pside, suite.qside, case, model.pi, model.omega3,
-                      shift=case.j + 2)
+        evaluate_case(suite, case, shift=case.j + 2)
 
 
 def test_groups_additive(d2d2, d1d3):

@@ -13,8 +13,6 @@ from wresidue.reference import (
     interior_expected,
     load_suite,
     row_fingerprint,
-    source_c_bracket_d1d3,
-    source_c_integrand_d2d2,
 )
 from wresidue.scalars import GR, KIND_CONN, KIND_MARKER, KIND_X, KIND_Y, ScalarPoly
 from wresidue.sphere import integrate_sphere
@@ -72,6 +70,43 @@ def test_display_checks_all_reproduce(suites):
             assert check.engine == check.encoded, (name, check.record_id)
             seen.append((name, check.record_id))
     assert len(set(seen)) == 10
+
+
+# -- recorded source integrands (scalar already traced, still to be integrated)
+
+
+def source_c_integrand_d2d2(model) -> XiRational:
+    """The recorded final-case integrand of the second composition, encoded
+    as recorded; integrating it reproduces that table's final-case row.
+
+    It exceeds the engine's traced integrand of the same case (the trace of
+    pi+ of the order -1 left jet against the xn-covariable derivative of the
+    order -2 right jet, keeping its collar-rate terms even in xi') by
+
+        hp * (-2i xn) * [2 nn (2 xn - i)(xn - i) - i t (xn - 3i)]
+            / ((xn - i)^5 (xn + i)^2),
+
+    with ``t``, ``nn`` the tangential and normal quadratic forms; it also
+    has no term in the normal xy-derivative atom."""
+    hp = model.hp_poly
+    t, nn = model.t_hat, model.n_hat
+    num = {
+        1: model.ident(t * (hp * GR(0, 18)) + nn * (hp * GR(0, 4))),
+        2: model.ident(t * (hp * GR(-10)) + nn * (hp * GR(-28))),
+        3: model.ident(nn * (hp * GR(0, -20))),
+    }
+    return XiRational.build(model.registry, num, 5, 2)
+
+
+def source_c_bracket_d1d3(model) -> XiRational:
+    """Rational bracket shared by the recorded final-case integrand of the
+    dual composition (coefficient of the tangential quadratic block)."""
+    reg = model.registry
+    one = XiRational.build
+    part1 = one(reg, {0: 2, 1: GR(0, 2)}, 4, 2)
+    part2 = one(reg, {0: -8, 1: GR(4, -32), 2: GR(24, 4)}, 6, 4)
+    part3 = one(reg, {1: -2, 2: GR(0, -2)}, 5, 3)
+    return part1 + part2 + part3
 
 
 def test_recorded_final_case_integrand_second_composition(model):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,15 @@ from wresidue.report import (
     waiver_reason,
 )
 from wresidue.cli import build_parser, main
-from wresidue.verifier import RECORD_IDS, UnknownSuiteError, run, run_suite
+from wresidue.verifier import (
+    RECORD_IDS,
+    ConfigurationError,
+    UnknownSuiteError,
+    run,
+    run_suite,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _by_suite(text):
@@ -138,6 +147,18 @@ def test_waiver_file_from_environment(tmp_path):
     assert not waiver_reason(waivers, "boundary-d2d2", "a-I")
 
 
+@pytest.mark.parametrize("content", ['[{"suite": "interior", "label": "x"}]', "not json"],
+                         ids=["missing-reason", "not-json"])
+def test_run_suite_bad_waiver_file_is_configuration_error(model, monkeypatch, tmp_path,
+                                                          content):
+    """A waiver file ``run_suite`` loads itself fails as it does under ``run``."""
+    path = tmp_path / "waivers.json"
+    path.write_text(content)
+    monkeypatch.setenv(WAIVER_ENV, str(path))
+    with pytest.raises(ConfigurationError, match=f"cannot load waivers from {WAIVER_ENV}"):
+        run_suite("interior", model)
+
+
 def test_environment_waiver_flows_through_run(model, monkeypatch, tmp_path):
     orig = reference.expected_d2d2
 
@@ -186,16 +207,33 @@ def test_environment_waiver_covers_interior_records(monkeypatch, tmp_path):
 # -- command line ------------------------------------------------------------
 
 
-# sha256 of the ``--suite all`` JSON report; a deliberate change of the
-# report moves this pin together with the benchmark's pins.
-REPORT_SHA256 = "d0ecb5e623b70d386bfea452e9f33685442d412ab87e1b8c642419aea520dd31"
-
-
-def test_full_report_bytes_pinned(monkeypatch, capsys):
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's workload module, which pins the sha256 of the CLI's
+    standard output and of every intermediate file; a deliberate report
+    change moves those pins, and these tests follow."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delenv(WAIVER_ENV, raising=False)
+    import workloads
+    return workloads
+
+
+def test_full_report_bytes_pinned(workloads, capsys):
     assert main(["--suite", "all", "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256
+    assert _sha256(out.encode("utf-8")) == workloads.PINS["verify-all"]["stdout"]
+
+
+def test_d2d2_emit_bytes_pinned(workloads, capsys, tmp_path):
+    argv = ["--suite", "boundary-d2d2", "--format", "md", "--emit-intermediates", str(tmp_path)]
+    assert main(argv) == 0
+    pin = workloads.PINS["d2d2-emit"]
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == pin["stdout"]
+    assert {f.name: _sha256(f.read_bytes()) for f in tmp_path.iterdir()} == pin["files"]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_cli_json_run(capsys):

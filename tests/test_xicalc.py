@@ -228,17 +228,18 @@ def test_render_mentions_poles(reg):
 
 
 def _tower(reg):
-    """A nonzero value of each exact type, lowest first, and two foreign ones."""
+    """A nonzero value of each exact type, lowest first, a zero XiRational
+    (which has no coefficient to try an operand on), and two foreign ones."""
     x = ScalarPoly.var(reg, reg.add("x", KIND_X))
     cliff = (CliffordElement.generator(reg, CF, 1) * x
              + CliffordElement.generator(reg, HC, 1) - 2)
     return {"GR": GR(Fraction(1, 3), -2), "ScalarPoly": x * GR(1, 2) + 3,
             "CliffordElement": cliff, "XiRational": XiRational.build(reg, {0: cliff, 2: x}, 1, 2),
-            "str": "x", "float": 1.5}
+            "XiRational-zero": XiRational.zero(reg), "str": "x", "float": 1.5}
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_EXACT = ("GR", "ScalarPoly", "CliffordElement", "XiRational")
+_EXACT = ("GR", "ScalarPoly", "CliffordElement", "XiRational", "XiRational-zero")
 
 
 @pytest.mark.parametrize("low, op, high", [
@@ -246,7 +247,7 @@ _EXACT = ("GR", "ScalarPoly", "CliffordElement", "XiRational")
     ("CliffordElement", "*", "XiRational"), ("GR", "*", "CliffordElement"),
     ("ScalarPoly", "*", "CliffordElement"), ("ScalarPoly", "+", "CliffordElement"),
     ("ScalarPoly", "+", "XiRational"), ("GR", "+", "XiRational"),
-    ("CliffordElement", "+", "XiRational"),
+    ("CliffordElement", "+", "XiRational"), ("GR", "*", "XiRational-zero"),
     *[(foreign, op, kind) for foreign in ("str", "float") for kind in _EXACT for op in _OPS]])
 def test_mixed_operands_lift_the_lower_one(reg, low, op, high):
     """Either order of a mixed expression equals the same expression with the
