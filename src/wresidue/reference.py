@@ -18,10 +18,11 @@ closed forms that the engine must reproduce exactly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .clifford import CliffordElement, c_dxn, c_frame, c_xi_prime, connection_blocks
 from .scalars import (
@@ -34,6 +35,7 @@ from .scalars import (
     KIND_XI,
     KIND_Y,
     Indeterminate,
+    Monomial,
     Registry,
     ScalarPoly,
 )
@@ -48,6 +50,15 @@ _MI = GR(0, -1)  # -i
 
 # One factor's jets at the boundary base point: {order: (jet, d_xn jet, ...)}.
 Jets = Mapping[int, tuple[XiRational, ...]]
+
+
+class RowShape(NamedTuple):
+    """One named shape of the boundary rows: its report text, its polynomial,
+    and the monomials at which a row is probed for a multiple of it."""
+
+    text: str
+    poly: ScalarPoly
+    probes: tuple[Monomial, ...]
 
 
 class Model:
@@ -134,45 +145,34 @@ class Model:
 
     # -- antisymmetric coefficient access ----------------------------------
 
-    def nab_f(self, j: int, l: int, d: int) -> ScalarPoly:
-        if j == l:
+    def antisym(self, family, a: int, b: int, d: int) -> ScalarPoly:
+        """Entry (a, b) in direction ``d`` of the antisymmetric ``family``
+        (``nabf`` or ``nabp``), which holds only its a < b atoms."""
+        if a == b:
             return ScalarPoly.zero(self.registry)
-        if j < l:
-            return self.var(self.nabf[(j, l, d)])
-        return -self.var(self.nabf[(l, j, d)])
-
-    def nab_p(self, s: int, t: int, d: int) -> ScalarPoly:
-        if s == t:
-            return ScalarPoly.zero(self.registry)
-        if s < t:
-            return self.var(self.nabp[(s, t, d)])
-        return -self.var(self.nabp[(t, s, d)])
-
-    def nab_tm(self, j: int, s: int, d: int) -> ScalarPoly:
-        return self.var(self.nabtm[(j, s, d)])
-
-    def s_mix(self, j: int, s: int, d: int) -> ScalarPoly:
-        return self.var(self.smix[(j, s, d)])
+        if a < b:
+            return self.var(family[(a, b, d)])
+        return -self.var(family[(b, a, d)])
 
     # -- connection blocks (quadratic Clifford words) ----------------------
 
-    def connection_blocks(self, d: int, mix: Callable[[int, int, int], ScalarPoly]
+    def connection_blocks(self, d: int, mixed: Mapping[tuple[int, int, int], Indeterminate]
                           ) -> tuple[CliffordElement, CliffordElement, CliffordElement]:
-        """Leaf, perp and mixed connection blocks in direction ``d``; ``mix``
-        supplies the mixed family (``s_mix`` or ``nab_tm``)."""
+        """Leaf, perp and mixed connection blocks in direction ``d``; ``mixed``
+        is the mixed family (``smix`` or ``nabtm``)."""
         return connection_blocks(self.registry, self.p, self.q,
-                                 lambda j, l: self.nab_f(j, l, d),
-                                 lambda s, t: self.nab_p(s, t, d),
-                                 lambda j, s: mix(j, s, d))
+                                 lambda j, l: self.antisym(self.nabf, j, l, d),
+                                 lambda s, t: self.antisym(self.nabp, s, t, d),
+                                 lambda j, s: self.var(mixed[(j, s, d)]))
 
     def mna_block(self, d: int) -> CliffordElement:
-        leaf, perp, mixed = self.connection_blocks(d, self.s_mix)
+        leaf, perp, mixed = self.connection_blocks(d, self.smix)
         return leaf + perp + mixed
 
     def base_connection(self, d: int) -> CliffordElement:
         """Connection value of the base operator in direction ``d``, whose
-        mixed family is ``nab_tm``."""
-        leaf, perp, mixed = self.connection_blocks(d, self.nab_tm)
+        mixed family is ``nabtm``."""
+        leaf, perp, mixed = self.connection_blocks(d, self.nabtm)
         return leaf + perp + mixed
 
     @functools.cached_property
@@ -189,6 +189,32 @@ class Model:
         """Boundary divergence of the inward normal, read off the base symbol."""
         traced = (self.sigma0_base * self.cdxn).trace(self.p, self.q)
         return traced * GR(Fraction(-1, 4))
+
+    @functools.cached_property
+    def row_shapes(self) -> dict[str, RowShape]:
+        """Every boundary row is a combination of these shapes, listed in the
+        order a row is taken apart for rendering.  Each shape is a product of
+        factors; its probes pick one probe atom set per factor.  The
+        divergence factor has two, so a divergence part is recognised only
+        when both of its atoms agree."""
+        var = self.var
+        # factor: (text, polynomial, atom sets of its probes)
+        sig = ("[sum_a<4 Xa*Ya]", self.sigma_hat, ((self.X[0], self.Y[0]),))
+        nn = ("X4*Y4", self.n_hat, ((self.X[-1], self.Y[-1]),))
+        xy = ("X(Y4)", var(self.dXY[-1]), ((self.dXY[-1],),))
+        div = ("div", self.div_poly, ((self.nabp[(1, 2, 3)],), (self.nabtm[(1, 2, 1)],)))
+        hp, pi, om = ((ind.name, var(ind), ((ind,),)) for ind in (self.hp, self.pi, self.omega3))
+        layout = {"sigma_hp": (sig, hp, pi, om), "normal_hp": (nn, hp, pi, om),
+                  "xy_pi": (xy, pi, om), "xy": (xy, om),
+                  "sigma_div": (sig, div, pi, om), "normal_div": (nn, div, pi, om),
+                  "sigma_div_hp": (sig, div, hp, pi, om),
+                  "normal_div_hp": (nn, div, hp, pi, om)}
+        return {name: RowShape(
+            "*".join(text for text, _, _ in factors),
+            math.prod(poly for _, poly, _ in factors),
+            tuple(tuple(sorted((ind.id, 1) for atoms in pick for ind in atoms))
+                  for pick in product(*(probes for _, _, probes in factors))))
+            for name, factors in layout.items()}
 
     # -- numerators shared between jets (xn-polynomials, no poles) ---------
 
@@ -308,10 +334,10 @@ def sigma2_cube_num(model: Model) -> XiRational:
     mn0 = CliffordElement.zero(reg)
     for k in range(1, model.n):
         xi_k = model.var(model.xi[k - 1])
-        leaf, perp, mixed = model.connection_blocks(k, model.s_mix)
+        leaf, perp, mixed = model.connection_blocks(k, model.smix)
         brk0 = brk0 + (leaf + perp + mixed) * (xi_k * 2)
         mn0 = mn0 + (leaf + perp) * xi_k
-    leaf, perp, mixed = model.connection_blocks(model.n, model.s_mix)
+    leaf, perp, mixed = model.connection_blocks(model.n, model.smix)
     brk1 = (leaf + perp + mixed) * 2 - model.ident(hp * Fraction(3, 2))
     mn1 = leaf + perp
     t1 = XiRational(reg, {0: model.cdxn * hp})
@@ -374,58 +400,36 @@ D1D3_LABELS: Mapping[tuple[int, int, int, int, int], str] = {
 }
 
 
-def _base_weight(model: Model) -> ScalarPoly:
-    return model.hp_poly * model.var(model.pi) * model.var(model.omega3)
-
-
-def _row(model: Model, sig_co: GR, nn_co: GR) -> ScalarPoly:
-    return _base_weight(model) * (model.sigma_hat * sig_co + model.n_hat * nn_co)
+def row(model: Model, **coefficients) -> ScalarPoly:
+    """The sum of each coefficient times the row shape it is named after."""
+    return sum((model.row_shapes[name].poly * co for name, co in coefficients.items()),
+               ScalarPoly.zero(model.registry))
 
 
 def expected_d2d2(model: Model) -> dict[str, ScalarPoly]:
-    zero = ScalarPoly.zero(model.registry)
-    return {
-        "a-I": zero,
-        "a-II": _row(model, GR(Fraction(5, 24)), GR(Fraction(-1, 8))),
-        "a-III": _row(model, GR(Fraction(-5, 24)), GR(Fraction(5, 8))),
-        "b": _row(model, GR(Fraction(11, 24)), GR(Fraction(-11, 8))),
-        "c": _row(model, GR(Fraction(-2, 3)), GR(Fraction(-5, 8))),
-        "total": _row(model, GR(Fraction(-5, 24)), GR(Fraction(-3, 2))),
-    }
-
-
-def _xy_term(model: Model, coeff: GR, with_pi: bool) -> ScalarPoly:
-    out = model.var(model.dXY[-1]) * model.var(model.omega3) * coeff
-    if with_pi:
-        out = out * model.var(model.pi)
-    return out
-
-
-def _div_term(model: Model, sig_co: GR, nn_co: GR) -> ScalarPoly:
-    return _row(model, sig_co, nn_co) * model.div_poly
+    return {label: row(model, **co) for label, co in {
+        "a-I": {},
+        "a-II": {"sigma_hp": Fraction(5, 24), "normal_hp": Fraction(-1, 8)},
+        "a-III": {"sigma_hp": Fraction(-5, 24), "normal_hp": Fraction(5, 8)},
+        "b": {"sigma_hp": Fraction(11, 24), "normal_hp": Fraction(-11, 8)},
+        "c": {"sigma_hp": Fraction(-2, 3), "normal_hp": Fraction(-5, 8)},
+        "total": {"sigma_hp": Fraction(-5, 24), "normal_hp": Fraction(-3, 2)},
+    }.items()}
 
 
 def expected_d1d3(model: Model) -> dict[str, ScalarPoly]:
-    zero = ScalarPoly.zero(model.registry)
-    b_row = (_row(model, GR(Fraction(-5, 16)), GR(Fraction(3, 16)))
-             + _xy_term(model, GR(0, Fraction(3, 2)), with_pi=False)
-             + _div_term(model, GR(Fraction(1, 3)), GR(Fraction(1, 2))))
-    c_row = _row(model,
-                 GR(Fraction(129, 320), Fraction(-44, 320)),
-                 GR(Fraction(-245, 96), Fraction(26, 96)))
-    total = (_row(model,
-                  GR(Fraction(-113, 960), Fraction(-132, 960)),
-                  GR(Fraction(-71, 96), Fraction(26, 96)))
-             + _xy_term(model, GR(0, Fraction(3, 2)), with_pi=False)
-             + _div_term(model, GR(Fraction(1, 3)), GR(Fraction(1, 2))))
-    return {
-        "a-I": zero,
-        "a-II": _row(model, GR(Fraction(5, 16)), GR(Fraction(1, 16))),
-        "a-III": _row(model, GR(Fraction(-25, 48)), GR(Fraction(25, 16))),
-        "b": b_row,
-        "c": c_row,
-        "total": total,
-    }
+    b_parts = {"xy": GR(0, Fraction(3, 2)),
+               "sigma_div_hp": Fraction(1, 3), "normal_div_hp": Fraction(1, 2)}
+    return {label: row(model, **co) for label, co in {
+        "a-I": {},
+        "a-II": {"sigma_hp": Fraction(5, 16), "normal_hp": Fraction(1, 16)},
+        "a-III": {"sigma_hp": Fraction(-25, 48), "normal_hp": Fraction(25, 16)},
+        "b": {"sigma_hp": Fraction(-5, 16), "normal_hp": Fraction(3, 16), **b_parts},
+        "c": {"sigma_hp": GR(Fraction(129, 320), Fraction(-44, 320)),
+              "normal_hp": GR(Fraction(-245, 96), Fraction(26, 96))},
+        "total": {"sigma_hp": GR(Fraction(-113, 960), Fraction(-132, 960)),
+                  "normal_hp": GR(Fraction(-71, 96), Fraction(26, 96)), **b_parts},
+    }.items()}
 
 
 def derived_d2d2(model: Model) -> dict[str, ScalarPoly]:
@@ -437,11 +441,8 @@ def derived_d2d2(model: Model) -> dict[str, ScalarPoly]:
     matrix twin (``tests/twin.py``) recomputes row ``c`` and must agree
     with the engine, and disagree with the recorded row, at two bindings
     before these rows are asserted exactly."""
-    c_row = (_row(model, GR(Fraction(-11, 24)), GR(Fraction(-1, 8)))
-             + _xy_term(model, GR(-1), with_pi=True))
-    total = (_row(model, GR(0), GR(-1))
-             + _xy_term(model, GR(-1), with_pi=True))
-    return {"c": c_row, "total": total}
+    return {"c": row(model, sigma_hp=Fraction(-11, 24), normal_hp=Fraction(-1, 8), xy_pi=-1),
+            "total": row(model, normal_hp=-1, xy_pi=-1)}
 
 
 def derived_d1d3_structure(model: Model) -> dict[str, ScalarPoly]:
@@ -450,19 +451,16 @@ def derived_d1d3_structure(model: Model) -> dict[str, ScalarPoly]:
     The full rows additionally carry connection-atom cross terms that the
     recorded table drops; those are pinned by :func:`derived_fingerprints`
     rather than expanded here.  The divergence terms come out *without*
-    the collar-rate factor.
+    the collar-rate factor, and rows ``a-II`` and ``a-III`` are the
+    recorded ones.
     """
-    div = model.var(model.pi) * model.var(model.omega3) * model.div_poly
-    b_row = (_row(model, GR(Fraction(-5, 16)), GR(Fraction(3, 16)))
-             + _xy_term(model, GR(Fraction(-3, 2)), with_pi=True)
-             + div * (model.sigma_hat * GR(Fraction(1, 3))
-                      + model.n_hat * GR(Fraction(1, 2))))
-    c_row = _row(model,
-                 GR(Fraction(-1, 6), Fraction(11, 16)),
-                 GR(Fraction(1, 2), Fraction(-33, 16)))
-    return {"b": b_row, "c": c_row, "total": b_row + c_row
-            + _row(model, GR(Fraction(5, 16)), GR(Fraction(1, 16)))
-            + _row(model, GR(Fraction(-25, 48)), GR(Fraction(25, 16)))}
+    b_row = row(model, sigma_hp=Fraction(-5, 16), normal_hp=Fraction(3, 16),
+                xy_pi=Fraction(-3, 2), sigma_div=Fraction(1, 3), normal_div=Fraction(1, 2))
+    c_row = row(model, sigma_hp=GR(Fraction(-1, 6), Fraction(11, 16)),
+                normal_hp=GR(Fraction(1, 2), Fraction(-33, 16)))
+    recorded = expected_d1d3(model)
+    return {"b": b_row, "c": c_row,
+            "total": b_row + c_row + recorded["a-II"] + recorded["a-III"]}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 
 from .reference import Waiver, builtin_waivers
-from .scalars import ScalarPoly
+from .scalars import GR_ZERO, ScalarPoly
 
 REPORT_VERSION = "wres-report/1"
 WAIVER_ENV = "WRESIDUE_WAIVERS"
@@ -91,69 +91,25 @@ def waiver_reason(waivers, suite: str, record_id: str) -> str:
 
 
 def structured_render(model, poly: ScalarPoly) -> str:
-    """Render a boundary row as named parts plus whatever residual is left.
+    """Render a boundary row as multiples of ``model.row_shapes`` plus
+    whatever residual is left.
 
-    Peels, in order: the tangential and normal-normal collar terms, the
-    normal-derivative terms (with and without the half-circle factor), the
-    divergence terms (with and without the collar rate), then renders any
-    remaining atoms verbatim.  Only constant coefficients are peeled, and a
-    divergence part is peeled only when the row is genuinely proportional
-    to the divergence scalar.
+    The shapes are peeled in table order.  A shape is peeled when the row's
+    coefficients at the shape's probe monomials are one nonzero multiple of
+    the shape's own coefficients there; that multiple is what is rendered.
     """
     if poly.is_zero():
         return "0"
-    reg = model.registry
-    var = model.var
-    base = var(model.pi) * var(model.omega3)
-    sig, nn = model.sigma_hat, model.n_hat
-    x1, y1 = reg.by_name("X1"), reg.by_name("Y1")
-    x4, y4 = reg.by_name("X4"), reg.by_name("Y4")
-    xy = reg.by_name("XdY4")
-    wp, wm = reg.by_name("wP12d3"), reg.by_name("wM12d1")
-    div = model.div_poly
-
     pieces: list[str] = []
     rest = poly
-
-    def const_co(mono: dict):
-        return rest.coefficient_of(mono).constant_part()
-
-    def peel(mono: dict, pattern: ScalarPoly, text: str):
-        nonlocal rest
-        co = const_co(mono)
-        if co.is_zero():
-            return
-        rest = rest - pattern * co
-        pieces.append(f"{co.render()}*{text}")
-
-    def peel_div(pair: dict, pattern: ScalarPoly, text: str):
-        # div itself carries wP12d3 with coefficient -1; peel only when the
-        # companion mixed-family atom agrees, i.e. the part is div-shaped
-        nonlocal rest
-        co_wp = const_co({**pair, wp: 1})
-        co_wm = const_co({**pair, wm: 1})
-        if co_wp.is_zero() or co_wp != co_wm:
-            return
-        rest = rest - pattern * (-co_wp)
-        pieces.append(f"{(-co_wp).render()}*{text}")
-
-    peel({x1: 1, y1: 1, model.hp: 1, model.pi: 1, model.omega3: 1},
-         sig * model.hp_poly * base, "[sum_a<4 Xa*Ya]*hp*pi*Omega3")
-    peel({x4: 1, y4: 1, model.hp: 1, model.pi: 1, model.omega3: 1},
-         nn * model.hp_poly * base, "X4*Y4*hp*pi*Omega3")
-    peel({xy: 1, model.pi: 1, model.omega3: 1, model.hp: 0},
-         var(xy) * base, "X(Y4)*pi*Omega3")
-    peel({xy: 1, model.pi: 0, model.omega3: 1, model.hp: 0},
-         var(xy) * var(model.omega3), "X(Y4)*Omega3")
-    peel_div({x1: 1, y1: 1, model.hp: 0, model.pi: 1, model.omega3: 1},
-             sig * div * base, "[sum_a<4 Xa*Ya]*div*pi*Omega3")
-    peel_div({x4: 1, y4: 1, model.hp: 0, model.pi: 1, model.omega3: 1},
-             nn * div * base, "X4*Y4*div*pi*Omega3")
-    peel_div({x1: 1, y1: 1, model.hp: 1, model.pi: 1, model.omega3: 1},
-             sig * div * model.hp_poly * base, "[sum_a<4 Xa*Ya]*div*hp*pi*Omega3")
-    peel_div({x4: 1, y4: 1, model.hp: 1, model.pi: 1, model.omega3: 1},
-             nn * div * model.hp_poly * base, "X4*Y4*div*hp*pi*Omega3")
-
+    for shape in model.row_shapes.values():
+        ratios = {rest.terms.get(mono, GR_ZERO) / shape.poly.terms[mono]
+                  for mono in shape.probes}
+        co = ratios.pop()
+        if ratios or co.is_zero():
+            continue
+        rest = rest - shape.poly * co
+        pieces.append(f"{co.render()}*{shape.text}")
     if not rest.is_zero():
         pieces.append(f"residual[{len(rest.terms)} terms]: {rest.render()}")
     return " + ".join(pieces) if pieces else "0"

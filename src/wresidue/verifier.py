@@ -40,8 +40,8 @@ class UnknownSuiteError(ValueError):
 
 
 class ConfigurationError(RuntimeError):
-    """The waiver file, a waiver in it, or the intermediates directory cannot
-    be used."""
+    """The waiver file, a waiver in it, the intermediates directory or a file
+    in it cannot be used."""
 
 
 def _claim(record_id, recorded, computed, same, **kw) -> ClaimRecord:
@@ -339,9 +339,12 @@ def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
         records = _trace_records(model)
     else:
         records, texts = _boundary_records(load_suite(name, model), bool(emit_dir))
-    for file_name, text in texts.items():
-        with open(os.path.join(emit_dir, file_name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        for file_name, text in texts.items():
+            with open(os.path.join(emit_dir, file_name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write intermediate file: {exc}") from exc
     return SuiteReport(suite=name, records=tuple(
         replace(r, waiver=waiver_reason(waivers, name, r.record_id))
         if r.status == STATUS_MISMATCH else r for r in records))

@@ -12,8 +12,10 @@ from wresidue.reference import (
     expected_d1d3,
     interior_expected,
     load_suite,
+    row,
     row_fingerprint,
 )
+from wresidue.report import structured_render
 from wresidue.scalars import GR, KIND_CONN, KIND_MARKER, KIND_X, KIND_Y, ScalarPoly
 from wresidue.sphere import integrate_sphere
 from wresidue.xicalc import XiRational
@@ -25,7 +27,8 @@ def test_markers_are_formal(model):
 
 
 def test_divergence_scalar(model):
-    want = -(model.nab_p(1, 2, 3) + model.nab_tm(1, 2, 1) + model.nab_tm(2, 2, 2))
+    want = -(model.antisym(model.nabp, 1, 2, 3) + model.var(model.nabtm[(1, 2, 1)])
+             + model.var(model.nabtm[(2, 2, 2)]))
     assert model.div_poly == want
 
 
@@ -39,6 +42,30 @@ def test_quadratic_blocks(model):
         xa = model.registry.by_name(f"X{a}")
         ya = model.registry.by_name(f"Y{a}")
         assert sig.coefficient_of({xa: 1, ya: 1}).constant_part() == GR(1)
+
+
+ROW_SHAPES = ("sigma_hp", "normal_hp", "xy_pi", "xy", "sigma_div", "normal_div",
+              "sigma_div_hp", "normal_div_hp")
+
+
+def test_row_shapes_in_peel_order(model):
+    assert tuple(model.row_shapes) == ROW_SHAPES
+
+
+@pytest.mark.parametrize("name", ROW_SHAPES)
+def test_every_row_shape_renders_as_itself(model, name):
+    got = structured_render(model, row(model, **{name: GR(Fraction(3, 7), -2)}))
+    assert got == "(3/7-2i)*" + model.row_shapes[name].text
+
+
+def test_divergence_shape_needs_both_probes_to_agree(model):
+    """A divergence row whose mixed-family atom is off is not div-shaped, so
+    nothing is peeled and the whole row stays residual."""
+    var = model.var
+    off = (var(model.X[0]) * var(model.Y[0]) * var(model.nabtm[(1, 2, 1)])
+           * var(model.pi) * var(model.omega3))
+    got = structured_render(model, row(model, sigma_div=1) - off)
+    assert got.startswith("residual[") and "div" not in got
 
 
 def test_recorded_row_coefficients(model):

@@ -318,6 +318,21 @@ def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+def test_cli_intermediate_write_error_exits_two(tmp_path, monkeypatch, capsys):
+    """A file that cannot be written is an I/O error, not a mismatch; the
+    files written before it stay."""
+    monkeypatch.delenv(WAIVER_ENV, raising=False)
+    (tmp_path / "boundary-d2d2-c.txt").mkdir()
+    assert main(["--suite", "boundary-d2d2", "--emit-intermediates", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("wres-verify: error: cannot write intermediate file: ")
+    assert "boundary-d2d2-c.txt" in err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == [f"boundary-d2d2-{label}.txt" for label in
+                                            ("a-I", "a-II", "a-III", "b", "c")]
+
+
 def test_cli_parser_defaults():
     args = build_parser().parse_args([])
     assert args.suite == "all"
