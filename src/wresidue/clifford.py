@@ -14,6 +14,7 @@ stay exact end to end.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Mapping
 
 from .scalars import (
@@ -263,81 +264,63 @@ class CliffordElement:
         return f"<CliffordElement {self.render()}>"
 
 
-# -- frame helpers ---------------------------------------------------------
+# -- the split frame -------------------------------------------------------
 
 
-def frame_generator(p: int, q: int, a: int) -> Generator:
-    """Orthonormal-frame index a = 1..p+q to a c-type generator."""
-    n = p + q
-    if not 1 <= a <= n:
-        raise ValueError(f"frame index {a} out of range 1..{n}")
-    if a <= p:
-        return (CF, a)
-    return (CN, a - p)
+class Frame:
+    """One registry and the Clifford action of the split frame over it.
 
-
-def c_frame(registry: Registry, p: int, q: int, a: int) -> CliffordElement:
-    kind, idx = frame_generator(p, q, a)
-    return CliffordElement.generator(registry, kind, idx)
-
-
-def hatc(registry: Registry, s: int) -> CliffordElement:
-    return CliffordElement.generator(registry, HC, s)
-
-
-def connection_blocks(registry: Registry, p: int, q: int,
-                      leaf: Callable[[int, int], ScalarPoly],
-                      perp: Callable[[int, int], ScalarPoly],
-                      mix: Callable[[int, int], ScalarPoly]
-                      ) -> tuple[CliffordElement, CliffordElement, CliffordElement]:
-    """The three families of a spin-connection value, kept apart:
-
-      * leaf pairs ``c(f_j) c(f_l)`` weighted ``leaf(j, l) / 4``,
-      * perp pairs ``c(h_s) c(h_t) - hatc(h_s) hatc(h_t)`` weighted
-        ``perp(s, t) / 4``,
-      * mixed pairs ``c(f_j) c(h_s)`` weighted ``mix(j, s) / 2``.
-
-    Coefficients are requested in that order, each family row by row, and
-    zero coefficients are skipped.
+    The orthonormal frame ``e_1..e_n`` lists ``f_1..f_p`` and then
+    ``h_1..h_q``; :meth:`c` is its frame letter, :meth:`gen` any generator.
     """
-    def gen(kind: int, index: int) -> CliffordElement:
-        return CliffordElement.generator(registry, kind, index)
 
-    quarter = GaussianRational(Fraction(1, 4))
-    half = GaussianRational(Fraction(1, 2))
-    leaf_part = CliffordElement.zero(registry)
-    for j in range(1, p + 1):
-        for l in range(1, p + 1):
-            co = leaf(j, l)
-            if co:
-                leaf_part = leaf_part + gen(CF, j) * gen(CF, l) * (co * quarter)
-    perp_part = CliffordElement.zero(registry)
-    for s in range(1, q + 1):
-        for t in range(1, q + 1):
-            co = perp(s, t)
-            if co:
-                pair = gen(CN, s) * gen(CN, t) - gen(HC, s) * gen(HC, t)
-                perp_part = perp_part + pair * (co * quarter)
-    mixed_part = CliffordElement.zero(registry)
-    for j in range(1, p + 1):
-        for s in range(1, q + 1):
-            co = mix(j, s)
-            if co:
-                mixed_part = mixed_part + gen(CF, j) * gen(CN, s) * (co * half)
-    return leaf_part, perp_part, mixed_part
+    def __init__(self, p: int, q: int):
+        fiber_dimension(p, q)  # p must be even
+        self.p, self.q, self.n = p, q, p + q
+        self.registry = Registry()
 
+    def var(self, ind) -> ScalarPoly:
+        return ScalarPoly.var(self.registry, ind)
 
-def c_dxn(registry: Registry, p: int, q: int) -> CliffordElement:
-    """Clifford action of the inward unit conormal (the last frame vector)."""
-    return c_frame(registry, p, q, p + q)
+    def ident(self, coeff=1) -> CliffordElement:
+        return CliffordElement.identity(self.registry, coeff)
 
+    def gen(self, kind: int, index: int) -> CliffordElement:
+        return CliffordElement.generator(self.registry, kind, index)
 
-def c_xi_prime(registry: Registry, p: int, q: int, xi_inds) -> CliffordElement:
-    """Sum of tangential-frame actions weighted by the xi' components."""
-    n = p + q
-    if len(xi_inds) != n - 1:
-        raise ValueError("need one xi component per tangential direction")
-    out = CliffordElement.zero(registry)
-    for a, ind in enumerate(xi_inds, start=1):
-        out = out + c_frame(registry, p, q, a) * ScalarPoly.var(registry, ind)
-    return out
+    def c(self, a: int) -> CliffordElement:
+        """Frame letter ``c(e_a)``, a = 1..n: ``c(f_a)``, then ``c(h_(a-p))``."""
+        if not 1 <= a <= self.n:
+            raise ValueError(f"frame index {a} out of range 1..{self.n}")
+        return self.gen(CF, a) if a <= self.p else self.gen(CN, a - self.p)
+
+    def connection_blocks(self, leaf: Callable[[int, int], ScalarPoly],
+                          perp: Callable[[int, int], ScalarPoly],
+                          mix: Callable[[int, int], ScalarPoly]
+                          ) -> tuple[CliffordElement, CliffordElement, CliffordElement]:
+        """The three families of a spin-connection value, kept apart:
+
+          * leaf pairs ``c(f_j) c(f_l)`` weighted ``leaf(j, l) / 4``,
+          * perp pairs ``c(h_s) c(h_t) - hatc(h_s) hatc(h_t)`` weighted
+            ``perp(s, t) / 4``,
+          * mixed pairs ``c(f_j) c(h_s)`` weighted ``mix(j, s) / 2``.
+
+        Coefficients are requested in that order, each family row by row, and
+        zero coefficients are skipped.
+        """
+        gen, ps, qs = self.gen, range(1, self.p + 1), range(1, self.q + 1)
+
+        def family(pairs, coeff, letters, weight) -> CliffordElement:
+            out = CliffordElement.zero(self.registry)
+            for a, b in pairs:
+                co = coeff(a, b)
+                if co:
+                    out = out + letters(a, b) * (co * weight)
+            return out
+
+        quarter = GaussianRational(Fraction(1, 4))
+        return (family(product(ps, ps), leaf, lambda j, l: gen(CF, j) * gen(CF, l), quarter),
+                family(product(qs, qs), perp,
+                       lambda s, t: gen(CN, s) * gen(CN, t) - gen(HC, s) * gen(HC, t), quarter),
+                family(product(ps, qs), mix, lambda j, s: gen(CF, j) * gen(CN, s),
+                       GaussianRational(Fraction(1, 2))))

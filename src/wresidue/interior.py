@@ -20,45 +20,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .clifford import CF, CN, HC, CliffordElement, connection_blocks
-from .scalars import GR, KIND_CURV, KIND_CONN, KIND_MARKER, Registry, ScalarPoly
+from .clifford import HC, CliffordElement, Frame
+from .scalars import GR, KIND_CURV, KIND_CONN, KIND_MARKER, ScalarPoly
 
 
-class InteriorSetting:
-    """Registry plus generic curvature/connection atoms for one ``(p, q)``."""
+class InteriorSetting(Frame):
+    """Generic curvature/connection atoms over the frame of one ``(p, q)``."""
 
     def __init__(self, p: int, q: int):
-        if p % 2:
-            raise ValueError("distinguished rank must be even")
-        self.p = p
-        self.q = q
-        self.registry = Registry()
-        self.scurv = self.registry.add("s", KIND_MARKER, ("scalar-curvature",))
-        self._atoms: dict[str, ScalarPoly] = {}
+        super().__init__(p, q)
+        self.scurv = self.registry.add("s", KIND_MARKER)
 
-    def var(self, ind) -> ScalarPoly:
-        return ScalarPoly.var(self.registry, ind)
-
-    def ident(self, coeff=1) -> CliffordElement:
-        return CliffordElement.identity(self.registry, coeff)
-
-    def cf(self, i: int) -> CliffordElement:
-        return CliffordElement.generator(self.registry, CF, i)
-
-    def cn(self, s: int) -> CliffordElement:
-        return CliffordElement.generator(self.registry, CN, s)
-
-    def hc(self, s: int) -> CliffordElement:
-        return CliffordElement.generator(self.registry, HC, s)
-
-    def _atom(self, name: str, kind: str, meta: tuple) -> ScalarPoly:
-        if name not in self._atoms:
-            ind = self.registry.get_or_add(name, kind, meta)
-            self._atoms[name] = self.var(ind)
-        return self._atoms[name]
-
-    def _antisymmetric(self, prefix: str, kind: str, meta: tuple,
-                       *pairs: tuple[int, int]) -> ScalarPoly:
+    def _antisymmetric(self, prefix: str, kind: str, *pairs: tuple[int, int]) -> ScalarPoly:
         """The atom named ``prefix`` plus its slots, antisymmetric in each
         slot pair: zero on equal slots, slots sorted with a sign per swap."""
         sign, slots = 1, ()
@@ -68,36 +41,35 @@ class InteriorSetting:
             if a > b:
                 a, b, sign = b, a, -sign
             slots += (a, b)
-        atom = self._atom(prefix + "".join(map(str, slots)), kind, meta + slots)
-        return atom * GR(sign)
+        atom = self.registry.get_or_add(prefix + "".join(map(str, slots)), kind)
+        return self.var(atom) * GR(sign)
 
     # curvature pairings; each is antisymmetric in its last two slots, and the
     # one-family / perp-family pairings also in their first two
     def r_mixed(self, i: int, r: int, t: int, s: int) -> ScalarPoly:
-        return self._antisymmetric(f"Rm{i}{r}", KIND_CURV, ("curvature-mixed", i, r), (t, s))
+        return self._antisymmetric(f"Rm{i}{r}", KIND_CURV, (t, s))
 
     def r_leaf(self, i: int, j: int, t: int, s: int) -> ScalarPoly:
-        return self._antisymmetric("Rf", KIND_CURV, ("curvature-leaf-pair",), (i, j), (t, s))
+        return self._antisymmetric("Rf", KIND_CURV, (i, j), (t, s))
 
     def r_perp(self, r: int, u: int, t: int, s: int) -> ScalarPoly:
-        return self._antisymmetric("Rp", KIND_CURV, ("curvature-perp-pair",), (r, u), (t, s))
+        return self._antisymmetric("Rp", KIND_CURV, (r, u), (t, s))
 
     # connection-term atoms for one direction tag; the two quadratic families
     # are antisymmetric, the mixing family is not
     def conn_leaf(self, tag: str, j: int, l: int) -> ScalarPoly:
-        return self._antisymmetric(f"w{tag}F", KIND_CONN, ("interior-leaf", tag), (j, l))
+        return self._antisymmetric(f"w{tag}F", KIND_CONN, (j, l))
 
     def conn_perp(self, tag: str, s: int, t: int) -> ScalarPoly:
-        return self._antisymmetric(f"w{tag}P", KIND_CONN, ("interior-perp", tag), (s, t))
+        return self._antisymmetric(f"w{tag}P", KIND_CONN, (s, t))
 
     def conn_mix(self, tag: str, j: int, s: int) -> ScalarPoly:
-        return self._atom(f"w{tag}S{j}{s}", KIND_CONN, ("interior-mix", tag, j, s))
+        return self.var(self.registry.get_or_add(f"w{tag}S{j}{s}", KIND_CONN))
 
     def connection_term(self, tag: str) -> CliffordElement:
         """Generic connection-form value: quarter-weighted quadratic families
         plus the half-weighted mixing family."""
-        leaf, perp, mixed = connection_blocks(
-            self.registry, self.p, self.q,
+        leaf, perp, mixed = self.connection_blocks(
             lambda j, l: self.conn_leaf(tag, j, l),
             lambda s, t: self.conn_perp(tag, s, t),
             lambda j, s: self.conn_mix(tag, j, s))
@@ -112,21 +84,24 @@ def endomorphism_blocks(setting: InteriorSetting) -> dict[str, CliffordElement]:
     scalar = setting.ident(setting.var(setting.scurv) * quarter)
 
     def block(curv, first, n_first, second, n_second) -> CliffordElement:
-        # curv(a, b, t, s) * first(a) second(b) hc(s) hc(t), summed in the
-        # nesting order a, b, t, s so atoms and terms keep their order
+        # curv(a, b, t, s) * first(a) second(b) hatc(h_s) hatc(h_t), summed in
+        # the nesting order a, b, t, s so atoms and terms keep their order
         out = CliffordElement.zero(setting.registry)
         for a, b, t, s in product(range(1, n_first + 1), range(1, n_second + 1),
                                   range(1, q + 1), range(1, q + 1)):
             co = curv(a, b, t, s)
             if co:
                 out = out + (first(a) * second(b)
-                             * setting.hc(s) * setting.hc(t)) * (co * quarter)
+                             * setting.gen(HC, s) * setting.gen(HC, t)) * (co * quarter)
         return out
 
+    def perp(s: int) -> CliffordElement:
+        return setting.c(p + s)
+
     return {"scalar": scalar,
-            "mixed-pair": block(setting.r_mixed, setting.cf, p, setting.cn, q),
-            "leaf-pair": block(setting.r_leaf, setting.cf, p, setting.cf, p),
-            "perp-pair": block(setting.r_perp, setting.cn, q, setting.cn, q)}
+            "mixed-pair": block(setting.r_mixed, setting.c, p, perp, q),
+            "leaf-pair": block(setting.r_leaf, setting.c, p, setting.c, p),
+            "perp-pair": block(setting.r_perp, perp, q, perp, q)}
 
 
 def trace_identity(p: int, q: int) -> Fraction:
@@ -147,7 +122,7 @@ def trace_endomorphism(p: int, q: int) -> tuple[Fraction, dict[str, ScalarPoly]]
     co = total.coefficient_of({setting.scurv: 1})
     if not co.is_constant():
         raise ValueError("endomorphism trace is not a pure scalar-curvature multiple")
-    rest = total - ScalarPoly.var(setting.registry, setting.scurv) * co
+    rest = total - setting.var(setting.scurv) * co
     if not rest.is_zero():
         raise ValueError("endomorphism trace has terms beyond the scalar-curvature part")
     return co.constant_part().re, traces

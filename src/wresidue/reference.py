@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Mapping, NamedTuple
 
-from .clifford import CliffordElement, c_dxn, c_frame, c_xi_prime, connection_blocks
+from .clifford import CliffordElement, Frame
 from .scalars import (
     GR,
     GR_I,
@@ -36,14 +36,12 @@ from .scalars import (
     KIND_Y,
     Indeterminate,
     Monomial,
-    Registry,
     ScalarPoly,
 )
 from .xicalc import XiRational
 
 P_LEAF = 2
 Q_PERP = 2
-N_DIM = P_LEAF + Q_PERP
 
 _HALF = Fraction(1, 2)
 _MI = GR(0, -1)  # -i
@@ -61,15 +59,12 @@ class RowShape(NamedTuple):
     probes: tuple[Monomial, ...]
 
 
-class Model:
+class Model(Frame):
     """Shared symbolic geometry for every suite, over one registry."""
 
     def __init__(self):
-        reg = Registry()
-        self.registry = reg
-        self.p = p = P_LEAF
-        self.q = q = Q_PERP
-        self.n = N_DIM
+        super().__init__(P_LEAF, Q_PERP)
+        reg, p, q = self.registry, self.p, self.q
 
         self.pi = reg.add("pi", KIND_MARKER)
         self.omega3 = reg.add("Omega3", KIND_MARKER)
@@ -77,37 +72,30 @@ class Model:
         self.kext = reg.add("K", KIND_MARKER)
         self.hp = reg.add("hp", KIND_HPRIME)
 
-        self.xi = tuple(reg.add(f"xi{a}", KIND_XI, ("tangent", a))
-                        for a in range(1, self.n))
-        self.X = tuple(reg.add(f"X{a}", KIND_X, ("component", a))
-                       for a in range(1, self.n + 1))
-        self.Y = tuple(reg.add(f"Y{a}", KIND_Y, ("component", a))
-                       for a in range(1, self.n + 1))
+        self.xi = tuple(reg.add(f"xi{a}", KIND_XI) for a in range(1, self.n))
+        self.X = tuple(reg.add(f"X{a}", KIND_X) for a in range(1, self.n + 1))
+        self.Y = tuple(reg.add(f"Y{a}", KIND_Y) for a in range(1, self.n + 1))
         # first-direction derivatives of the second field's components
-        self.dXY = tuple(reg.add(f"XdY{a}", KIND_CONN, ("xy-derivative", a))
-                         for a in range(1, self.n + 1))
+        self.dXY = tuple(reg.add(f"XdY{a}", KIND_CONN) for a in range(1, self.n + 1))
 
-        def family(prefix: str, meta: str, pairs) -> dict[tuple[int, int, int], Indeterminate]:
+        def family(prefix: str, pairs) -> dict[tuple[int, int, int], Indeterminate]:
             """One connection atom per index pair and direction."""
-            return {(i, k, d): reg.add(f"{prefix}{i}{k}d{d}", KIND_CONN, (meta, i, k, d))
+            return {(i, k, d): reg.add(f"{prefix}{i}{k}d{d}", KIND_CONN)
                     for i, k in pairs for d in range(1, self.n + 1)}
 
         mixed = list(product(range(1, p + 1), range(1, q + 1)))
-        self.nabf = family("wF", "leaf", combinations(range(1, p + 1), 2))
-        self.nabp = family("wP", "perp", combinations(range(1, q + 1), 2))
-        self.nabtm = family("wM", "mixed", mixed)
-        self.smix = family("sh", "shape", mixed)
+        self.nabf = family("wF", combinations(range(1, p + 1), 2))
+        self.nabp = family("wP", combinations(range(1, q + 1), 2))
+        self.nabtm = family("wM", mixed)
+        self.smix = family("sh", mixed)
 
-        self.cdxn = c_dxn(reg, p, q)
-        self.cxi = c_xi_prime(reg, p, q, self.xi)
+        # the inward unit conormal is the last frame vector
+        self.cdxn = self.c(self.n)
+        self.cxi = CliffordElement.zero(reg)
+        for a, ind in enumerate(self.xi, start=1):
+            self.cxi = self.cxi + self.c(a) * self.var(ind)
 
     # -- scalar helpers ----------------------------------------------------
-
-    def var(self, ind: Indeterminate) -> ScalarPoly:
-        return ScalarPoly.var(self.registry, ind)
-
-    def ident(self, coeff=1) -> CliffordElement:
-        return CliffordElement.identity(self.registry, coeff)
 
     @functools.cached_property
     def hp_poly(self) -> ScalarPoly:
@@ -156,24 +144,19 @@ class Model:
 
     # -- connection blocks (quadratic Clifford words) ----------------------
 
-    def connection_blocks(self, d: int, mixed: Mapping[tuple[int, int, int], Indeterminate]
-                          ) -> tuple[CliffordElement, CliffordElement, CliffordElement]:
+    def blocks(self, d: int, mixed: Mapping[tuple[int, int, int], Indeterminate]
+               ) -> tuple[CliffordElement, CliffordElement, CliffordElement]:
         """Leaf, perp and mixed connection blocks in direction ``d``; ``mixed``
-        is the mixed family (``smix`` or ``nabtm``)."""
-        return connection_blocks(self.registry, self.p, self.q,
-                                 lambda j, l: self.antisym(self.nabf, j, l, d),
-                                 lambda s, t: self.antisym(self.nabp, s, t, d),
-                                 lambda j, s: self.var(mixed[(j, s, d)]))
+        is the mixed family: ``nabtm`` for the base operator, ``smix`` for
+        the double-covariant symbols."""
+        return self.connection_blocks(lambda j, l: self.antisym(self.nabf, j, l, d),
+                                      lambda s, t: self.antisym(self.nabp, s, t, d),
+                                      lambda j, s: self.var(mixed[(j, s, d)]))
 
-    def mna_block(self, d: int) -> CliffordElement:
-        leaf, perp, mixed = self.connection_blocks(d, self.smix)
-        return leaf + perp + mixed
-
-    def base_connection(self, d: int) -> CliffordElement:
-        """Connection value of the base operator in direction ``d``, whose
-        mixed family is ``nabtm``."""
-        leaf, perp, mixed = self.connection_blocks(d, self.nabtm)
-        return leaf + perp + mixed
+    def connection(self, d: int, mixed) -> CliffordElement:
+        """Connection value in direction ``d``: the sum of its blocks."""
+        leaf, perp, mix = self.blocks(d, mixed)
+        return leaf + perp + mix
 
     @functools.cached_property
     def sigma0_base(self) -> CliffordElement:
@@ -181,14 +164,15 @@ class Model:
         against the base connection in its direction."""
         out = CliffordElement.zero(self.registry)
         for d in range(1, self.n + 1):
-            out = out + c_frame(self.registry, self.p, self.q, d) * self.base_connection(d)
+            out = out + self.c(d) * self.connection(d, self.nabtm)
         return out
 
     @functools.cached_property
     def div_poly(self) -> ScalarPoly:
-        """Boundary divergence of the inward normal, read off the base symbol."""
-        traced = (self.sigma0_base * self.cdxn).trace(self.p, self.q)
-        return traced * GR(Fraction(-1, 4))
+        """Boundary divergence of the inward normal; the traces suite checks
+        it against the fiber trace of the base symbol."""
+        return -(self.var(self.nabp[(1, 2, 3)]) + self.var(self.nabtm[(1, 2, 1)])
+                 + self.var(self.nabtm[(2, 2, 2)]))
 
     @functools.cached_property
     def row_shapes(self) -> dict[str, RowShape]:
@@ -244,8 +228,8 @@ def sigma_m3_square(model: Model) -> XiRational:
     # of the squared operator's subleading symbol
     brk0 = CliffordElement.zero(reg)
     for k in range(1, model.n):
-        brk0 = brk0 + model.base_connection(k) * (-2) * model.var(model.xi[k - 1])
-    brk1 = model.ident(hp * Fraction(3, 2)) + model.base_connection(model.n) * (-2)
+        brk0 = brk0 + model.connection(k, model.nabtm) * (-2) * model.var(model.xi[k - 1])
+    brk1 = model.ident(hp * Fraction(3, 2)) + model.connection(model.n, model.nabtm) * (-2)
     term1 = XiRational.build(reg, {1: hp * GR(0, -2)})
     term2 = XiRational.build(reg, {0: 1, 2: 1}) * XiRational(reg, {0: brk0 * _MI, 1: brk1 * _MI})
     return XiRational(reg, (term1 + term2).num, 3, 3)
@@ -256,7 +240,7 @@ def sigma1_conn_num(model: Model) -> XiRational:
     xblk = CliffordElement.zero(model.registry)
     yblk = CliffordElement.zero(model.registry)
     for d in range(1, model.n + 1):
-        blk = model.mna_block(d)
+        blk = model.connection(d, model.smix)
         xblk = xblk + blk * model.var(model.X[d - 1])
         yblk = yblk + blk * model.var(model.Y[d - 1])
     tang_x = ScalarPoly.zero(model.registry)
@@ -334,10 +318,10 @@ def sigma2_cube_num(model: Model) -> XiRational:
     mn0 = CliffordElement.zero(reg)
     for k in range(1, model.n):
         xi_k = model.var(model.xi[k - 1])
-        leaf, perp, mixed = model.connection_blocks(k, model.smix)
+        leaf, perp, mixed = model.blocks(k, model.smix)
         brk0 = brk0 + (leaf + perp + mixed) * (xi_k * 2)
         mn0 = mn0 + (leaf + perp) * xi_k
-    leaf, perp, mixed = model.connection_blocks(model.n, model.smix)
+    leaf, perp, mixed = model.blocks(model.n, model.smix)
     brk1 = (leaf + perp + mixed) * 2 - model.ident(hp * Fraction(3, 2))
     mn1 = leaf + perp
     t1 = XiRational(reg, {0: model.cdxn * hp})
@@ -663,20 +647,14 @@ def load_suite(name: str, model: Model | None = None) -> Suite:
 INTERIOR_CASES: tuple[tuple[int, int, int], ...] = ((2, 2, 4), (4, 0, 4), (2, 4, 6))
 
 
-def _pow2(e: int) -> Fraction:
-    return Fraction(2 ** e) if e >= 0 else Fraction(1, 2 ** (-e))
-
-
 def interior_expected(p: int, q: int, n: int) -> dict[str, Fraction]:
     """Closed-form interior coefficients: the quadratic-form weight (as a
     multiple of pi**(n/2)), the metric scalar-curvature weight, and the
     curvature-two-form weight (identically zero)."""
-    import math
-
     vol = Fraction(2 ** (p // 2 + q + 1), 6 * math.factorial(n // 2 - 1))
     return {
         "einstein": vol,
-        "scalar": _pow2(p // 2 + q - 3),
+        "scalar": Fraction(2) ** (p // 2 + q - 3),
         "two-form": Fraction(0),
-        "endo-trace": _pow2(p // 2 + q - 2),
+        "endo-trace": Fraction(2) ** (p // 2 + q - 2),
     }

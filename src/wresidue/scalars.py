@@ -267,7 +267,6 @@ class Indeterminate:
     id: int
     name: str
     kind: str
-    meta: tuple = ()
 
     def __str__(self):
         return self.name
@@ -284,21 +283,21 @@ class Registry:
         self._items: list[Indeterminate] = []
         self._by_name: dict[str, Indeterminate] = {}
 
-    def add(self, name: str, kind: str, meta: tuple = ()) -> Indeterminate:
+    def add(self, name: str, kind: str) -> Indeterminate:
         if kind not in _KINDS:
             raise ValueError(f"unknown indeterminate kind {kind!r}")
         if name in self._by_name:
             raise ValueError(f"duplicate indeterminate name {name!r}")
-        ind = Indeterminate(len(self._items), name, kind, meta)
+        ind = Indeterminate(len(self._items), name, kind)
         self._items.append(ind)
         self._by_name[name] = ind
         return ind
 
-    def get_or_add(self, name: str, kind: str, meta: tuple = ()) -> Indeterminate:
+    def get_or_add(self, name: str, kind: str) -> Indeterminate:
         existing = self._by_name.get(name)
         if existing is not None:
             return existing
-        return self.add(name, kind, meta)
+        return self.add(name, kind)
 
     def by_name(self, name: str) -> Indeterminate:
         return self._by_name[name]

@@ -4,7 +4,8 @@ For the round sphere in R^d, a monomial with any odd exponent averages to
 zero; an all-even monomial ``prod xi_i^(2a_i)`` integrates to the total
 surface measure times ``prod (2a_i - 1)!! / prod_{k=1..A} (d + 2k - 2)``
 with ``A = sum a_i``.  The total measure is kept as a formal marker rather
-than evaluated.  A product Gauss-Legendre quadrature (d = 3) serves as the
+than evaluated.  The covariables here are the three tangential components,
+so d = 3 throughout.  A product Gauss-Legendre quadrature serves as the
 numeric oracle.
 """
 
@@ -14,7 +15,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .clifford import CliffordElement
 from .scalars import GR, GR_ZERO, Indeterminate, ScalarPoly
 
 
@@ -26,7 +26,13 @@ def _double_factorial(n: int) -> int:
     return out
 
 
-def moment_fraction(exponents: Iterable[int], d: int = 3) -> Fraction:
+# covariable dimension, and the oracle's polar and azimuthal node counts
+DIM = 3
+N_POLAR = 10
+N_AZIMUTH = 24
+
+
+def moment_fraction(exponents: Iterable[int]) -> Fraction:
     """Sphere average of a covariable monomial, as a fraction of the total measure."""
     exps = [e for e in exponents if e]
     if any(e < 0 for e in exps):
@@ -39,19 +45,15 @@ def moment_fraction(exponents: Iterable[int], d: int = 3) -> Fraction:
         num *= _double_factorial(e - 1)
     den = 1
     for k in range(1, total + 1):
-        den *= d + 2 * k - 2
+        den *= DIM + 2 * k - 2
     return Fraction(num, den)
 
 
-def integrate_sphere(value, xi_inds: Sequence[Indeterminate], omega_ind: Indeterminate,
-                     d: int = 3):
-    """Integrate out the covariable components, linearly per monomial.
-
-    Accepts a ScalarPoly or a CliffordElement; the result carries the
-    total-measure marker and no covariable indeterminates.
+def integrate_sphere(value: ScalarPoly, xi_inds: Sequence[Indeterminate],
+                     omega_ind: Indeterminate) -> ScalarPoly:
+    """Integrate out the covariable components, linearly per monomial; the
+    result carries the total-measure marker and no covariable indeterminates.
     """
-    if isinstance(value, CliffordElement):
-        return value.map_coeffs(lambda c: integrate_sphere(c, xi_inds, omega_ind, d))
     if not isinstance(value, ScalarPoly):
         raise TypeError(f"cannot sphere-integrate {type(value).__name__}")
     registry = value.registry
@@ -65,7 +67,7 @@ def integrate_sphere(value, xi_inds: Sequence[Indeterminate], omega_ind: Indeter
                 exps.append(exp)
             else:
                 rest.append((iid, exp))
-        frac = moment_fraction(exps, d)
+        frac = moment_fraction(exps)
         if not frac:
             continue
         new_mono = tuple(sorted(rest + [(omega_ind.id, 1)]))
@@ -78,8 +80,7 @@ def integrate_sphere(value, xi_inds: Sequence[Indeterminate], omega_ind: Indeter
 
 
 def numeric_sphere_oracle(poly: ScalarPoly, xi_inds: Sequence[Indeterminate],
-                          bindings: Mapping[int, complex] | None = None,
-                          n_polar: int = 10, n_azimuth: int = 24) -> complex:
+                          bindings: Mapping[int, complex] | None = None) -> complex:
     """Quadrature of a polynomial over the unit sphere in R^3.
 
     Gauss-Legendre in the polar cosine crossed with a uniform azimuthal
@@ -89,13 +90,13 @@ def numeric_sphere_oracle(poly: ScalarPoly, xi_inds: Sequence[Indeterminate],
         raise ValueError("oracle is specific to three covariable components")
     from scipy.special import roots_legendre
 
-    nodes, weights = roots_legendre(n_polar)
+    nodes, weights = roots_legendre(N_POLAR)
     base = dict(bindings or {})
     total = 0j
-    dphi = 2.0 * math.pi / n_azimuth
+    dphi = 2.0 * math.pi / N_AZIMUTH
     for z, w in zip(nodes.tolist(), weights.tolist()):
         rho = math.sqrt(max(0.0, 1.0 - z * z))
-        for m in range(n_azimuth):
+        for m in range(N_AZIMUTH):
             phi = dphi * m
             base[xi_inds[0].id] = rho * math.cos(phi)
             base[xi_inds[1].id] = rho * math.sin(phi)

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import interior, reference
 from .boundary import assemble_boundary, drop_components, extrinsic_form
+from .clifford import HC
 from .report import (
     STATUS_FLAG,
     STATUS_MATCH,
@@ -142,8 +143,8 @@ def _trace_records(model) -> list[ClaimRecord]:
 
     p, q = 2, 2
     setting = interior.InteriorSetting(p, q)
-    diag = (setting.cf(1) * setting.cf(1)).trace(p, q).constant_part()
-    off = (setting.cf(1) * setting.cf(2)).trace(p, q).constant_part()
+    diag = (setting.c(1) * setting.c(1)).trace(p, q).constant_part()
+    off = (setting.c(1) * setting.c(2)).trace(p, q).constant_part()
     full = -(GR(2) ** (p // 2 + q))
     records.append(ClaimRecord(
         record_id="two-letter-leaf-pair",
@@ -154,8 +155,9 @@ def _trace_records(model) -> list[ClaimRecord]:
         evidence=(f"full-fiber over recorded ratio = 2^q = {2 ** q}",),
     ))
 
-    diag = (setting.hc(1) * setting.hc(1) - setting.cn(1) * setting.cn(1)).trace(p, q)
-    off = (setting.hc(1) * setting.hc(2) - setting.cn(1) * setting.cn(2)).trace(p, q)
+    hc1, hc2, cn1, cn2 = setting.gen(HC, 1), setting.gen(HC, 2), setting.c(3), setting.c(4)
+    diag = (hc1 * hc1 - cn1 * cn1).trace(p, q)
+    off = (hc1 * hc2 - cn1 * cn2).trace(p, q)
     want = GR(2) ** (p // 2 + q + 1)
     records.append(_claim(
         "perp-pair-difference",
@@ -167,12 +169,9 @@ def _trace_records(model) -> list[ClaimRecord]:
              f"factor dimension 2^(p/2) = {2 ** (p // 2)}"))
 
     got = (model.sigma0_base * model.cdxn).trace(2, 2)
-    want_poly = (model.var(model.registry.by_name("wM12d1"))
-                 + model.var(model.registry.by_name("wM22d2"))
-                 + model.var(model.registry.by_name("wP12d3"))) * GR(4)
     records.append(_claim(
         "normal-divergence-trace", "4*(wM12d1 + wM22d2 + wP12d3)", got.render(),
-        got == want_poly, note="equals -4 times the boundary divergence scalar"))
+        got == model.div_poly * -4, note="equals -4 times the boundary divergence scalar"))
 
     tang = (model.sigma0_base * model.cxi).trace(2, 2)
     avg = integrate_sphere(tang, model.xi, model.omega3)
@@ -286,8 +285,7 @@ def _boundary_records(suite, emit) -> tuple[list[ClaimRecord], dict[str, str]]:
                               note=check.note))
 
     if suite.name == "boundary-d2d2":
-        tangential = drop_components(expected["total"],
-                                     (model.registry.by_name("X4"),))
+        tangential = drop_components(expected["total"], (model.X[-1],))
         gauge = extrinsic_form(tangential, model.hp, model.kext)
         want_poly = (model.sigma_hat * model.var(model.kext)
                      * model.var(model.pi) * model.var(model.omega3)

@@ -77,7 +77,9 @@ def _vanishes_at(num: NumDict, sign: int) -> bool:
 
 
 def _synthetic_div(num: NumDict, registry: Registry, c: GaussianRational) -> NumDict:
-    """Divide by (xn - c); remainder must vanish (checked by the caller)."""
+    """Divide by (xn - c) and drop the remainder.  Canonicalisation divides
+    only after checking that the remainder vanishes; ``polynomial_part``
+    drops a nonzero remainder on purpose."""
     quot: NumDict = {}
     carry = CliffordElement.zero(registry)
     for m in range(max(num, default=0), 0, -1):
@@ -273,8 +275,9 @@ class XiRational:
                 acc = acc + self.num[m] * (GR(math.comb(m, k)) * center ** (m - k))
         return acc
 
-    def laurent(self, at_plus: bool, upto: int = 0) -> dict[int, CliffordElement]:
-        """Laurent coefficients in t = xn -+ i, from the pole order up to ``upto``."""
+    def laurent(self, at_plus: bool) -> dict[int, CliffordElement]:
+        """Principal-part Laurent coefficients in t = xn -+ i, from the pole
+        order up to ``t**-1``."""
         reg = self.registry
         center = GR_I if at_plus else -GR_I
         far = _FAR_PLUS if at_plus else -_FAR_PLUS  # value of the other linear factor
@@ -286,7 +289,7 @@ class XiRational:
             if acc:
                 shifted[k] = acc
         out: dict[int, CliffordElement] = {}
-        for j in range(-own, upto + 1):
+        for j in range(-own, 0):
             acc = CliffordElement.zero(reg)
             for k, coeff in shifted.items():
                 s = j + own - k
@@ -312,7 +315,7 @@ class XiRational:
         if own == 0:
             return XiRational.zero(reg)
         center = GR_I if at_plus else -GR_I
-        series = self.laurent(at_plus, upto=-1)
+        series = self.laurent(at_plus)
         # sum_j c_{-j} (xn - c)^(own - j), assembled over the single-pole denominator
         out: NumDict = {}
         for j, coeff in series.items():

@@ -9,11 +9,9 @@ from wresidue.clifford import (
     CN,
     HC,
     CliffordElement,
-    c_dxn,
-    c_frame,
+    Frame,
     fiber_dimension,
     generator_square_sign,
-    hatc,
 )
 from wresidue.oracles import element_matrix, generator_matrices
 from wresidue.scalars import GR, GR_ONE, Registry, ScalarPoly
@@ -124,17 +122,28 @@ def test_matrix_oracle_products(reg):
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
-# -- frame helpers ----------------------------------------------------------
+# -- the split frame --------------------------------------------------------
 
 
-def test_frame_helpers_agree_with_generators(reg):
-    assert c_frame(reg, 2, 2, 1) == _gen(reg, CF, 1)
-    assert c_frame(reg, 2, 2, 3) == _gen(reg, CN, 1)
-    assert hatc(reg, 2) == _gen(reg, HC, 2)
-    normal = c_dxn(reg, 2, 2)
-    assert normal == _gen(reg, CN, 2)
-    assert normal * normal == CliffordElement.identity(
-        reg, ScalarPoly.const(reg, GR(-1)))
+def test_frame_letters_are_the_expected_generators():
+    for p, q in ((2, 2), (4, 2), (2, 4)):
+        frame = Frame(p, q)
+        reg, n = frame.registry, p + q
+        assert frame.n == n
+        assert frame.c(1) == _gen(reg, CF, 1)
+        assert frame.c(p) == _gen(reg, CF, p)
+        assert frame.c(p + 1) == _gen(reg, CN, 1)
+        assert frame.c(n) == _gen(reg, CN, q)
+        assert frame.gen(HC, 2) == _gen(reg, HC, 2)
+        assert frame.c(n) * frame.c(n) == frame.ident(-1)
+        for a in (0, n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                frame.c(a)
+
+
+def test_frame_needs_even_distinguished_rank():
+    with pytest.raises(ValueError, match="even"):
+        Frame(3, 2)
 
 
 def test_substitute_and_map_coeffs(reg):

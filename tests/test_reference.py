@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from wresidue.reference import (
     FINGERPRINT_RECIPES,
+    Model,
     builtin_waivers,
     derived_d1d3_structure,
     derived_fingerprints,
@@ -19,6 +22,14 @@ from wresidue.report import structured_render
 from wresidue.scalars import GR, KIND_CONN, KIND_MARKER, KIND_X, KIND_Y, ScalarPoly
 from wresidue.sphere import integrate_sphere
 from wresidue.xicalc import XiRational
+
+
+def test_registry_dump_pinned():
+    """Registry ids set the printed term order; the report pin guards only
+    the atoms that appear in the report, this pins all of them."""
+    dump = json.dumps([[i.id, i.name, i.kind] for i in Model().registry])
+    assert hashlib.sha256(dump.encode()).hexdigest() == (
+        "c4506968c906d594f190507a071752408c6168fa57738de34cb1670661300ad4")
 
 
 def test_markers_are_formal(model):

@@ -20,3 +20,11 @@ def test_benchmark_tracer_covers_every_target(monkeypatch):
         pytest.fail(f"tracer coverage: {exc}")
     finally:
         spans.uninstall()
+
+
+def test_rendering_and_orchestration_name_no_atom():
+    """Atoms are reached through the model's attributes; a lookup by name in
+    the verifier or the report would be a second spelling of one."""
+    src = Path(__file__).resolve().parents[1] / "src" / "wresidue"
+    for name in ("verifier.py", "report.py"):
+        assert "by_name(" not in (src / name).read_text(encoding="utf-8"), name

@@ -126,6 +126,16 @@ def test_corrupt_recorded_table_fails_run(model, monkeypatch):
     assert exit_code([rep]) == 1
 
 
+def test_normal_divergence_trace_checks_the_divergence_scalar():
+    """The traces suite compares the base symbol's normal trace against the
+    declared divergence scalar, so a wrong scalar is a mismatch."""
+    model = reference.Model()
+    model.div_poly = model.div_poly * 2
+    rep = run_suite("traces", model, waivers=())
+    by_id = {r.record_id: r.status for r in rep.records}
+    assert by_id["normal-divergence-trace"] == STATUS_MISMATCH
+
+
 def test_boundary_suite_builds_its_jets_once(model, monkeypatch):
     calls = {"symbols_d2d2": 0, "symbols_d1d3": 0}
     for name in calls:

@@ -206,7 +206,7 @@ def test_residue_is_the_minus_one_laurent_coefficient(seed, a, b):
     for _ in range(rng.randint(0, 2)):
         num = {m + 1: c for m, c in num.items()}
     f = XiRational(reg, num, a, b)
-    want = f.laurent(True, upto=-1).get(-1, CliffordElement.zero(reg))
+    want = f.laurent(True).get(-1, CliffordElement.zero(reg))
     got = f.residue_at_plus_i()
     assert got == want
     assert [(w, list(c.terms)) for w, c in got.terms.items()] == \
