@@ -2,7 +2,8 @@
 
 ``wres-verify --suite all --format json`` recomputes every suite and prints
 a deterministic report; the exit code is 0 iff no claim is an unwaivered
-mismatch, 1 otherwise, and 2 on usage, configuration and I/O errors.
+mismatch, 1 otherwise, 2 on usage, configuration and I/O errors, and 3 when
+the engine itself fails.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         sys.stderr.write(f"wres-verify: error: {exc}\n")
         return 2
+    except Exception as exc:  # an engine defect, not the user's configuration
+        message = " ".join(str(exc).splitlines())
+        sys.stderr.write(f"wres-verify: internal error: {type(exc).__name__}: {message}\n")
+        return 3
     sys.stdout.write(text)
     return code
 

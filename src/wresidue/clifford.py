@@ -294,33 +294,37 @@ class Frame:
             raise ValueError(f"frame index {a} out of range 1..{self.n}")
         return self.gen(CF, a) if a <= self.p else self.gen(CN, a - self.p)
 
-    def connection_blocks(self, leaf: Callable[[int, int], ScalarPoly],
-                          perp: Callable[[int, int], ScalarPoly],
-                          mix: Callable[[int, int], ScalarPoly]
-                          ) -> tuple[CliffordElement, CliffordElement, CliffordElement]:
-        """The three families of a spin-connection value, kept apart:
+    def family(self, indices, coeff: Callable[..., ScalarPoly],
+               letters: Callable[..., CliffordElement], weight) -> CliffordElement:
+        """Sum of ``letters(*i) * coeff(*i) * weight`` over the index tuples
+        ``i``, in their order; zero coefficients are skipped."""
+        out = CliffordElement.zero(self.registry)
+        for idx in indices:
+            co = coeff(*idx)
+            if co:
+                out = out + letters(*idx) * (co * weight)
+        return out
+
+    def spin_connection(self, leaf: Callable[[int, int], ScalarPoly],
+                        perp: Callable[[int, int], ScalarPoly],
+                        mix: Callable[[int, int], ScalarPoly] | None = None
+                        ) -> CliffordElement:
+        """A spin-connection value, the sum of three families:
 
           * leaf pairs ``c(f_j) c(f_l)`` weighted ``leaf(j, l) / 4``,
           * perp pairs ``c(h_s) c(h_t) - hatc(h_s) hatc(h_t)`` weighted
             ``perp(s, t) / 4``,
-          * mixed pairs ``c(f_j) c(h_s)`` weighted ``mix(j, s) / 2``.
+          * mixed pairs ``c(f_j) c(h_s)`` weighted ``mix(j, s) / 2``, left
+            out when ``mix`` is None.
 
-        Coefficients are requested in that order, each family row by row, and
-        zero coefficients are skipped.
+        Coefficients are requested in that order, each family row by row.
         """
         gen, ps, qs = self.gen, range(1, self.p + 1), range(1, self.q + 1)
-
-        def family(pairs, coeff, letters, weight) -> CliffordElement:
-            out = CliffordElement.zero(self.registry)
-            for a, b in pairs:
-                co = coeff(a, b)
-                if co:
-                    out = out + letters(a, b) * (co * weight)
-            return out
-
         quarter = GaussianRational(Fraction(1, 4))
-        return (family(product(ps, ps), leaf, lambda j, l: gen(CF, j) * gen(CF, l), quarter),
-                family(product(qs, qs), perp,
-                       lambda s, t: gen(CN, s) * gen(CN, t) - gen(HC, s) * gen(HC, t), quarter),
-                family(product(ps, qs), mix, lambda j, s: gen(CF, j) * gen(CN, s),
-                       GaussianRational(Fraction(1, 2))))
+        families = [(product(ps, ps), leaf, lambda j, l: gen(CF, j) * gen(CF, l), quarter),
+                    (product(qs, qs), perp,
+                     lambda s, t: gen(CN, s) * gen(CN, t) - gen(HC, s) * gen(HC, t), quarter)]
+        if mix is not None:
+            families.append((product(ps, qs), mix, lambda j, s: gen(CF, j) * gen(CN, s),
+                             GaussianRational(Fraction(1, 2))))
+        return sum((self.family(*fam) for fam in families), CliffordElement.zero(self.registry))

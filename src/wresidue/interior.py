@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .clifford import HC, CliffordElement, Frame
+from .clifford import CN, HC, CliffordElement, Frame
 from .scalars import GR, KIND_CURV, KIND_CONN, KIND_MARKER, ScalarPoly
 
 
@@ -69,39 +69,29 @@ class InteriorSetting(Frame):
     def connection_term(self, tag: str) -> CliffordElement:
         """Generic connection-form value: quarter-weighted quadratic families
         plus the half-weighted mixing family."""
-        leaf, perp, mixed = self.connection_blocks(
-            lambda j, l: self.conn_leaf(tag, j, l),
-            lambda s, t: self.conn_perp(tag, s, t),
-            lambda j, s: self.conn_mix(tag, j, s))
-        return leaf + perp + mixed
+        return self.spin_connection(lambda j, l: self.conn_leaf(tag, j, l),
+                                    lambda s, t: self.conn_perp(tag, s, t),
+                                    lambda j, s: self.conn_mix(tag, j, s))
 
 
 def endomorphism_blocks(setting: InteriorSetting) -> dict[str, CliffordElement]:
     """The endomorphism of the squared operator: scalar-curvature part plus
-    three quarter-weighted curvature blocks."""
-    p, q = setting.p, setting.q
+    three quarter-weighted curvature blocks, each the sum over a, b, t, s
+    (in that nesting order, which sets atom order) of
+    ``curv(a, b, t, s) * first(a) second(b) hatc(h_s) hatc(h_t)``."""
     quarter = GR(Fraction(1, 4))
     scalar = setting.ident(setting.var(setting.scurv) * quarter)
+    hc, ps, qs = lambda s: setting.gen(HC, s), range(1, setting.p + 1), range(1, setting.q + 1)
+    leaf, perp = setting.c, lambda s: setting.gen(CN, s)
 
-    def block(curv, first, n_first, second, n_second) -> CliffordElement:
-        # curv(a, b, t, s) * first(a) second(b) hatc(h_s) hatc(h_t), summed in
-        # the nesting order a, b, t, s so atoms and terms keep their order
-        out = CliffordElement.zero(setting.registry)
-        for a, b, t, s in product(range(1, n_first + 1), range(1, n_second + 1),
-                                  range(1, q + 1), range(1, q + 1)):
-            co = curv(a, b, t, s)
-            if co:
-                out = out + (first(a) * second(b)
-                             * setting.gen(HC, s) * setting.gen(HC, t)) * (co * quarter)
-        return out
-
-    def perp(s: int) -> CliffordElement:
-        return setting.c(p + s)
+    def block(curv, first, firsts, second, seconds) -> CliffordElement:
+        return setting.family(product(firsts, seconds, qs, qs), curv,
+                              lambda a, b, t, s: first(a) * second(b) * hc(s) * hc(t), quarter)
 
     return {"scalar": scalar,
-            "mixed-pair": block(setting.r_mixed, setting.c, p, perp, q),
-            "leaf-pair": block(setting.r_leaf, setting.c, p, setting.c, p),
-            "perp-pair": block(setting.r_perp, perp, q, perp, q)}
+            "mixed-pair": block(setting.r_mixed, leaf, ps, perp, qs),
+            "leaf-pair": block(setting.r_leaf, leaf, ps, leaf, ps),
+            "perp-pair": block(setting.r_perp, perp, qs, perp, qs)}
 
 
 def trace_identity(p: int, q: int) -> Fraction:

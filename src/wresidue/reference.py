@@ -89,11 +89,20 @@ class Model(Frame):
         self.nabtm = family("wM", mixed)
         self.smix = family("sh", mixed)
 
-        # the inward unit conormal is the last frame vector
-        self.cdxn = self.c(self.n)
-        self.cxi = CliffordElement.zero(reg)
-        for a, ind in enumerate(self.xi, start=1):
-            self.cxi = self.cxi + self.c(a) * self.var(ind)
+        # c(xi) = c(xi') + xn c(dxn): the inward unit conormal is the last
+        # frame vector
+        self.c_xi_num = self.pair(self.c)
+        self.cxi, self.cdxn = self.c_xi_num.num[0], self.c_xi_num.num[1]
+
+    def pair(self, f: Callable[[int], object]) -> XiRational:
+        """The pairing ``sum_a<n f(a)*xi_a + f(n)*xn`` of a frame-indexed ``f``
+        (numbers, polynomials or Clifford elements) with the covariable."""
+        tangential = sum(f(a) * self.var(ind) for a, ind in enumerate(self.xi, start=1))
+        return XiRational.build(self.registry, {0: tangential, 1: f(self.n)})
+
+    def field(self, atoms: tuple[Indeterminate, ...]) -> XiRational:
+        """``pair`` of a vector field given by its frame-component atoms."""
+        return self.pair(lambda a: self.var(atoms[a - 1]))
 
     # -- scalar helpers ----------------------------------------------------
 
@@ -101,35 +110,22 @@ class Model(Frame):
     def hp_poly(self) -> ScalarPoly:
         return self.var(self.hp)
 
-    @functools.cached_property
+    # X(xi) Y(xi) = t_hat + c_hat xn + n_hat xn^2
+    @property
     def t_hat(self) -> ScalarPoly:
-        out = ScalarPoly.zero(self.registry)
-        for a in range(self.n - 1):
-            for b in range(self.n - 1):
-                out = out + (self.var(self.X[a]) * self.var(self.Y[b])
-                             * self.var(self.xi[a]) * self.var(self.xi[b]))
-        return out
+        return self.t_full_num.num[0].scalar_part()
 
-    @functools.cached_property
+    @property
     def c_hat(self) -> ScalarPoly:
-        out = ScalarPoly.zero(self.registry)
-        last = self.n - 1
-        for a in range(self.n - 1):
-            mixed = (self.var(self.X[a]) * self.var(self.Y[last])
-                     + self.var(self.X[last]) * self.var(self.Y[a]))
-            out = out + mixed * self.var(self.xi[a])
-        return out
+        return self.t_full_num.num[1].scalar_part()
 
-    @functools.cached_property
+    @property
     def n_hat(self) -> ScalarPoly:
-        return self.var(self.X[-1]) * self.var(self.Y[-1])
+        return self.t_full_num.num[2].scalar_part()
 
     @functools.cached_property
     def sigma_hat(self) -> ScalarPoly:
-        out = ScalarPoly.zero(self.registry)
-        for a in range(self.n - 1):
-            out = out + self.var(self.X[a]) * self.var(self.Y[a])
-        return out
+        return sum(self.var(x) * self.var(y) for x, y in zip(self.X[:-1], self.Y[:-1]))
 
     # -- antisymmetric coefficient access ----------------------------------
 
@@ -142,30 +138,24 @@ class Model(Frame):
             return self.var(family[(a, b, d)])
         return -self.var(family[(b, a, d)])
 
-    # -- connection blocks (quadratic Clifford words) ----------------------
+    # -- connection values (quadratic Clifford words) ----------------------
 
-    def blocks(self, d: int, mixed: Mapping[tuple[int, int, int], Indeterminate]
-               ) -> tuple[CliffordElement, CliffordElement, CliffordElement]:
-        """Leaf, perp and mixed connection blocks in direction ``d``; ``mixed``
-        is the mixed family: ``nabtm`` for the base operator, ``smix`` for
-        the double-covariant symbols."""
-        return self.connection_blocks(lambda j, l: self.antisym(self.nabf, j, l, d),
-                                      lambda s, t: self.antisym(self.nabp, s, t, d),
-                                      lambda j, s: self.var(mixed[(j, s, d)]))
-
-    def connection(self, d: int, mixed) -> CliffordElement:
-        """Connection value in direction ``d``: the sum of its blocks."""
-        leaf, perp, mix = self.blocks(d, mixed)
-        return leaf + perp + mix
+    def connection(self, d: int, mixed: Mapping[tuple[int, int, int], Indeterminate]
+                   | None = None) -> CliffordElement:
+        """Connection value in direction ``d``.  ``mixed`` is the mixed
+        family, ``nabtm`` for the base operator and ``smix`` for the
+        double-covariant symbols; without it, the leaf and perp families
+        alone."""
+        return self.spin_connection(
+            lambda j, l: self.antisym(self.nabf, j, l, d),
+            lambda s, t: self.antisym(self.nabp, s, t, d),
+            None if mixed is None else lambda j, s: self.var(mixed[(j, s, d)]))
 
     @functools.cached_property
     def sigma0_base(self) -> CliffordElement:
         """Zeroth symbol of the base first-order operator: each frame letter
         against the base connection in its direction."""
-        out = CliffordElement.zero(self.registry)
-        for d in range(1, self.n + 1):
-            out = out + self.c(d) * self.connection(d, self.nabtm)
-        return out
+        return sum(self.c(d) * self.connection(d, self.nabtm) for d in range(1, self.n + 1))
 
     @functools.cached_property
     def div_poly(self) -> ScalarPoly:
@@ -204,11 +194,12 @@ class Model(Frame):
 
     @functools.cached_property
     def t_full_num(self) -> XiRational:
-        return XiRational.build(self.registry, {0: self.t_hat, 1: self.c_hat, 2: self.n_hat})
+        return self.field(self.X) * self.field(self.Y)
 
     @functools.cached_property
-    def c_xi_num(self) -> XiRational:
-        return XiRational(self.registry, {0: self.cxi, 1: self.cdxn})
+    def collar_bracket(self) -> XiRational:
+        """``3/2 hp xn``, the collar-rate term of the connection brackets."""
+        return XiRational.build(self.registry, {1: self.hp_poly * Fraction(3, 2)})
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,39 +214,22 @@ def build_model() -> Model:
 def sigma_m3_square(model: Model) -> XiRational:
     """Order ``-3`` symbol of the inverse square at the base point."""
     reg = model.registry
-    hp = model.hp_poly
-    # -2 times the base connection per direction: the first-order content
+    # -2 times the base connection paired with xi: the first-order content
     # of the squared operator's subleading symbol
-    brk0 = CliffordElement.zero(reg)
-    for k in range(1, model.n):
-        brk0 = brk0 + model.connection(k, model.nabtm) * (-2) * model.var(model.xi[k - 1])
-    brk1 = model.ident(hp * Fraction(3, 2)) + model.connection(model.n, model.nabtm) * (-2)
-    term1 = XiRational.build(reg, {1: hp * GR(0, -2)})
-    term2 = XiRational.build(reg, {0: 1, 2: 1}) * XiRational(reg, {0: brk0 * _MI, 1: brk1 * _MI})
+    bracket = model.pair(lambda d: model.connection(d, model.nabtm)) * (-2) + model.collar_bracket
+    term1 = XiRational.build(reg, {1: model.hp_poly * GR(0, -2)})
+    term2 = XiRational.build(reg, {0: 1, 2: 1}) * (bracket * _MI)
     return XiRational(reg, (term1 + term2).num, 3, 3)
 
 
 def sigma1_conn_num(model: Model) -> XiRational:
     """Numerator of the first-order double-covariant symbol (no denominator)."""
-    xblk = CliffordElement.zero(model.registry)
-    yblk = CliffordElement.zero(model.registry)
-    for d in range(1, model.n + 1):
-        blk = model.connection(d, model.smix)
-        xblk = xblk + blk * model.var(model.X[d - 1])
-        yblk = yblk + blk * model.var(model.Y[d - 1])
-    tang_x = ScalarPoly.zero(model.registry)
-    tang_y = ScalarPoly.zero(model.registry)
-    xyt = ScalarPoly.zero(model.registry)
-    for a in range(model.n - 1):
-        tang_x = tang_x + model.var(model.X[a]) * model.var(model.xi[a])
-        tang_y = tang_y + model.var(model.Y[a]) * model.var(model.xi[a])
-        xyt = xyt + model.var(model.dXY[a]) * model.var(model.xi[a])
-    d0 = (model.ident(xyt * GR_I) + yblk * (tang_x * GR_I)
-          + xblk * (tang_y * GR_I))
-    d1 = (model.ident(model.var(model.dXY[-1]) * GR_I)
-          + yblk * (model.var(model.X[-1]) * GR_I)
-          + xblk * (model.var(model.Y[-1]) * GR_I))
-    return XiRational(model.registry, {0: d0, 1: d1})
+    conn = [model.connection(d, model.smix) for d in range(1, model.n + 1)]
+    # the double-covariant connection contracted with each field
+    xblk, yblk = (sum(blk * model.var(ind) for blk, ind in zip(conn, atoms))
+                  for atoms in (model.X, model.Y))
+    return (model.field(model.dXY) + model.field(model.X) * yblk
+            + model.field(model.Y) * xblk) * GR_I
 
 
 def order_minus1_parts_d2d2(model: Model) -> dict[str, XiRational]:
@@ -313,20 +287,10 @@ def order_zero_parts_d1d3(model: Model) -> dict[str, XiRational]:
 def sigma2_cube_num(model: Model) -> XiRational:
     """Numerator of the second-order symbol of the cubed operator."""
     reg = model.registry
-    hp = model.hp_poly
-    brk0 = CliffordElement.zero(reg)
-    mn0 = CliffordElement.zero(reg)
-    for k in range(1, model.n):
-        xi_k = model.var(model.xi[k - 1])
-        leaf, perp, mixed = model.blocks(k, model.smix)
-        brk0 = brk0 + (leaf + perp + mixed) * (xi_k * 2)
-        mn0 = mn0 + (leaf + perp) * xi_k
-    leaf, perp, mixed = model.blocks(model.n, model.smix)
-    brk1 = (leaf + perp + mixed) * 2 - model.ident(hp * Fraction(3, 2))
-    mn1 = leaf + perp
-    t1 = XiRational(reg, {0: model.cdxn * hp})
-    t2 = model.c_xi_num * XiRational(reg, {0: brk0, 1: brk1}) * 2
-    t3 = XiRational(reg, {0: mn0, 1: mn1}) * XiRational.build(reg, {0: 1, 2: 1})
+    bracket = model.pair(lambda d: model.connection(d, model.smix)) * 2 - model.collar_bracket
+    t1 = XiRational(reg, {0: model.cdxn * model.hp_poly})
+    t2 = model.c_xi_num * bracket * 2
+    t3 = model.pair(model.connection) * XiRational.build(reg, {0: 1, 2: 1})
     return t1 + t2 + t3
 
 

@@ -39,6 +39,8 @@ class ClaimRecord:
     waiver: str = ""
     evidence: tuple[str, ...] = ()
     intermediates: str = ""
+    # false when the evidence a waiver would rest on has failed; not rendered
+    waivable: bool = True
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,8 @@ def _corroborate(suite, result, rows) -> dict[str, tuple[tuple[str, ...], str]]:
     """Evidence lines and note for each row that disagrees with its recorded
     value: the residue integral of every case contributing to the row
     ("total" covers them all) against quadrature, the numeric gap to the
-    recorded row, and the frozen fingerprints.
+    recorded row, and the frozen fingerprints.  The note is empty when all
+    three hold; otherwise it names what failed, and no waiver covers the row.
 
     The exact atom bindings are substituted before integrating, so the
     quadrature runs over a constant-coefficient rational function; each
@@ -230,8 +231,11 @@ def _corroborate(suite, result, rows) -> dict[str, tuple[tuple[str, ...], str]]:
         frozen_ok = all(reference.row_fingerprint(model, row, off, mul) == fingerprints[tag][label]
                         for tag, off, mul in reference.FINGERPRINT_RECIPES)
         evidence.append(f"engine equals frozen re-derived value: {frozen_ok}")
-        complete = cases_ok and frozen_ok and gap > NUMERIC_RTOL
-        out[label] = (tuple(evidence), "" if complete else "corroboration incomplete")
+        checks = {"quadrature": cases_ok, "frozen re-derived value": frozen_ok,
+                  "gap to recorded value": gap > NUMERIC_RTOL}
+        failed = ", ".join(what for what, ok in checks.items() if not ok)
+        out[label] = (tuple(evidence), failed and
+                      f"corroboration incomplete, so no waiver applies; failed: {failed}")
     return out
 
 
@@ -270,7 +274,7 @@ def _boundary_records(suite, emit) -> tuple[list[ClaimRecord], dict[str, str]]:
             texts[inter] = _intermediate_text(suite, result, label, row, computed, recorded)
         evidence, note = corroborated.get(label, ((), ""))
         records.append(_claim(label, recorded, computed, row == want, note=note,
-                              evidence=evidence, intermediates=inter))
+                              evidence=evidence, intermediates=inter, waivable=not note))
 
     case_sum = sum((expected[label] for label in _ROW_ORDER[:-1]),
                    ScalarPoly.zero(model.registry))
@@ -320,7 +324,8 @@ def _checked_waivers(environ=None):
 
 
 def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
-    """Recompute one suite, then give each mismatch its waiver, if any.
+    """Recompute one suite, then give each waivable mismatch its waiver, if
+    any.
 
     Waivers passed in are taken as checked (:func:`run` checks them once,
     before any suite runs); without them, :func:`_checked_waivers` loads and
@@ -345,7 +350,7 @@ def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
         raise ConfigurationError(f"cannot write intermediate file: {exc}") from exc
     return SuiteReport(suite=name, records=tuple(
         replace(r, waiver=waiver_reason(waivers, name, r.record_id))
-        if r.status == STATUS_MISMATCH else r for r in records))
+        if r.status == STATUS_MISMATCH and r.waivable else r for r in records))
 
 
 def run(names, fmt="json", emit_dir=None, environ=None):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,21 @@ from wresidue.interior import (
 from wresidue.reference import INTERIOR_CASES, interior_expected
 
 RANKS = ((2, 2), (4, 2), (2, 4))
+
+
+def test_registry_dump_pinned():
+    """Atoms are added on first request, so the order in which the
+    endomorphism blocks and the connection terms ask for their coefficients
+    sets every atom id; this pins that order for all three rank splits."""
+    dumps = []
+    for p, q in RANKS:
+        setting = InteriorSetting(p, q)
+        endomorphism_blocks(setting)
+        for tag in ("a", "b", "Da", "Db", "L"):
+            setting.connection_term(tag)
+        dumps.append([[i.id, i.name, i.kind] for i in setting.registry])
+    assert hashlib.sha256(json.dumps(dumps).encode()).hexdigest() == (
+        "277312a7b13cf4c77941e862264bf2feafcb4a8d55ff95e5754736ccec38b044")
 
 
 def test_trace_identity_values():

@@ -18,6 +18,7 @@ from wresidue.reference import (
     row,
     row_fingerprint,
 )
+from wresidue.clifford import CF, CN, CliffordElement
 from wresidue.report import structured_render
 from wresidue.scalars import GR, KIND_CONN, KIND_MARKER, KIND_X, KIND_Y, ScalarPoly
 from wresidue.sphere import integrate_sphere
@@ -53,6 +54,65 @@ def test_quadratic_blocks(model):
         xa = model.registry.by_name(f"X{a}")
         ya = model.registry.by_name(f"Y{a}")
         assert sig.coefficient_of({xa: 1, ya: 1}).constant_part() == GR(1)
+
+
+# rational points (xi', xn, X, Y) at which pairings are evaluated exactly
+PAIR_POINTS = (
+    ((Fraction(1, 2), Fraction(-3), Fraction(2, 7)), Fraction(5, 3),
+     (Fraction(1), Fraction(-2, 3), Fraction(4), Fraction(1, 5)),
+     (Fraction(-7, 2), Fraction(3, 4), Fraction(0), Fraction(9, 8))),
+    ((Fraction(-4, 5), Fraction(1, 3), Fraction(6)), Fraction(-1, 2),
+     (Fraction(2, 9), Fraction(5), Fraction(-1, 4), Fraction(-3)),
+     (Fraction(1, 6), Fraction(-2), Fraction(7, 3), Fraction(1, 2))),
+)
+
+
+def _at(model, xi, point) -> CliffordElement:
+    """The exact value of a polynomial ``XiRational`` at one point."""
+    tang, xn, x, y = point
+    bindings = {ind: GR(v) for atoms, vals in ((model.xi, tang), (model.X, x), (model.Y, y))
+                for ind, v in zip(atoms, vals)}
+    return sum((c.substitute(bindings) * GR(xn) ** m for m, c in xi.num.items()),
+               CliffordElement.zero(model.registry))
+
+
+@pytest.mark.parametrize("point", PAIR_POINTS)
+def test_pair_is_the_covariable_pairing(model, point):
+    tang, xn, x, _ = point
+    covector = (*tang, xn)
+    assert _at(model, model.pair(lambda a: a * a), point) == model.ident(
+        sum(a * a * v for a, v in enumerate(covector, start=1)))
+    assert _at(model, model.field(model.X), point) == model.ident(
+        sum(u * v for u, v in zip(x, covector)))
+    assert _at(model, model.pair(model.c), point) == sum(
+        (model.c(a) * v for a, v in enumerate(covector, start=1)),
+        CliffordElement.zero(model.registry))
+    assert model.c_xi_num == model.pair(model.c)
+
+
+@pytest.mark.parametrize("point", PAIR_POINTS)
+def test_t_full_num_is_the_product_of_the_field_pairings(model, point):
+    tang, xn, x, y = point
+    tx, ty = (sum(u * v for u, v in zip(f, tang)) for f in (x, y))
+    want = (tx + x[-1] * xn) * (ty + y[-1] * xn)
+    assert _at(model, model.t_full_num, point) == model.ident(want)
+    coefficients = ((model.t_hat, tx * ty), (model.c_hat, tx * y[-1] + x[-1] * ty),
+                    (model.n_hat, x[-1] * y[-1]))
+    for poly, value in coefficients:
+        assert _at(model, XiRational.build(model.registry, {0: poly}), point) == model.ident(value)
+
+
+def test_mixed_connection_family_holds_only_mixed_words(model):
+    """Without a mixed family the connection is its leaf and perp families;
+    adding ``smix`` adds exactly the half-weighted c(f_j) c(h_s) words."""
+    for d in range(1, model.n + 1):
+        diff = model.connection(d, model.smix) - model.connection(d)
+        assert diff
+        assert all(len(w) == 2 and w[0][0] == CF and w[1][0] == CN for w in diff.terms)
+        assert diff == sum((model.c(j) * model.c(model.p + s) * model.var(ind) * Fraction(1, 2)
+                            for (j, s, e), ind in model.smix.items() if e == d),
+                           CliffordElement.zero(model.registry))
+        assert not any(w in diff.terms for w in model.connection(d).terms)
 
 
 ROW_SHAPES = ("sigma_hp", "normal_hp", "xy_pi", "xy", "sigma_div", "normal_div",

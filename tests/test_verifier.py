@@ -1,11 +1,12 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from wresidue import reference
+from wresidue import interior, reference, verifier
 from wresidue.report import (
     REPORT_VERSION,
     STATUS_FLAG,
@@ -341,6 +342,44 @@ def test_cli_intermediate_write_error_exits_two(tmp_path, monkeypatch, capsys):
     assert err.endswith("\n") and err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == [f"boundary-d2d2-{label}.txt" for label in
                                             ("a-I", "a-II", "a-III", "b", "c")]
+
+
+def test_waiver_lapses_when_the_engine_drifts(monkeypatch):
+    """A waiver covers a row only while its corroboration is complete:
+    doubling the engine's row ``c`` (and ``total`` by the same amount)
+    breaks the frozen fingerprints, so both rows fail the run."""
+    monkeypatch.delenv(WAIVER_ENV, raising=False)
+    assert run(("boundary-d2d2",))[0] == 0
+    orig = verifier.assemble_boundary
+
+    def drifted(suite):
+        res = orig(suite)
+        c = res.groups["c"]
+        return replace(res, groups={**res.groups, "c": c * 2}, total=res.total + c)
+
+    monkeypatch.setattr(verifier, "assemble_boundary", drifted)
+    code, text = run(("boundary-d2d2",))
+    assert code == 1
+    records = {r["id"]: r for r in _by_suite(text)["boundary-d2d2"]}
+    for label in ("c", "total"):
+        assert records[label]["status"] == STATUS_MISMATCH
+        assert records[label]["waiver"] == ""
+        assert records[label]["note"] == ("corroboration incomplete, so no waiver applies; "
+                                          "failed: frozen re-derived value")
+
+
+def test_cli_engine_exception_exits_three(monkeypatch, capsys):
+    """An exception from the engine is an internal error: exit 3 and one
+    stderr line, not a traceback and not the mismatch code 1."""
+    def broken(p, q, n):
+        raise ValueError("connection curvature two-form has nonzero fiber trace\n(probe)")
+
+    monkeypatch.setattr(interior, "first_principles_coefficients", broken)
+    assert main(["--suite", "interior"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("wres-verify: internal error: ValueError: connection curvature "
+                   "two-form has nonzero fiber trace (probe)\n")
 
 
 def test_cli_parser_defaults():
