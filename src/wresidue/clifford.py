@@ -321,10 +321,13 @@ class Frame:
         """
         gen, ps, qs = self.gen, range(1, self.p + 1), range(1, self.q + 1)
         quarter = GaussianRational(Fraction(1, 4))
-        families = [(product(ps, ps), leaf, lambda j, l: gen(CF, j) * gen(CF, l), quarter),
-                    (product(qs, qs), perp,
-                     lambda s, t: gen(CN, s) * gen(CN, t) - gen(HC, s) * gen(HC, t), quarter)]
-        if mix is not None:
-            families.append((product(ps, qs), mix, lambda j, s: gen(CF, j) * gen(CN, s),
-                             GaussianRational(Fraction(1, 2))))
-        return sum((self.family(*fam) for fam in families), CliffordElement.zero(self.registry))
+        out = (self.family(product(ps, ps), leaf, lambda j, l: gen(CF, j) * gen(CF, l), quarter)
+               + self.family(product(qs, qs), perp, lambda s, t: gen(CN, s) * gen(CN, t)
+                             - gen(HC, s) * gen(HC, t), quarter))
+        return out if mix is None else out + self.mixed_connection(mix)
+
+    def mixed_connection(self, mix: Callable[[int, int], ScalarPoly]) -> CliffordElement:
+        """The mixed family of :meth:`spin_connection` alone."""
+        return self.family(product(range(1, self.p + 1), range(1, self.q + 1)), mix,
+                           lambda j, s: self.gen(CF, j) * self.gen(CN, s),
+                           GaussianRational(Fraction(1, 2)))

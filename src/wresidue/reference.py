@@ -226,10 +226,10 @@ def sigma1_conn_num(model: Model) -> XiRational:
     """Numerator of the first-order double-covariant symbol (no denominator)."""
     conn = [model.connection(d, model.smix) for d in range(1, model.n + 1)]
     # the double-covariant connection contracted with each field
-    xblk, yblk = (sum(blk * model.var(ind) for blk, ind in zip(conn, atoms))
+    xblk, yblk = (sum(blk * model.var(ind) for blk, ind in zip(conn, atoms)) * GR_I
                   for atoms in (model.X, model.Y))
-    return (model.field(model.dXY) + model.field(model.X) * yblk
-            + model.field(model.Y) * xblk) * GR_I
+    return (model.field(model.dXY) * GR_I + model.field(model.X) * yblk
+            + model.field(model.Y) * xblk)
 
 
 def order_minus1_parts_d2d2(model: Model) -> dict[str, XiRational]:
@@ -287,10 +287,12 @@ def order_zero_parts_d1d3(model: Model) -> dict[str, XiRational]:
 def sigma2_cube_num(model: Model) -> XiRational:
     """Numerator of the second-order symbol of the cubed operator."""
     reg = model.registry
-    bracket = model.pair(lambda d: model.connection(d, model.smix)) * 2 - model.collar_bracket
+    conn = model.pair(model.connection)
+    mixed = model.pair(lambda d: model.mixed_connection(
+        lambda j, s: model.var(model.smix[(j, s, d)])))
     t1 = XiRational(reg, {0: model.cdxn * model.hp_poly})
-    t2 = model.c_xi_num * bracket * 2
-    t3 = model.pair(model.connection) * XiRational.build(reg, {0: 1, 2: 1})
+    t2 = model.c_xi_num * ((conn + mixed) * 4 - model.collar_bracket * 2)
+    t3 = conn * XiRational.build(reg, {0: 1, 2: 1})
     return t1 + t2 + t3
 
 

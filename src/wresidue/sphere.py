@@ -88,9 +88,9 @@ def numeric_sphere_oracle(poly: ScalarPoly, xi_inds: Sequence[Indeterminate],
     """
     if len(xi_inds) != 3:
         raise ValueError("oracle is specific to three covariable components")
-    from scipy.special import roots_legendre
+    from numpy.polynomial.legendre import leggauss
 
-    nodes, weights = roots_legendre(N_POLAR)
+    nodes, weights = leggauss(N_POLAR)
     base = dict(bindings or {})
     total = 0j
     dphi = 2.0 * math.pi / N_AZIMUTH

@@ -12,6 +12,7 @@ numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -429,15 +430,9 @@ def xi_integral(f: XiRational, pi_ind: Indeterminate) -> CliffordElement:
 
 
 def numeric_xi_oracle(f: XiRational, bindings: Mapping[int, complex] | None = None) -> complex:
-    """Adaptive quadrature of the identity-word component over the real line."""
-    from scipy.integrate import quad
+    """QAGIE quadrature of the real and of the imaginary part of the
+    identity-word component over the real line, one evaluation per abscissa."""
+    from .quadpack import qagie  # only the corroboration needs it; set-up stays lean
 
-    def real_part(x: float) -> float:
-        return f.eval_scalar_complex(x, bindings).real
-
-    def imag_part(x: float) -> float:
-        return f.eval_scalar_complex(x, bindings).imag
-
-    re, _ = quad(real_part, -math.inf, math.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
-    im, _ = quad(imag_part, -math.inf, math.inf, epsabs=1e-12, epsrel=1e-12, limit=400)
-    return complex(re, im)
+    value = functools.cache(lambda x: f.eval_scalar_complex(x, bindings))
+    return complex(qagie(lambda x: value(x).real)[0], qagie(lambda x: value(x).imag)[0])
