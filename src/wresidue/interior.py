@@ -16,7 +16,6 @@ table, which lives in :mod:`wresidue.reference`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -94,21 +93,13 @@ def endomorphism_blocks(setting: InteriorSetting) -> dict[str, CliffordElement]:
             "perp-pair": block(setting.r_perp, perp, qs, perp, qs)}
 
 
-def trace_identity(p: int, q: int) -> Fraction:
-    setting = InteriorSetting(p, q)
-    return setting.ident().trace(p, q).constant_part().re
-
-
-def trace_endomorphism(p: int, q: int) -> tuple[Fraction, dict[str, ScalarPoly]]:
+def trace_endomorphism(setting: InteriorSetting) -> tuple[Fraction, dict[str, ScalarPoly]]:
     """Coefficient of the scalar-curvature marker in the endomorphism trace,
     together with the per-block traces (the curvature blocks must all trace
     to zero)."""
-    setting = InteriorSetting(p, q)
-    blocks = endomorphism_blocks(setting)
-    traces = {name: el.trace(p, q) for name, el in blocks.items()}
-    total = ScalarPoly.zero(setting.registry)
-    for tr in traces.values():
-        total = total + tr
+    p, q = setting.p, setting.q
+    traces = {name: el.trace(p, q) for name, el in endomorphism_blocks(setting).items()}
+    total = sum(traces.values(), ScalarPoly.zero(setting.registry))
     co = total.coefficient_of({setting.scurv: 1})
     if not co.is_constant():
         raise ValueError("endomorphism trace is not a pure scalar-curvature multiple")
@@ -118,14 +109,16 @@ def trace_endomorphism(p: int, q: int) -> tuple[Fraction, dict[str, ScalarPoly]]
     return co.constant_part().re, traces
 
 
-def curvature_form_traces(p: int, q: int) -> dict[str, ScalarPoly]:
-    """Fiber traces of every term of the connection curvature two-form.
+def curvature_form_traces(setting: InteriorSetting) -> dict[str, ScalarPoly]:
+    """Fiber traces of the four terms of the connection curvature two-form
+    ``X(w(Y)) - Y(w(X)) + [w(X), w(Y)] - w([X, Y])``, each with its sign, so
+    that they sum to the trace of the two-form.
 
     The derivative terms and the bracket term are connection-form values with
     fresh atom families, so their traces vanish term by term; the commutator
-    trace vanishes by cyclicity.  All four must be the zero polynomial.
+    trace vanishes by cyclicity.
     """
-    setting = InteriorSetting(p, q)
+    p, q = setting.p, setting.q
     a = setting.connection_term("a")
     b = setting.connection_term("b")
     da = setting.connection_term("Da")   # direction-a derivative of the b-form
@@ -133,38 +126,28 @@ def curvature_form_traces(p: int, q: int) -> dict[str, ScalarPoly]:
     br = setting.connection_term("L")    # value on the frame bracket
     return {
         "derivative-forward": da.trace(p, q),
-        "derivative-backward": db.trace(p, q),
+        "derivative-backward": -db.trace(p, q),
         "commutator": (a * b - b * a).trace(p, q),
-        "frame-bracket": br.trace(p, q),
+        "frame-bracket": -br.trace(p, q),
     }
 
 
-@dataclass(frozen=True)
-class InteriorCoefficients:
-    """Exact coefficients: the quadratic-form weight as a rational multiple
-    of ``pi**(n/2)``, the metric scalar-curvature weight, the two-form
-    weight, and the endomorphism-trace multiple of the curvature marker."""
-
-    einstein: Fraction
-    scalar: Fraction
-    two_form: Fraction
-    endo_trace: Fraction
-
-
-def first_principles_coefficients(p: int, q: int, n: int) -> InteriorCoefficients:
+def first_principles_coefficients(p: int, q: int, n: int) -> dict[str, Fraction | ScalarPoly]:
+    """The interior coefficients keyed as :func:`reference.interior_expected`:
+    the quadratic-form weight ``v * Tr(Id) / 6`` and the two-form weight
+    ``v / 2 * tr(Omega)``, both in units of ``pi**(n/2)``, the metric
+    scalar-curvature weight, and the endomorphism-trace multiple of the
+    curvature marker."""
     if n % 2:
         raise ValueError("only even total dimension is supported")
-    m = n // 2
-    tr_id = trace_identity(p, q)
-    endo_co, _ = trace_endomorphism(p, q)
-    flat = curvature_form_traces(p, q)
-    if any(not tr.is_zero() for tr in flat.values()):
-        raise ValueError("connection curvature two-form has nonzero fiber trace")
+    setting = InteriorSetting(p, q)
+    endo_co, _ = trace_endomorphism(setting)
+    two_form = sum(curvature_form_traces(setting).values(), ScalarPoly.zero(setting.registry))
     # sphere volume 2*pi**m/Gamma(m); pi**m stays implicit in the field
-    gamma_m = Fraction(math.factorial(m - 1))
-    return InteriorCoefficients(
-        einstein=Fraction(2) * tr_id / (6 * gamma_m),
-        scalar=endo_co / 2,
-        two_form=Fraction(0),
-        endo_trace=endo_co,
-    )
+    vol = Fraction(2, math.factorial(n // 2 - 1))
+    return {
+        "einstein": vol * setting.ident().trace(p, q).constant_part().re / 6,
+        "scalar": endo_co / 2,
+        "two-form": two_form * GR(vol / 2),
+        "endo-trace": endo_co,
+    }

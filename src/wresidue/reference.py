@@ -536,6 +536,7 @@ def display_checks(suite: Suite) -> tuple[DisplayCheck, ...]:
 
     if suite.name == "boundary-d2d2":
         base = pi_plus(suite.left[0][0])
+        d_base = xi_derivative(base)
         return (
             DisplayCheck("plus-part-base", base, XiRational.build(
                 reg, {0: (t - nn) * GR(0, _HALF) - c * GR(_HALF)}, 1)),
@@ -543,29 +544,31 @@ def display_checks(suite: Suite) -> tuple[DisplayCheck, ...]:
                 reg, {0: t * (hp * GR(Fraction(-1, 2))) + c * (hp * GR(0, Fraction(-1, 4))),
                       1: (t + nn) * (hp * GR(0, Fraction(-1, 4)))}, 2),
                 note="source line omits the collar-rate factor on the two mixed terms"),
-            DisplayCheck("plus-part-first-derivative", xi_derivative(base), XiRational.build(
+            DisplayCheck("plus-part-first-derivative", d_base, XiRational.build(
                 reg, {0: (t - nn) * GR(0, Fraction(-1, 2)) + c * GR(_HALF)}, 2)),
-            DisplayCheck("plus-part-second-derivative", xi_derivative(base, 2),
+            DisplayCheck("plus-part-second-derivative", xi_derivative(d_base),
                          XiRational.build(reg, {0: (t - nn) * GR_I - c}, 3),
                          note="imaginary unit restored on the normal-normal coefficient"),
-            DisplayCheck("right-second-derivative", xi_derivative(suite.right[-2][0], 2),
+            DisplayCheck("right-second-derivative",
+                         xi_derivative(xi_derivative(suite.right[-2][0])),
                          XiRational.build(reg, {0: -2, 2: 6}, 3, 3)),
         )
 
     xi_c = model.cxi + model.cdxn * GR_I          # c(xi') + i c(dxn)
     theta = model.cxi * _MI + model.cdxn          # -i c(xi') + c(dxn)
     base = pi_plus(suite.left[1][0])
+    d_base, d_right = xi_derivative(base), xi_derivative(suite.right[-3][0])
     return (
         DisplayCheck("plus-part-base", base, XiRational(
             reg, {0: xi_c * ((nn - t) * GR(_HALF)) + theta * (c * GR(_HALF))}, 1)),
-        DisplayCheck("plus-part-first-derivative", xi_derivative(base), XiRational(
+        DisplayCheck("plus-part-first-derivative", d_base, XiRational(
             reg, {0: xi_c * ((t - nn) * GR(_HALF)) - theta * (c * GR(_HALF))}, 2)),
-        DisplayCheck("plus-part-second-derivative", xi_derivative(base, 2),
+        DisplayCheck("plus-part-second-derivative", xi_derivative(d_base),
                      XiRational(reg, {0: xi_c * (nn - t) + theta * c}, 3)),
-        DisplayCheck("right-first-derivative", xi_derivative(suite.right[-3][0]), XiRational(
+        DisplayCheck("right-first-derivative", d_right, XiRational(
             reg, {0: model.cdxn * GR_I, 1: model.cxi * GR(0, -4),
                   2: model.cdxn * GR(0, -3)}, 3, 3)),
-        DisplayCheck("right-second-derivative", xi_derivative(suite.right[-3][0], 2), XiRational(
+        DisplayCheck("right-second-derivative", xi_derivative(d_right), XiRational(
             reg, {0: model.cxi * GR(0, -4), 1: model.cdxn * GR(0, -12),
                   2: model.cxi * GR(0, 20), 3: model.cdxn * GR(0, 12)}, 4, 4)),
     )

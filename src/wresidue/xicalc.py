@@ -142,10 +142,6 @@ class XiRational:
         return XiRational(registry, {})
 
     @staticmethod
-    def const(registry: Registry, value) -> "XiRational":
-        return XiRational(registry, {0: _coerce_cliff(registry, value)})
-
-    @staticmethod
     def build(registry: Registry, num: Mapping[int, object], a: int = 0, b: int = 0) -> "XiRational":
         """Numerator entries may be Clifford elements, scalar polys, or numbers."""
         return XiRational(registry, {m: _coerce_cliff(registry, v) for m, v in num.items()}, a, b)
@@ -184,7 +180,7 @@ class XiRational:
 
     def __add__(self, other):
         if not isinstance(other, XiRational):
-            other = XiRational.const(self.registry, other)
+            other = XiRational.build(self.registry, {0: other})
         n1, n2, a, b = self._aligned(other)
         out = dict(n1)
         for m, c in n2.items():
@@ -283,9 +279,9 @@ class XiRational:
         center = GR_I if at_plus else -GR_I
         far = _FAR_PLUS if at_plus else -_FAR_PLUS  # value of the other linear factor
         own, other = (self.a, self.b) if at_plus else (self.b, self.a)
-        deg = self.degree()
         shifted: NumDict = {}
-        for k in range(deg + 1):
+        # only S_k with k < own reach a principal coefficient
+        for k in range(min(own, self.degree() + 1)):
             acc = self._shifted(k, center)
             if acc:
                 shifted[k] = acc
@@ -373,9 +369,6 @@ class XiRational:
 
     # -- numeric evaluation ------------------------------------------------
 
-    def scalar_part(self) -> "XiRational":
-        return self.map_coeffs(lambda c: CliffordElement.identity(self.registry, c.scalar_part()))
-
     def eval_scalar_complex(self, xn: complex, bindings: Mapping[int, complex] | None = None) -> complex:
         """Evaluate the identity-word component at a numeric point."""
         bindings = bindings or {}
@@ -411,22 +404,10 @@ class XiRational:
 # -- module-level operation names ------------------------------------------
 
 
-def xi_derivative(f: XiRational, order: int = 1) -> XiRational:
-    for _ in range(order):
-        f = f.xi_derivative()
-    return f
-
-
-def pi_plus(f: XiRational) -> XiRational:
-    return f.pi_plus()
-
-
-def pi_minus(f: XiRational) -> XiRational:
-    return f.pi_minus()
-
-
-def xi_integral(f: XiRational, pi_ind: Indeterminate) -> CliffordElement:
-    return f.integrate(pi_ind)
+xi_derivative = XiRational.xi_derivative
+pi_plus = XiRational.pi_plus
+pi_minus = XiRational.pi_minus
+xi_integral = XiRational.integrate
 
 
 def numeric_xi_oracle(f: XiRational, bindings: Mapping[int, complex] | None = None) -> complex:

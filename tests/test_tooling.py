@@ -1,5 +1,6 @@
 """Tooling that wraps the package from outside must keep finding its targets."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,23 @@ def test_benchmark_tracer_covers_every_target(monkeypatch):
         pytest.fail(f"tracer coverage: {exc}")
     finally:
         spans.uninstall()
+
+
+def test_property_sweep_checks_hold_once(monkeypatch):
+    """Each property of the benchmark's sweep, and one sphere moment, runs
+    once and holds; deleting or renaming a name the sweep calls fails here
+    and not only in the benchmark."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import sweep
+    from wresidue import scalars
+
+    for name, check, _ in sweep.PROPERTIES:
+        reg = scalars.Registry()
+        pi = reg.add("pi", scalars.KIND_MARKER)
+        assert check(random.Random(f"1/{name}"), reg, pi), name
+    reg = scalars.Registry()
+    xi = tuple(reg.add(f"xi{k}", scalars.KIND_XI) for k in (1, 2, 3))
+    assert sweep.sphere_moment((2, 2, 2), reg, xi)
 
 
 def test_rendering_and_orchestration_name_no_atom():

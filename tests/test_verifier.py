@@ -215,6 +215,26 @@ def test_environment_waiver_covers_interior_records(monkeypatch, tmp_path):
     assert record["waiver"] == "tampered closed form"
 
 
+
+def test_nonzero_two_form_trace_is_a_mismatch(monkeypatch):
+    """An identity-word part in one connection term gives the curvature
+    two-form a nonzero fiber trace: exactly the three two-form records
+    mismatch, with exit 1, and nothing raises."""
+    orig = interior.InteriorSetting.connection_term
+
+    def with_identity(self, tag):
+        term = orig(self, tag)
+        return term + self.ident(self.conn_leaf(tag, 1, 2)) if tag == "Da" else term
+
+    monkeypatch.setattr(interior.InteriorSetting, "connection_term", with_identity)
+    code, text = run(("interior",), environ={})
+    assert code == 1
+    mismatched = {r["id"]: (r["recorded"], r["computed"]) for r in _by_suite(text)["interior"]
+                  if r["status"] == STATUS_MISMATCH}
+    assert mismatched == {"rank-2-2-dim-4-two-form": ("0", "8*wDaF12"),
+                          "rank-4-0-dim-4-two-form": ("0", "4*wDaF12"),
+                          "rank-2-4-dim-6-two-form": ("0", "16*wDaF12")}
+
 # -- command line ------------------------------------------------------------
 
 
