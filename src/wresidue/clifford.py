@@ -65,6 +65,11 @@ def word_mul(w1: Word, w2: Word) -> tuple[int, Word]:
     return sign, word
 
 
+# word_mul results by word pair, filled on first use, and under the key None
+# the square signs they were built from: a patched _SQ_SIGN starts it afresh
+_WORD_PRODUCTS: dict = {}
+
+
 def fiber_dimension(p: int, q: int) -> int:
     """Fiber rank of the twisted spinor bundle the algebra acts on."""
     if p % 2:
@@ -91,8 +96,16 @@ class CliffordElement:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _pruned(registry: Registry, terms: dict) -> "CliffordElement":
+        """An element from nonzero coefficients over ``registry``, taken as is."""
+        out = object.__new__(CliffordElement)
+        out.registry = registry
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero(registry: Registry) -> "CliffordElement":
-        return CliffordElement(registry, {})
+        return CliffordElement._pruned(registry, {})
 
     @staticmethod
     def _monomial(registry: Registry, word: Word, coeff) -> "CliffordElement":
@@ -138,12 +151,12 @@ class CliffordElement:
                 out.pop(word, None)
             else:
                 out[word] = acc
-        return CliffordElement(self.registry, out)
+        return CliffordElement._pruned(self.registry, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CliffordElement(self.registry, {w: -c for w, c in self.terms.items()})
+        return CliffordElement._pruned(self.registry, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -154,36 +167,39 @@ class CliffordElement:
         return other if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
-            if isinstance(other, ScalarPoly) and other.registry is not self.registry:
+        reg = self.registry
+        if other.__class__ is not CliffordElement:
+            if not isinstance(other, (int, Fraction, GaussianRational, ScalarPoly)):
+                return NotImplemented
+            if isinstance(other, ScalarPoly) and other.registry is not reg:
                 raise RegistryMismatchError("coefficient over distinct registry")
-            return CliffordElement(
-                self.registry, {w: c * other for w, c in self.terms.items()}
-            )
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        # a factor on the identity word alone is a scalar: no word products
-        if len(other.terms) == 1 and () in other.terms:
-            scalar = other.terms[()]
-            return CliffordElement(self.registry, {w: c * scalar for w, c in self.terms.items()})
-        if len(self.terms) == 1 and () in self.terms:
-            scalar = self.terms[()]
-            return CliffordElement(self.registry, {w: scalar * c for w, c in other.terms.items()})
+            # the coefficients form an integral domain: only 0 gives 0
+            return CliffordElement._pruned(
+                reg, {w: c * other for w, c in self.terms.items()} if other else {})
+        if other.registry is not reg:
+            raise RegistryMismatchError("elements over distinct registries")
+        table = _WORD_PRODUCTS
+        if table.get(None) != _SQ_SIGN:
+            table.clear()
+            table[None] = dict(_SQ_SIGN)
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            (w1, c1), = self.terms.items()
+            (w2, c2), = other.terms.items()
+            sign, word = table.get((w1, w2)) or table.setdefault((w1, w2), word_mul(w1, w2))
+            piece = c1 * c2
+            return CliffordElement._pruned(reg, {word: piece if sign > 0 else -piece})
         out: dict[Word, ScalarPoly] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                sign, word = word_mul(w1, w2)
-                piece = c1 * c2
-                if sign < 0:
-                    piece = -piece
+                sign, word = table.get((w1, w2)) or table.setdefault((w1, w2), word_mul(w1, w2))
+                piece = c1 * c2 if sign > 0 else -(c1 * c2)
                 acc = out.get(word)
                 acc = piece if acc is None else acc + piece
                 if acc.is_zero():
                     out.pop(word, None)
                 else:
                     out[word] = acc
-        return CliffordElement(self.registry, out)
+        return CliffordElement._pruned(reg, out)
 
     def __rmul__(self, other):
         # only a number or a polynomial lands here, and it commutes
@@ -233,6 +249,11 @@ class CliffordElement:
             piece = c1 * c2 * (sign * dim)
             acc = piece if acc is None else acc + piece
         return acc if acc is not None else ScalarPoly.zero(self.registry)
+
+    def times_i_pow(self, k: int) -> "CliffordElement":
+        """``self * i**k`` by quarter turns of every coefficient."""
+        return CliffordElement._pruned(self.registry,
+                                       {w: c.times_i_pow(k) for w, c in self.terms.items()})
 
     def map_coeffs(self, fn: Callable[[ScalarPoly], ScalarPoly]) -> "CliffordElement":
         return CliffordElement(self.registry, {w: fn(c) for w, c in self.terms.items()})

@@ -8,6 +8,8 @@ traces on randomly generated elements.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .clifford import CF, CN, HC, CliffordElement, Word
@@ -35,11 +37,14 @@ def generator_matrices() -> dict[tuple[int, int], np.ndarray]:
     }
 
 
+@functools.cache
 def word_matrix(word: Word) -> np.ndarray:
+    """The word's matrix, built on first use and then shared read-only."""
     out = np.eye(8, dtype=complex)
     mats = generator_matrices()
     for g in word:
         out = out @ mats[g]
+    out.flags.writeable = False
     return out
 
 

@@ -41,6 +41,9 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
+        if re.__class__ is int and im.__class__ is int:
+            self._a, self._b, self._d = re, im, 1
+            return
         re, im = _frac(re), _frac(im)
         d1, d2 = re.denominator, im.denominator
         d = d1 if d1 == d2 else d1 * d2 // gcd(d1, d2)
@@ -350,14 +353,12 @@ class ScalarPoly:
 
     @staticmethod
     def zero(registry: Registry) -> "ScalarPoly":
-        return ScalarPoly(registry, {})
+        return ScalarPoly._pruned(registry, {})
 
     @staticmethod
     def const(registry: Registry, value) -> "ScalarPoly":
         value = _as_gr(value)
-        if value.is_zero():
-            return ScalarPoly.zero(registry)
-        return ScalarPoly(registry, {(): value})
+        return ScalarPoly._pruned(registry, {(): value} if value else {})
 
     @staticmethod
     def var(registry: Registry, ind: Indeterminate, exp: int = 1) -> "ScalarPoly":
@@ -427,6 +428,9 @@ class ScalarPoly:
         other = self._lift(other)
         if other is NotImplemented:
             return other
+        if other.__class__ is ScalarPoly and len(other.terms) == 1:
+            # a constant polynomial scales like its one coefficient
+            other = other.terms.get((), other)
         if other.__class__ is GaussianRational:
             if not other:
                 return ScalarPoly.zero(self.registry)
@@ -460,6 +464,11 @@ class ScalarPoly:
             base = base * base
             n >>= 1
         return out
+
+    def times_i_pow(self, k: int) -> "ScalarPoly":
+        """``self * i**k``, each coefficient turned by a quarter ``k`` times."""
+        return ScalarPoly._pruned(self.registry,
+                                  {m: c.times_i_pow(k) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ScalarPoly):

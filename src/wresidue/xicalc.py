@@ -77,25 +77,25 @@ def _vanishes_at(num: NumDict, sign: int) -> bool:
     return True
 
 
-def _synthetic_div(num: NumDict, registry: Registry, c: GaussianRational) -> NumDict:
-    """Divide by (xn - c) and drop the remainder.  Canonicalisation divides
-    only after checking that the remainder vanishes; ``polynomial_part``
-    drops a nonzero remainder on purpose."""
+def _synthetic_div(num: NumDict, registry: Registry, sign: int) -> NumDict:
+    """Divide by (xn - sign * i) and drop the remainder.  Canonicalisation
+    divides only after checking that the remainder vanishes;
+    ``polynomial_part`` drops a nonzero remainder on purpose."""
     quot: NumDict = {}
     carry = CliffordElement.zero(registry)
     for m in range(max(num, default=0), 0, -1):
-        carry = carry * c + num.get(m, CliffordElement.zero(registry)) if carry else num.get(m, CliffordElement.zero(registry))
+        carry = carry.times_i_pow(sign) + num.get(m, CliffordElement.zero(registry)) if carry else num.get(m, CliffordElement.zero(registry))
         if carry:
             quot[m - 1] = carry
     return quot
 
 
-def _num_mul_linear(num: NumDict, registry: Registry, c: GaussianRational) -> NumDict:
-    """Multiply the numerator by (xn - c)."""
+def _num_mul_linear(num: NumDict, registry: Registry, sign: int) -> NumDict:
+    """Multiply the numerator by (xn - sign * i); -sign * i is i**(sign + 2)."""
     out: NumDict = {}
     for m, coeff in num.items():
         out[m + 1] = out.get(m + 1, CliffordElement.zero(registry)) + coeff
-        out[m] = out.get(m, CliffordElement.zero(registry)) - coeff * c
+        out[m] = out.get(m, CliffordElement.zero(registry)) + coeff.times_i_pow(sign + 2)
     return _clean(out)
 
 
@@ -123,10 +123,10 @@ class XiRational:
         cleaned = _clean(num or {})
         # canonical form: strip linear factors shared with the denominator
         while cleaned and a > 0 and _vanishes_at(cleaned, 1):
-            cleaned = _synthetic_div(cleaned, registry, GR_I)
+            cleaned = _synthetic_div(cleaned, registry, 1)
             a -= 1
         while cleaned and b > 0 and _vanishes_at(cleaned, -1):
-            cleaned = _synthetic_div(cleaned, registry, -GR_I)
+            cleaned = _synthetic_div(cleaned, registry, -1)
             b -= 1
         if not cleaned:
             a = b = 0
@@ -169,13 +169,13 @@ class XiRational:
         a, b = max(self.a, other.a), max(self.b, other.b)
         n1, n2 = dict(self.num), dict(other.num)
         for _ in range(a - self.a):
-            n1 = _num_mul_linear(n1, self.registry, GR_I)
+            n1 = _num_mul_linear(n1, self.registry, 1)
         for _ in range(b - self.b):
-            n1 = _num_mul_linear(n1, self.registry, -GR_I)
+            n1 = _num_mul_linear(n1, self.registry, -1)
         for _ in range(a - other.a):
-            n2 = _num_mul_linear(n2, self.registry, GR_I)
+            n2 = _num_mul_linear(n2, self.registry, 1)
         for _ in range(b - other.b):
-            n2 = _num_mul_linear(n2, self.registry, -GR_I)
+            n2 = _num_mul_linear(n2, self.registry, -1)
         return n1, n2, a, b
 
     def __add__(self, other):
@@ -253,13 +253,13 @@ class XiRational:
             if m > 0:
                 dnum[m - 1] = dnum.get(m - 1, CliffordElement.zero(reg)) + c * GR(m)
         # d(N u^-a v^-b) = (N' u v - a N v - b N u) u^-(a+1) v^-(b+1)
-        term = _num_mul_linear(_num_mul_linear(dnum, reg, GR_I), reg, -GR_I)
+        term = _num_mul_linear(_num_mul_linear(dnum, reg, 1), reg, -1)
         if self.a:
-            nv = _num_mul_linear(self.num, reg, -GR_I)
+            nv = _num_mul_linear(self.num, reg, -1)
             for m, c in nv.items():
                 term[m] = term.get(m, CliffordElement.zero(reg)) - c * GR(self.a)
         if self.b:
-            nu = _num_mul_linear(self.num, reg, GR_I)
+            nu = _num_mul_linear(self.num, reg, 1)
             for m, c in nu.items():
                 term[m] = term.get(m, CliffordElement.zero(reg)) - c * GR(self.b)
         return XiRational(reg, term, self.a + 1, self.b + 1)
@@ -329,9 +329,9 @@ class XiRational:
         reg = self.registry
         rem = dict(self.num)
         for _ in range(self.a):
-            rem = _synthetic_div(rem, reg, GR_I)
+            rem = _synthetic_div(rem, reg, 1)
         for _ in range(self.b):
-            rem = _synthetic_div(rem, reg, -GR_I)
+            rem = _synthetic_div(rem, reg, -1)
         return _clean(rem)
 
     def residue_at_plus_i(self) -> CliffordElement:

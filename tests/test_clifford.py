@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import props
+from wresidue import clifford
 from wresidue.clifford import (
     CF,
     CN,
@@ -12,9 +15,11 @@ from wresidue.clifford import (
     Frame,
     fiber_dimension,
     generator_square_sign,
+    word_mul,
 )
-from wresidue.oracles import element_matrix, generator_matrices
-from wresidue.scalars import GR, GR_ONE, Registry, ScalarPoly
+from wresidue.oracles import element_matrix, generator_matrices, word_matrix
+from wresidue.scalars import GR, GR_ONE, Registry, RegistryMismatchError, ScalarPoly
+from wresidue.verifier import run
 
 LETTERS = ((CF, 1), (CF, 2), (CN, 1), (CN, 2), (HC, 1), (HC, 2))
 
@@ -52,6 +57,54 @@ def test_nonidentity_words_are_traceless(reg):
         assert _gen(reg, kind, index).trace(2, 2).is_zero()
     prod = _gen(reg, CF, 1) * _gen(reg, HC, 2)
     assert prod.trace(2, 2).is_zero()
+
+
+def _word_element(reg, word, coeff=1):
+    return CliffordElement(reg, {word: ScalarPoly.const(reg, coeff)})
+
+
+def test_word_product_table_matches_word_mul(reg):
+    """Every product of two of the 64 words over the six letters, through
+    the table, equals the uncached normal ordering."""
+    words = [w for r in range(len(LETTERS) + 1) for w in combinations(LETTERS, r)]
+    assert len(words) == 64
+    for w1 in words:
+        for w2 in words:
+            sign, word = word_mul(w1, w2)
+            assert _word_element(reg, w1) * _word_element(reg, w2) == \
+                _word_element(reg, word, sign)
+            assert clifford._WORD_PRODUCTS[w1, w2] == (sign, word)
+
+
+def test_products_keep_registry_checks_and_prune_zero(reg):
+    g, other = _gen(reg, CF, 1), Registry()
+    for foreign in (_gen(other, CF, 1), CliffordElement.zero(other), ScalarPoly.const(other, 2)):
+        with pytest.raises(RegistryMismatchError):
+            g * foreign
+    for zero in (0, Fraction(0), GR(0), ScalarPoly.zero(reg)):
+        assert (g * zero).terms == {} and (zero * g).terms == {}
+
+
+def test_square_sign_probe_reaches_a_warm_product_table(monkeypatch):
+    """The product table records the square signs it was built from, so a
+    patched sign reaches products made after the table is warm."""
+    frame = Frame(2, 2)
+    hc = frame.gen(HC, 1)
+
+    def traces():
+        _, text = run(("traces",), environ={})
+        (suite,) = json.loads(text)["suites"]
+        return {r["id"]: r["status"] for r in suite["records"]}
+
+    clean = traces()
+    assert hc * hc == frame.ident(1)
+    monkeypatch.setitem(clifford._SQ_SIGN, HC, -1)
+    assert hc * hc == frame.ident(-1)
+    mutated = traces()
+    assert {k for k in clean if mutated[k] != clean[k]} == {"perp-pair-difference"}
+    monkeypatch.undo()
+    assert hc * hc == frame.ident(1)
+    assert traces() == clean
 
 
 def _random_element(reg, rng, max_words=4):
@@ -105,6 +158,17 @@ def test_matrix_relations():
         for b in range(a + 1, len(keys)):
             ma, mb = mats[keys[a]], mats[keys[b]]
             assert np.allclose(ma @ mb + mb @ ma, 0)
+    # word matrices are built once and shared read-only; the generator
+    # matrices stay fresh arrays, so writing into them reaches no cache
+    cached = word_matrix(((CF, 1), (HC, 2)))
+    assert word_matrix(((CF, 1), (HC, 2))) is cached
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1
+    fresh = generator_matrices()
+    for gen, m in mats.items():
+        assert m is not fresh[gen]
+        m[0, 0] += 1
+    assert np.array_equal(word_matrix(((CF, 1),)), fresh[(CF, 1)])
 
 
 def test_matrix_oracle_trace():

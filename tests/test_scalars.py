@@ -97,6 +97,14 @@ def test_gr_triple_canonical_and_exact(x, y):
         assert isinstance(value.re, Fraction) and isinstance(value.im, Fraction)
 
 
+@pytest.mark.parametrize("re, im", [(-3, 0), (0, -7), (0, 0), (12, -5), (-10**30, 1),
+                                    (True, False), (False, True), (-2, True)])
+def test_gr_from_ints_matches_the_fraction_path(re, im):
+    got, want = GR(re, im), GR(Fraction(re), Fraction(im))
+    assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+    assert [type(v) for v in (got._a, got._b, got._d)] == [int, int, int]
+
+
 @given(mixed, mixed)
 def test_gr_eq_and_hash_follow_parts(x, y):
     assert (x == y) == ((x.re, x.im) == (y.re, y.im))

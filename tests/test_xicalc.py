@@ -7,10 +7,12 @@ from hypothesis import assume, given, strategies as st
 
 import props
 from wresidue.clifford import CF, HC, CliffordElement
-from wresidue.scalars import GR, KIND_MARKER, KIND_X, Registry, ScalarPoly
+from wresidue.scalars import GR, GR_I, KIND_MARKER, KIND_X, Registry, ScalarPoly
 from wresidue.xicalc import (
     InsufficientDecayError,
     XiRational,
+    _num_mul_linear,
+    _synthetic_div,
     pi_minus,
     pi_plus,
     xi_derivative,
@@ -196,6 +198,53 @@ def test_construction_strips_exactly_the_shared_factors(seed, k_plus, k_minus, a
                          k_plus - strip_plus, k_minus - strip_minus)
     assert (got.a, got.b) == (a - strip_plus, b - strip_minus)
     assert got.num == want.num
+
+
+def _layout(num):
+    """Every key of a numerator in order: powers, words, monomials and values."""
+    return [(m, [(w, list(p.terms.items())) for w, p in e.terms.items()])
+            for m, e in num.items()]
+
+
+def _mul_linear_by_product(num, reg, sign):
+    """``num * (xn - sign * i)`` through general coefficient products."""
+    c = GR_I * sign
+    out = {}
+    for m, coeff in num.items():
+        out[m + 1] = out.get(m + 1, CliffordElement.zero(reg)) + coeff
+        out[m] = out.get(m, CliffordElement.zero(reg)) - coeff * c
+    return {m: e for m, e in out.items() if e}
+
+
+def _div_linear_by_product(num, reg, sign):
+    """``num / (xn - sign * i)`` without remainder, through general products."""
+    c, quot, carry = GR_I * sign, {}, CliffordElement.zero(reg)
+    for m in range(max(num, default=0), 0, -1):
+        carry = carry * c + num.get(m, CliffordElement.zero(reg))
+        if carry:
+            quot[m - 1] = carry
+    return quot
+
+
+def _assert_rotation_is_the_product(num, reg):
+    for sign in (1, -1):
+        assert _layout(_num_mul_linear(num, reg, sign)) == \
+            _layout(_mul_linear_by_product(num, reg, sign))
+        assert _layout(_synthetic_div(num, reg, sign)) == \
+            _layout(_div_linear_by_product(num, reg, sign))
+
+
+@given(st.integers(0, 2**32))
+def test_pole_factor_rotation_equals_the_product(seed):
+    reg = Registry()
+    _assert_rotation_is_the_product(_random_numerator(reg, random.Random(seed)), reg)
+
+
+def test_pole_factor_rotation_equals_the_product_on_jets(suites):
+    suite = suites["boundary-d2d2"]
+    for jets in (*suite.left.values(), *suite.right.values()):
+        for f in jets:
+            _assert_rotation_is_the_product(f.num, f.registry)
 
 
 @given(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 4))
