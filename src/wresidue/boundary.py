@@ -11,10 +11,12 @@ contribution is
 with ``prefactor = (-i)^(|alpha|+j+k+1) / (alpha! (j+k+1)!)``.  Each factor
 is a table of jets at a boundary base point in normal coordinates with the
 tangential covariable on its unit sphere, ``{order: (jet, d_xn jet, ...)}``,
-read with the model from a :class:`~wresidue.reference.Suite`; tangential
-x-derivatives of the jets vanish there.  Every case is evaluated twice, once
-as stated and once with one xn-covariable derivative moved across the
-product (integration by parts), and the two values must agree exactly.
+read with the model from a :class:`~wresidue.reference.Suite`, whose
+``factor`` table supplies each pi+ part and xn-covariable derivative;
+tangential x-derivatives of the jets vanish there.  Every case is evaluated
+twice, once as stated and once with one xn-covariable derivative moved
+across the product (integration by parts), and the two values must agree
+exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .reference import Jets, Suite
+from .reference import Suite
 from .scalars import GR, GR_ONE, GaussianRational, Indeterminate, ScalarPoly, minus_i_pow
 from .sphere import integrate_sphere
 from .xicalc import XiRational
@@ -110,25 +112,7 @@ class BoundaryResult:
     total: ScalarPoly
 
 
-def _factor(jets: Jets, order: int, xn_order: int, nxi: int, plus: bool,
-            memo: dict) -> XiRational:
-    """``nxi`` xn-covariable derivatives of one jet, taken after pi+ when
-    ``plus`` holds (the left factor)."""
-    key = (plus, order, xn_order, nxi)
-    got = memo.get(key)
-    if got is None:
-        if nxi:
-            got = _factor(jets, order, xn_order, nxi - 1, plus, memo).xi_derivative()
-        else:
-            got = jets[order][xn_order]
-            if plus:
-                got = got.pi_plus()
-        memo[key] = got
-    return got
-
-
-def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0,
-                  memo: dict | None = None) -> CaseResult:
+def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     """One case; ``shift`` moves that many xn-covariable derivatives from the
     right factor onto the left one, with the integration-by-parts sign."""
     model = suite.model
@@ -137,11 +121,8 @@ def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0,
     if case.alpha_abs:  # tangential x-derivatives of the jets vanish
         return CaseResult(case, ScalarPoly.zero(model.registry),
                           note="tangential-base-jet-vanishes")
-    if memo is None:
-        memo = {}
-
-    left = _factor(suite.left, case.r, case.j, case.k + shift, True, memo)
-    right = _factor(suite.right, case.l, case.k, case.j + 1 - shift, False, memo)
+    left = suite.factor(True, case.r, case.j, case.k + shift)
+    right = suite.factor(False, case.l, case.k, case.j + 1 - shift)
 
     traced = left.product_trace(right, model.p, model.q)
     line_integral = traced.integrate(model.pi).scalar_part()
@@ -155,10 +136,9 @@ def assemble_boundary(suite: Suite) -> BoundaryResult:
     """Evaluate every case both ways, check the two ways agree, and group."""
     registry = suite.model.registry
     results = []
-    memo: dict = {}
     for case in enumerate_cases(suite):
-        plain = evaluate_case(suite, case, shift=0, memo=memo)
-        moved = evaluate_case(suite, case, shift=1, memo=memo)
+        plain = evaluate_case(suite, case, shift=0)
+        moved = evaluate_case(suite, case, shift=1)
         if plain.value != moved.value:
             raise IbpMismatchError(
                 f"{suite.name} case {case.label}: derivative-transfer forms disagree")

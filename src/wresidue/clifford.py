@@ -108,15 +108,13 @@ class CliffordElement:
         return CliffordElement._pruned(registry, {})
 
     @staticmethod
-    def _monomial(registry: Registry, word: Word, coeff) -> "CliffordElement":
-        """``coeff``, a number or a polynomial, on a single word."""
+    def identity(registry: Registry, coeff=GR_ONE) -> "CliffordElement":
+        """``coeff``, a number or a polynomial, on the identity word."""
         if not isinstance(coeff, ScalarPoly):
             coeff = ScalarPoly.const(registry, coeff)
-        return CliffordElement(registry, {word: coeff})
-
-    @staticmethod
-    def identity(registry: Registry, coeff=GR_ONE) -> "CliffordElement":
-        return CliffordElement._monomial(registry, (), coeff)
+        elif coeff.registry is not registry:
+            raise RegistryMismatchError("coefficient over distinct registry")
+        return CliffordElement._pruned(registry, {(): coeff} if coeff else {})
 
     @staticmethod
     def generator(registry: Registry, kind: int, index: int) -> "CliffordElement":
@@ -124,7 +122,8 @@ class CliffordElement:
             raise ValueError(f"unknown generator kind {kind}")
         if index < 1:
             raise ValueError("generator index starts at 1")
-        return CliffordElement._monomial(registry, ((kind, index),), GR_ONE)
+        return CliffordElement._pruned(
+            registry, {((kind, index),): ScalarPoly._pruned(registry, {(): GR_ONE})})
 
     # -- arithmetic --------------------------------------------------------
 

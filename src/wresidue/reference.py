@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Mapping, NamedTuple
@@ -232,30 +232,23 @@ def sigma1_conn_num(model: Model) -> XiRational:
             + model.field(model.Y) * xblk)
 
 
-def order_minus1_parts_d2d2(model: Model) -> dict[str, XiRational]:
-    """The three summands of the order ``-1`` left-factor symbol."""
-    reg = model.registry
-    hp = model.hp_poly
-    prod = -model.t_full_num * sigma_m3_square(model)
-    conn = XiRational(reg, sigma1_conn_num(model).num, 1, 1)
-    transfer = XiRational.build(
-        reg, {0: model.c_hat * (hp * _MI), 1: model.n_hat * (hp * GR(0, -2))}, 2, 2)
-    return {"prod": prod, "conn": conn, "transfer": transfer}
-
-
 def symbols_d2d2(model: Model) -> tuple[Jets, Jets]:
     reg = model.registry
     hp = model.hp_poly
     tfull = model.t_full_num
+    sm3 = sigma_m3_square(model)
 
     s0 = XiRational(reg, (-tfull).num, 1, 1)
     s0_dxn = XiRational(reg, (tfull * hp).num, 2, 2)
-    parts = order_minus1_parts_d2d2(model)
-    sm1 = parts["prod"] + parts["conn"] + parts["transfer"]
+    # order -1: the product, connection and collar-transfer summands
+    prod = -tfull * sm3
+    conn = XiRational(reg, sigma1_conn_num(model).num, 1, 1)
+    transfer = XiRational.build(
+        reg, {0: model.c_hat * (hp * _MI), 1: model.n_hat * (hp * GR(0, -2))}, 2, 2)
     sm2 = XiRational.build(reg, {0: 1}, 1, 1)
     sm2_dxn = XiRational.build(reg, {0: -hp}, 2, 2)
-    return ({0: (s0, s0_dxn), -1: (sm1,)},
-            {-2: (sm2, sm2_dxn), -3: (sigma_m3_square(model),)})
+    return ({0: (s0, s0_dxn), -1: (prod + conn + transfer,)},
+            {-2: (sm2, sm2_dxn), -3: (sm3,)})
 
 
 def sigma_m2_first(model: Model) -> XiRational:
@@ -269,19 +262,6 @@ def sigma_m2_first(model: Model) -> XiRational:
     return (XiRational(reg, sandwich.num, 2, 2)
             + XiRational(reg, lift.num, 2, 2)
             + XiRational(reg, deep.num, 3, 3))
-
-
-def order_zero_parts_d1d3(model: Model) -> dict[str, XiRational]:
-    """The three summands of the order ``0`` left-factor symbol."""
-    reg = model.registry
-    hp = model.hp_poly
-    cxin = model.c_xi_num
-    prod = -model.t_full_num * sigma_m2_first(model)
-    conn = sigma1_conn_num(model) * XiRational(reg, (cxin * GR_I).num, 1, 1)
-    transfer = (XiRational.build(reg, {0: -model.c_hat, 1: model.n_hat * (-2)})
-                * (XiRational(reg, {0: model.cxi * (hp * _HALF)}, 1, 1)
-                   + XiRational(reg, (cxin * -hp).num, 2, 2)))
-    return {"prod": prod, "conn": conn, "transfer": transfer}
 
 
 def sigma2_cube_num(model: Model) -> XiRational:
@@ -321,12 +301,15 @@ def symbols_d1d3(model: Model) -> tuple[Jets, Jets]:
     half = model.cxi * (hp * _HALF)
     inner = XiRational(reg, {0: half, 2: half}) + cxin * -hp
     s1_dxn = XiRational(reg, (tfull * inner * _MI).num, 2, 2)
-    parts = order_zero_parts_d1d3(model)
-    s0 = parts["prod"] + parts["conn"] + parts["transfer"]
+    # order 0: the product, connection and collar-transfer summands
+    prod = -tfull * sigma_m2_first(model)
+    conn = sigma1_conn_num(model) * XiRational(reg, (cxin * GR_I).num, 1, 1)
+    transfer = (XiRational.build(reg, {0: -model.c_hat, 1: model.n_hat * (-2)})
+                * (XiRational(reg, {0: half}, 1, 1) + XiRational(reg, (cxin * -hp).num, 2, 2)))
     sm3 = XiRational(reg, (cxin * GR_I).num, 2, 2)
     sm3_dxn = (XiRational(reg, {0: model.cxi * (hp * _HALF * GR_I)}, 2, 2)
                + XiRational(reg, (cxin * (hp * GR(0, -2))).num, 3, 3))
-    return ({1: (s1, s1_dxn), 0: (s0,)},
+    return ({1: (s1, s1_dxn), 0: (prod + conn + transfer,)},
             {-3: (sm3, sm3_dxn), -4: (sigma_m4_cube(model),)})
 
 
@@ -526,49 +509,43 @@ class DisplayCheck:
 
 def display_checks(suite: Suite) -> tuple[DisplayCheck, ...]:
     """The five pinned intermediate displays of one boundary suite, read off
-    the suite's own jets."""
-    from .xicalc import pi_plus, xi_derivative
-
+    the suite's own factor table."""
     model = suite.model
     reg = model.registry
     hp = model.hp_poly
     t, c, nn = model.t_hat, model.c_hat, model.n_hat
+    factor = suite.factor
 
     if suite.name == "boundary-d2d2":
-        base = pi_plus(suite.left[0][0])
-        d_base = xi_derivative(base)
         return (
-            DisplayCheck("plus-part-base", base, XiRational.build(
+            DisplayCheck("plus-part-base", factor(True, 0, 0, 0), XiRational.build(
                 reg, {0: (t - nn) * GR(0, _HALF) - c * GR(_HALF)}, 1)),
-            DisplayCheck("plus-part-normal-jet", pi_plus(suite.left[0][1]), XiRational.build(
+            DisplayCheck("plus-part-normal-jet", factor(True, 0, 1, 0), XiRational.build(
                 reg, {0: t * (hp * GR(Fraction(-1, 2))) + c * (hp * GR(0, Fraction(-1, 4))),
                       1: (t + nn) * (hp * GR(0, Fraction(-1, 4)))}, 2),
                 note="source line omits the collar-rate factor on the two mixed terms"),
-            DisplayCheck("plus-part-first-derivative", d_base, XiRational.build(
+            DisplayCheck("plus-part-first-derivative", factor(True, 0, 0, 1), XiRational.build(
                 reg, {0: (t - nn) * GR(0, Fraction(-1, 2)) + c * GR(_HALF)}, 2)),
-            DisplayCheck("plus-part-second-derivative", xi_derivative(d_base),
+            DisplayCheck("plus-part-second-derivative", factor(True, 0, 0, 2),
                          XiRational.build(reg, {0: (t - nn) * GR_I - c}, 3),
                          note="imaginary unit restored on the normal-normal coefficient"),
-            DisplayCheck("right-second-derivative",
-                         xi_derivative(xi_derivative(suite.right[-2][0])),
+            DisplayCheck("right-second-derivative", factor(False, -2, 0, 2),
                          XiRational.build(reg, {0: -2, 2: 6}, 3, 3)),
         )
 
     xi_c = model.cxi + model.cdxn * GR_I          # c(xi') + i c(dxn)
     theta = model.cxi * _MI + model.cdxn          # -i c(xi') + c(dxn)
-    base = pi_plus(suite.left[1][0])
-    d_base, d_right = xi_derivative(base), xi_derivative(suite.right[-3][0])
     return (
-        DisplayCheck("plus-part-base", base, XiRational(
+        DisplayCheck("plus-part-base", factor(True, 1, 0, 0), XiRational(
             reg, {0: xi_c * ((nn - t) * GR(_HALF)) + theta * (c * GR(_HALF))}, 1)),
-        DisplayCheck("plus-part-first-derivative", d_base, XiRational(
+        DisplayCheck("plus-part-first-derivative", factor(True, 1, 0, 1), XiRational(
             reg, {0: xi_c * ((t - nn) * GR(_HALF)) - theta * (c * GR(_HALF))}, 2)),
-        DisplayCheck("plus-part-second-derivative", xi_derivative(d_base),
+        DisplayCheck("plus-part-second-derivative", factor(True, 1, 0, 2),
                      XiRational(reg, {0: xi_c * (nn - t) + theta * c}, 3)),
-        DisplayCheck("right-first-derivative", d_right, XiRational(
+        DisplayCheck("right-first-derivative", factor(False, -3, 0, 1), XiRational(
             reg, {0: model.cdxn * GR_I, 1: model.cxi * GR(0, -4),
                   2: model.cdxn * GR(0, -3)}, 3, 3)),
-        DisplayCheck("right-second-derivative", xi_derivative(d_right), XiRational(
+        DisplayCheck("right-second-derivative", factor(False, -3, 0, 2), XiRational(
             reg, {0: model.cxi * GR(0, -4), 1: model.cdxn * GR(0, -12),
                   2: model.cxi * GR(0, 20), 3: model.cdxn * GR(0, 12)}, 4, 4)),
     )
@@ -580,8 +557,8 @@ def display_checks(suite: Suite) -> tuple[DisplayCheck, ...]:
 
 @dataclass(frozen=True)
 class Suite:
-    """One boundary suite's left- and right-factor jets, case labels and
-    expected rows, built once per run by :func:`load_suite`."""
+    """One boundary suite's jets, case labels, expected rows and table of
+    boundary factors, built once per run by :func:`load_suite`."""
 
     name: str
     model: Model
@@ -589,6 +566,23 @@ class Suite:
     right: Jets
     labels: Mapping[tuple[int, int, int, int, int], str]
     expected: Mapping[str, ScalarPoly]
+    _factors: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def factor(self, plus: bool, order: int, xn_order: int, nxi: int) -> XiRational:
+        """``nxi`` xn-covariable derivatives of jet ``[order][xn_order]``: of
+        the left factor after pi+ when ``plus`` holds, else of the right
+        factor.  Each is built at most once per suite."""
+        key = (plus, order, xn_order, nxi)
+        got = self._factors.get(key)
+        if got is None:
+            if nxi:
+                got = self.factor(plus, order, xn_order, nxi - 1).xi_derivative()
+            elif plus:
+                got = self.left[order][xn_order].pi_plus()
+            else:
+                got = self.right[order][xn_order]
+            self._factors[key] = got
+        return got
 
 
 BOUNDARY_SUITES = ("boundary-d2d2", "boundary-d1d3")

@@ -88,9 +88,9 @@ def exact_bindings(model) -> dict:
         model, lambda k: GR(Fraction((-1) ** k * (k + 3), 2 * k + 5)))
 
 
-def numeric_bindings(model) -> dict[int, complex]:
-    """The exact bindings as floats, plus stand-ins for the formal markers."""
-    out = {ind.id: complex(v.re) for ind, v in exact_bindings(model).items()}
+def numeric_bindings(model, exact: dict) -> dict[int, complex]:
+    """The ``exact`` bindings as floats, plus stand-ins for the formal markers."""
+    out = {ind.id: complex(v.re) for ind, v in exact.items()}
     out[model.pi.id] = complex(math.pi)
     out[model.omega3.id] = 2.03125
     out[model.kext.id] = 0.40625
@@ -200,8 +200,8 @@ def _corroborate(suite, result, rows) -> dict[str, tuple[tuple[str, ...], str]]:
     quadrature runs over a constant-coefficient rational function; each
     case is integrated once and shared between its row and the total."""
     model = suite.model
-    bindings = numeric_bindings(model)
     bound_atoms = exact_bindings(model)
+    bindings = numeric_bindings(model, bound_atoms)
     fingerprints = reference.derived_fingerprints()[suite.name]
     quadrature: dict[int, tuple[bool, str]] = {}
     out = {}

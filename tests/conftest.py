@@ -1,8 +1,23 @@
+from pathlib import Path
+
 import pytest
 
 from wresidue.boundary import assemble_boundary
 from wresidue.reference import BOUNDARY_SUITES, build_model, load_suite
 from wresidue.verifier import run
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def sweep(monkeypatch):
+    """The benchmark's property sweep: its seeded operand generators and one
+    check per property, which the acceptance gate runs at the gate's counts
+    and the topic tests run at theirs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import sweep
+    return sweep
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import json
 import math
 from fractions import Fraction
 
-import props
 import twin
 from wresidue.boundary import drop_components, extrinsic_form
 from wresidue.interior import (
@@ -153,11 +152,8 @@ def test_third_composition_corroborated(model, cli_runs):
     assert norm.constant_part() == GR(Fraction(-71, 96), Fraction(13, 48))
 
 
-def test_analytic_property_suites():
-    props.check_pi_plus_properties(1000)
-    props.check_derivative_integrals_vanish(300)
-    props.check_quadrature(120)
-    props.check_sphere_moments(max_degree=6, tol=1e-6)
-    props.check_word_confluence(10_000)
-    props.check_trace_cyclicity(10_000)
-    props.check_matrix_trace_oracle(1000)
+def test_analytic_property_suites(sweep):
+    result = sweep.run(1)
+    print(result["failures"])
+    assert result["attempted"] == 22_504
+    assert result["failed"] == 0, result["failures"]

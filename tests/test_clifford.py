@@ -5,7 +5,6 @@ from itertools import combinations
 
 import pytest
 
-import props
 from wresidue import clifford
 from wresidue.clifford import (
     CF,
@@ -76,6 +75,20 @@ def test_word_product_table_matches_word_mul(reg):
             assert clifford._WORD_PRODUCTS[w1, w2] == (sign, word)
 
 
+def test_one_word_constructors_keep_their_checks(reg):
+    with pytest.raises(ValueError, match="unknown generator kind"):
+        CliffordElement.generator(reg, 7, 1)
+    with pytest.raises(ValueError, match="starts at 1"):
+        CliffordElement.generator(reg, CF, 0)
+    with pytest.raises(RegistryMismatchError):
+        CliffordElement.identity(reg, ScalarPoly.const(Registry(), 2))
+    for zero in (0, Fraction(0), GR(0), ScalarPoly.zero(reg)):
+        assert CliffordElement.identity(reg, zero).terms == {}
+    assert CliffordElement.generator(reg, HC, 2) == \
+        CliffordElement(reg, {((HC, 2),): ScalarPoly.const(reg, 1)})
+    assert CliffordElement.identity(reg, 3) == CliffordElement(reg, {(): ScalarPoly.const(reg, 3)})
+
+
 def test_products_keep_registry_checks_and_prune_zero(reg):
     g, other = _gen(reg, CF, 1), Registry()
     for foreign in (_gen(other, CF, 1), CliffordElement.zero(other), ScalarPoly.const(other, 2)):
@@ -119,9 +132,11 @@ def _random_element(reg, rng, max_words=4):
     return out
 
 
-def test_word_mul_confluence():
+def test_word_mul_confluence(sweep):
     """Normal ordering is associative however a product is parenthesised."""
-    props.check_word_confluence(2000)
+    rng, reg = random.Random(11), Registry()
+    for k in range(2000):
+        assert sweep.word_confluence(rng, reg, None), k
 
 
 def test_element_product_associativity(reg):
@@ -131,8 +146,10 @@ def test_element_product_associativity(reg):
         assert (a * b) * c == a * (b * c)
 
 
-def test_trace_cyclicity():
-    props.check_trace_cyclicity(2000)
+def test_trace_cyclicity(sweep):
+    rng, reg = random.Random(23), Registry()
+    for k in range(2000):
+        assert sweep.trace_cyclicity(rng, reg, None), k
 
 
 def test_product_trace_equals_full_product_trace(reg):
@@ -171,8 +188,10 @@ def test_matrix_relations():
     assert np.array_equal(word_matrix(((CF, 1),)), fresh[(CF, 1)])
 
 
-def test_matrix_oracle_trace():
-    props.check_matrix_trace_oracle(300)
+def test_matrix_oracle_trace(sweep):
+    rng, reg = random.Random(41), Registry()
+    for k in range(300):
+        assert sweep.matrix_trace(rng, reg, None), k
 
 
 def test_matrix_oracle_products(reg):

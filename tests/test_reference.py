@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wresidue import reference
 from wresidue.reference import (
     FINGERPRINT_RECIPES,
     Model,
@@ -157,6 +158,57 @@ def test_recorded_row_coefficients(model):
     assert coeffs(t3["a-II"]) == (GR(Fraction(5, 16)), GR(Fraction(1, 16)))
     assert coeffs(t3["c"]) == (GR(Fraction(129, 320), Fraction(-44, 320)),
                                GR(Fraction(-245, 96), Fraction(26, 96)))
+
+
+# the suite factor each pinned display reads: (plus, order, xn_order, nxi)
+DISPLAY_FACTORS = {
+    "boundary-d2d2": {"plus-part-base": (True, 0, 0, 0),
+                      "plus-part-normal-jet": (True, 0, 1, 0),
+                      "plus-part-first-derivative": (True, 0, 0, 1),
+                      "plus-part-second-derivative": (True, 0, 0, 2),
+                      "right-second-derivative": (False, -2, 0, 2)},
+    "boundary-d1d3": {"plus-part-base": (True, 1, 0, 0),
+                      "plus-part-first-derivative": (True, 1, 0, 1),
+                      "plus-part-second-derivative": (True, 1, 0, 2),
+                      "right-first-derivative": (False, -3, 0, 1),
+                      "right-second-derivative": (False, -3, 0, 2)},
+}
+
+
+def test_display_checks_read_the_assembled_factor_table(suites, d2d2, d1d3, monkeypatch):
+    """After assembly, every pinned display is an entry of the suite's factor
+    table: no pi+ part or xn-covariable derivative is taken a second time."""
+    calls = []
+    for name in ("pi_plus", "xi_derivative"):
+        def counted(self, _orig=getattr(XiRational, name), _name=name):
+            calls.append(_name)
+            return _orig(self)
+        monkeypatch.setattr(XiRational, name, counted)
+    for name, suite in suites.items():
+        checks = display_checks(suite)
+        assert calls == [], name
+        assert {check.record_id for check in checks} == set(DISPLAY_FACTORS[name])
+        for check in checks:
+            assert check.engine is suite.factor(*DISPLAY_FACTORS[name][check.record_id])
+
+
+def test_suite_factor_table_is_not_compared(model, suites, d2d2):
+    """A filled factor table leaves the suite equal to a freshly loaded one."""
+    suite = suites["boundary-d2d2"]
+    assert suite._factors
+    fresh = load_suite("boundary-d2d2", model)
+    assert not fresh._factors and fresh == suite
+
+
+def test_second_composition_builds_the_inverse_square_symbol_once(model, monkeypatch):
+    calls = []
+
+    def counted(m, _orig=reference.sigma_m3_square):
+        calls.append(m)
+        return _orig(m)
+    monkeypatch.setattr(reference, "sigma_m3_square", counted)
+    reference.symbols_d2d2(model)
+    assert calls == [model]
 
 
 def test_display_checks_all_reproduce(suites):

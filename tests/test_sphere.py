@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-import props
 from wresidue.scalars import GR, KIND_MARKER, KIND_XI, Registry, ScalarPoly
 from wresidue.sphere import integrate_sphere, moment_fraction, numeric_sphere_oracle
 
@@ -38,8 +37,10 @@ def test_negative_exponent_rejected():
         moment_fraction((-2,))
 
 
-def test_moments_against_quadrature_through_degree_six():
-    props.check_sphere_moments(max_degree=6, tol=1e-6)
+def test_moments_against_quadrature_through_degree_six(sweep, setting):
+    reg, xi, _ = setting
+    for exps in sweep.sphere_exponents():
+        assert sweep.sphere_moment(exps, reg, xi), exps
 
 
 def test_integrate_sphere_random_polys(setting):

@@ -23,12 +23,10 @@ def test_benchmark_tracer_covers_every_target(monkeypatch):
         spans.uninstall()
 
 
-def test_property_sweep_checks_hold_once(monkeypatch):
+def test_property_sweep_checks_hold_once(sweep):
     """Each property of the benchmark's sweep, and one sphere moment, runs
     once and holds; deleting or renaming a name the sweep calls fails here
     and not only in the benchmark."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import sweep
     from wresidue import scalars
 
     for name, check, _ in sweep.PROPERTIES:

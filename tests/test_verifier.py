@@ -148,6 +148,18 @@ def test_boundary_suite_builds_its_jets_once(model, monkeypatch):
     assert calls == {"symbols_d2d2": 1, "symbols_d1d3": 0}
 
 
+def test_corroboration_binds_the_atoms_once(model, monkeypatch):
+    """The float bindings come from the exact ones the corroboration holds."""
+    calls = []
+
+    def counted(m, _orig=verifier.exact_bindings):
+        calls.append(m)
+        return _orig(m)
+    monkeypatch.setattr(verifier, "exact_bindings", counted)
+    run_suite("boundary-d2d2", model)
+    assert calls == [model]
+
+
 def test_waiver_file_from_environment(tmp_path):
     path = tmp_path / "waivers.json"
     path.write_text(json.dumps(

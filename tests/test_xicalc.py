@@ -3,9 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-import props
 from wresidue.clifford import CF, HC, CliffordElement
 from wresidue.scalars import GR, GR_I, KIND_MARKER, KIND_X, Registry, ScalarPoly
 from wresidue.xicalc import (
@@ -68,8 +67,10 @@ def _random_any(reg, rng):
 # -- projection properties ---------------------------------------------------
 
 
-def test_pi_plus_idempotent_and_decomposition():
-    props.check_pi_plus_properties(300)
+def test_pi_plus_idempotent_and_decomposition(sweep, reg):
+    rng = random.Random(101)
+    for k in range(300):
+        assert sweep.projection(rng, reg, None), k
 
 
 def test_pi_minus_annihilated_by_pi_plus(reg):
@@ -106,8 +107,10 @@ def test_derivative_lowers_by_one_order(reg):
     assert df == XiRational.build(reg, {1: GR(-2)}, 2, 2)
 
 
-def test_integral_of_derivative_vanishes():
-    props.check_derivative_integrals_vanish(200)
+def test_integral_of_derivative_vanishes(sweep, reg, pi_ind):
+    rng = random.Random(113)
+    for k in range(200):
+        assert sweep.derivative_integral(rng, reg, pi_ind), k
 
 
 # -- line integrals ----------------------------------------------------------
@@ -137,8 +140,10 @@ def test_insufficient_decay_rejected(reg, pi_ind):
         f.integrate(pi_ind)
 
 
-def test_integral_against_quadrature():
-    props.check_quadrature(40)
+def test_integral_against_quadrature(sweep, reg, pi_ind):
+    rng = random.Random(127)
+    for k in range(40):
+        assert sweep.quadrature(rng, reg, pi_ind), k
 
 
 # -- representation ----------------------------------------------------------
@@ -150,16 +155,16 @@ def test_build_canonicalizes_shared_poles(reg):
     assert f == XiRational.build(reg, {0: 1}, 0, 1)
 
 
-def _random_numerator(reg, rng):
-    """Up to four powers of xn whose coefficients mix Clifford words and
-    monomials in two atoms."""
+def _random_numerator(reg, rng, letters):
+    """Up to four powers of xn whose coefficients mix Clifford words over
+    ``letters`` and monomials in two atoms."""
     from wresidue.scalars import KIND_CONN
     atoms = [ScalarPoly.var(reg, reg.get_or_add(f"w{k}F", KIND_CONN)) for k in range(2)]
     num = {}
     for m in range(rng.randint(1, 4)):
         elem = CliffordElement.zero(reg)
         for _ in range(rng.randint(0, 3)):
-            word = CliffordElement.generator(reg, *rng.choice(props.LETTERS))
+            word = CliffordElement.generator(reg, *rng.choice(letters))
             scalar = ScalarPoly.const(reg, _random_gr(rng))
             if rng.random() < 0.5:
                 scalar = scalar * rng.choice(atoms)
@@ -185,11 +190,16 @@ def _times_linear(f, reg, k_plus, k_minus):
     return f
 
 
-@given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 3),
-       st.integers(0, 3), st.integers(0, 3))
-def test_construction_strips_exactly_the_shared_factors(seed, k_plus, k_minus, a, b):
+# the sweep fixture only hands over a module, so its examples may share it
+_SHARES_SWEEP = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_SHARES_SWEEP
+@given(seed=st.integers(0, 2**32), k_plus=st.integers(0, 3), k_minus=st.integers(0, 3),
+       a=st.integers(0, 3), b=st.integers(0, 3))
+def test_construction_strips_exactly_the_shared_factors(sweep, seed, k_plus, k_minus, a, b):
     reg = Registry()
-    num = _random_numerator(reg, random.Random(seed))
+    num = _random_numerator(reg, random.Random(seed), sweep.LETTERS)
     assume(num and _value_at(num, reg, GR(0, 1)) and _value_at(num, reg, GR(0, -1)))
     poly = _times_linear(XiRational.build(reg, num), reg, k_plus, k_minus)
     got = XiRational(reg, poly.num, a, b)
@@ -234,10 +244,12 @@ def _assert_rotation_is_the_product(num, reg):
             _layout(_div_linear_by_product(num, reg, sign))
 
 
-@given(st.integers(0, 2**32))
-def test_pole_factor_rotation_equals_the_product(seed):
+@_SHARES_SWEEP
+@given(seed=st.integers(0, 2**32))
+def test_pole_factor_rotation_equals_the_product(sweep, seed):
     reg = Registry()
-    _assert_rotation_is_the_product(_random_numerator(reg, random.Random(seed)), reg)
+    _assert_rotation_is_the_product(
+        _random_numerator(reg, random.Random(seed), sweep.LETTERS), reg)
 
 
 def test_pole_factor_rotation_equals_the_product_on_jets(suites):
@@ -247,11 +259,12 @@ def test_pole_factor_rotation_equals_the_product_on_jets(suites):
             _assert_rotation_is_the_product(f.num, f.registry)
 
 
-@given(st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 4))
-def test_residue_is_the_minus_one_laurent_coefficient(seed, a, b):
+@_SHARES_SWEEP
+@given(seed=st.integers(0, 2**32), a=st.integers(0, 4), b=st.integers(0, 4))
+def test_residue_is_the_minus_one_laurent_coefficient(sweep, seed, a, b):
     reg = Registry()
     rng = random.Random(seed)
-    num = _random_numerator(reg, rng)
+    num = _random_numerator(reg, rng, sweep.LETTERS)
     for _ in range(rng.randint(0, 2)):
         num = {m + 1: c for m, c in num.items()}
     f = XiRational(reg, num, a, b)
