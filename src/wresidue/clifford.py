@@ -245,7 +245,11 @@ class CliffordElement:
             sign, rest = word_mul(w, w)
             if rest:
                 raise AssertionError("self-product of a word must be scalar")
-            piece = c1 * c2 * (sign * dim)
+            # scale the factor with fewer terms; the product keeps its order
+            if len(c1.terms) <= len(c2.terms):
+                piece = c1 * (sign * dim) * c2
+            else:
+                piece = c1 * (c2 * (sign * dim))
             acc = piece if acc is None else acc + piece
         return acc if acc is not None else ScalarPoly.zero(self.registry)
 
@@ -253,6 +257,44 @@ class CliffordElement:
         """``self * i**k`` by quarter turns of every coefficient."""
         return CliffordElement._pruned(self.registry,
                                        {w: c.times_i_pow(k) for w, c in self.terms.items()})
+
+    @staticmethod
+    def rotated_sum(registry: Registry, pieces) -> "CliffordElement":
+        """Sum of ``elem * i**turn * scale`` over the ``(elem, turn, scale)``
+        in ``pieces``, ``scale`` a nonzero int or Fraction, accumulated in
+        place.
+
+        Value, word order and monomial order are those of adding the pieces
+        one at a time with ``+``, starting from zero: a word or monomial
+        that sums to zero is dropped and, if it comes back, goes last."""
+        words: dict = {}
+        for elem, turn, scale in pieces:
+            turn %= 4
+            scaled = scale != 1
+            if scaled:
+                scale = GaussianRational(scale)
+            for word, poly in elem.terms.items():
+                acc = words.get(word)
+                if acc is None:
+                    acc = words[word] = {}
+                for mono, c in poly.terms.items():
+                    if turn:
+                        c = c.times_i_pow(turn)
+                    if scaled:
+                        c = c * scale
+                    prev = acc.get(mono)
+                    if prev is None:
+                        acc[mono] = c
+                    else:
+                        c = prev + c
+                        if c:
+                            acc[mono] = c
+                        else:
+                            del acc[mono]
+                if not acc:
+                    del words[word]
+        return CliffordElement._pruned(
+            registry, {w: ScalarPoly._pruned(registry, t) for w, t in words.items()})
 
     def map_coeffs(self, fn: Callable[[ScalarPoly], ScalarPoly]) -> "CliffordElement":
         return CliffordElement(self.registry, {w: fn(c) for w, c in self.terms.items()})

@@ -156,7 +156,11 @@ class GaussianRational:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal values hash alike: a real value as the Fraction (or int) it
+        # equals, any other by its canonical triple
+        if not self._b:
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def to_complex(self) -> complex:
         # int true division is correctly rounded, so this equals the float

@@ -9,6 +9,7 @@ codes live in :mod:`wresidue.report`.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 from dataclasses import replace
@@ -375,6 +376,14 @@ def run(names, fmt="json", emit_dir=None, environ=None):
             raise ConfigurationError(
                 f"cannot create intermediates directory: {exc}") from exc
     model = build_model()
-    reports = tuple(run_suite(n, model, waivers, emit_dir) for n in expanded)
+    # the suites make short-lived objects by the million but few cycles, so
+    # the cyclic collector waits until they are done
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        reports = tuple(run_suite(n, model, waivers, emit_dir) for n in expanded)
+    finally:
+        if collecting:
+            gc.enable()
     text = to_json(reports) if fmt == "json" else to_markdown(reports)
     return exit_code(reports), text

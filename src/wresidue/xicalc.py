@@ -20,8 +20,6 @@ from typing import Callable, Mapping
 from .clifford import CliffordElement
 from .scalars import (
     GR,
-    GR_I,
-    GR_ONE,
     GaussianRational,
     Indeterminate,
     Registry,
@@ -50,30 +48,32 @@ def _clean(num: Mapping[int, CliffordElement]) -> NumDict:
 
 
 def _vanishes_at(num: NumDict, sign: int) -> bool:
-    """Whether the numerator vanishes at ``xn = sign * i``.
+    """Whether the nonzero numerator vanishes at ``xn = sign * i``.
 
     The coefficient of xn^m is rotated by (sign * i)^m and the rotated
     values are summed per (word, monomial); the numerator vanishes exactly
-    when every sum does."""
-    groups: dict = {}
-    for m, elem in num.items():
-        turn = m * sign
+    when every sum does.  The sums are taken one at a time, in the order
+    the (word, monomial) pairs are first met, and the first nonzero sum
+    ends the test, so a numerator that does not vanish is mostly rejected
+    by its first sum."""
+    powers = list(num.items())
+    seen = set()
+    for pos, (_, elem) in enumerate(powers):
         for word, poly in elem.terms.items():
-            for mono, c in poly.terms.items():
-                group = groups.get((word, mono))
-                if group is None:
-                    groups[word, mono] = [(turn, c)]
-                else:
-                    group.append((turn, c))
-    # a (word, monomial) met in one power of xn alone cannot cancel
-    if any(len(group) == 1 for group in groups.values()):
-        return False
-    for (turn, c), *rest in groups.values():
-        total = c.times_i_pow(turn)
-        for turn, c in rest:
-            total = total + c.times_i_pow(turn)
-        if total:
-            return False
+            for mono in poly.terms:
+                if (word, mono) in seen:
+                    continue
+                seen.add((word, mono))
+                # earlier powers would have met this pair first
+                total = None
+                for m, later in powers[pos:]:
+                    found = later.terms.get(word)
+                    c = None if found is None else found.terms.get(mono)
+                    if c is not None:
+                        c = c.times_i_pow(m * sign)
+                        total = c if total is None else total + c
+                if total:
+                    return False
     return True
 
 
@@ -99,15 +99,14 @@ def _num_mul_linear(num: NumDict, registry: Registry, sign: int) -> NumDict:
     return _clean(out)
 
 
-_FAR_PLUS = GR(0, 2)  # value of (xn + i) at xn = +i
-
-
-def _expansion_coeff(order: int, s: int, far: GaussianRational) -> GaussianRational:
-    """Coefficient e_s of t^s in (t + far)^-order; with order 0 only s = 0,
-    where it is 1, is asked for."""
+def _expansion_coeff(order: int, s: int, sign: int) -> tuple[int, Fraction | int]:
+    """Coefficient e_s of t^s in (t + 2 sign i)^-order, as (turn, scale) with
+    e_s = i^turn * scale and scale real; with order 0 only s = 0, where it
+    is 1, is asked for."""
     if not order:
-        return GR_ONE
-    return GR((-1) ** s * math.comb(order + s - 1, s)) * far ** (-order - s)
+        return 0, 1
+    n = order + s  # (2 sign i)^-n = i^(-sign n) / 2^n
+    return -sign * n, Fraction((-1) ** s * math.comb(n - 1, s), 2 ** n)
 
 
 class XiRational:
@@ -136,6 +135,14 @@ class XiRational:
         self.b = b
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _canonical(registry: Registry, num: NumDict, a: int, b: int) -> "XiRational":
+        """An element from a numerator already in canonical form over these
+        pole orders, taken as is."""
+        out = object.__new__(XiRational)
+        out.registry, out.num, out.a, out.b = registry, num, a, b
+        return out
 
     @staticmethod
     def zero(registry: Registry) -> "XiRational":
@@ -247,6 +254,13 @@ class XiRational:
     # -- calculus ----------------------------------------------------------
 
     def xi_derivative(self) -> "XiRational":
+        if (not self.a) != (not self.b):
+            return self._one_pole_derivative()
+        return self._two_pole_derivative()
+
+    def _two_pole_derivative(self) -> "XiRational":
+        """d/dxn over both linear factors, which the constructor strips back
+        to canonical form; right for any pole orders."""
         reg = self.registry
         dnum: NumDict = {}
         for m, c in self.num.items():
@@ -264,36 +278,58 @@ class XiRational:
                 term[m] = term.get(m, CliffordElement.zero(reg)) - c * GR(self.b)
         return XiRational(reg, term, self.a + 1, self.b + 1)
 
-    def _shifted(self, k: int, center: GaussianRational) -> CliffordElement:
-        """Coefficient of t^k in the numerator rewritten in t = xn - center."""
-        acc = CliffordElement.zero(self.registry)
-        for m in range(k, self.degree() + 1):
-            if m in self.num:
-                acc = acc + self.num[m] * (GR(math.comb(m, k)) * center ** (m - k))
-        return acc
+    def _one_pole_derivative(self) -> "XiRational":
+        """d/dxn with one pole, at sign * i of order ``own``:
+        d(N u^-own) = (N' u - own N) u^-(own+1) with u = xn - sign * i.
+
+        The new numerator's coefficient of xn^m is
+        (m - own) N_m + (m + 1) N_(m+1) (-sign * i), and it equals
+        -own N(sign * i) != 0 at the pole, so the result is canonical.  Its
+        keys run downwards, as the synthetic division that strips the other
+        factor off the two-pole formula leaves them, and each coefficient
+        takes the higher power of N first."""
+        reg, num = self.registry, self.num
+        sign, own = (1, self.a) if self.a else (-1, self.b)
+        out: NumDict = {}
+        for m in range(max(num), -1, -1):
+            pieces = []
+            if m + 1 in num:
+                pieces.append((num[m + 1], sign + 2, m + 1))
+            if m != own and m in num:
+                pieces.append((num[m], 0, m - own))
+            coeff = CliffordElement.rotated_sum(reg, pieces)
+            if coeff:
+                out[m] = coeff
+        if sign > 0:
+            return XiRational._canonical(reg, out, own + 1, 0)
+        return XiRational._canonical(reg, out, 0, own + 1)
+
+    def _shifted(self, k: int, sign: int) -> CliffordElement:
+        """Coefficient of t^k in the numerator rewritten in t = xn - sign * i:
+        the sum over m >= k of N_m comb(m, k) (sign * i)^(m - k)."""
+        num = self.num
+        return CliffordElement.rotated_sum(self.registry, (
+            (num[m], sign * (m - k), math.comb(m, k))
+            for m in range(k, self.degree() + 1) if m in num))
 
     def laurent(self, at_plus: bool) -> dict[int, CliffordElement]:
         """Principal-part Laurent coefficients in t = xn -+ i, from the pole
         order up to ``t**-1``."""
         reg = self.registry
-        center = GR_I if at_plus else -GR_I
-        far = _FAR_PLUS if at_plus else -_FAR_PLUS  # value of the other linear factor
+        sign = 1 if at_plus else -1  # the other linear factor is t + 2 sign i
         own, other = (self.a, self.b) if at_plus else (self.b, self.a)
         shifted: NumDict = {}
         # only S_k with k < own reach a principal coefficient
         for k in range(min(own, self.degree() + 1)):
-            acc = self._shifted(k, center)
+            acc = self._shifted(k, sign)
             if acc:
                 shifted[k] = acc
         out: dict[int, CliffordElement] = {}
         for j in range(-own, 0):
-            acc = CliffordElement.zero(reg)
-            for k, coeff in shifted.items():
-                s = j + own - k
-                if s < 0:
-                    continue
-                if other or s == 0:
-                    acc = acc + coeff * _expansion_coeff(other, s, far)
+            acc = CliffordElement.rotated_sum(reg, (
+                (coeff, *_expansion_coeff(other, j + own - k, sign))
+                for k, coeff in shifted.items()
+                if j + own - k == 0 or (other and j + own - k > 0)))
             if acc:
                 out[j] = acc
         return out
@@ -311,15 +347,15 @@ class XiRational:
         own = self.a if at_plus else self.b
         if own == 0:
             return XiRational.zero(reg)
-        center = GR_I if at_plus else -GR_I
-        series = self.laurent(at_plus)
-        # sum_j c_{-j} (xn - c)^(own - j), assembled over the single-pole denominator
-        out: NumDict = {}
-        for j, coeff in series.items():
-            power = own + j  # j is negative: exponent of (xn - c) in the numerator
-            for k in range(power + 1):
-                e = GR(math.comb(power, k)) * (-center) ** (power - k)
-                out[k] = out.get(k, CliffordElement.zero(reg)) + coeff * e
+        sign = 1 if at_plus else -1
+        # sum_j c_j (xn - c)^(own + j) over the single-pole denominator, with
+        # c = sign * i; own + j rises with j, so the keys k come out rising
+        powers = [(own + j, coeff) for j, coeff in self.laurent(at_plus).items()]
+        out: NumDict = {
+            k: CliffordElement.rotated_sum(reg, (
+                (coeff, -sign * (power - k), math.comb(power, k))
+                for power, coeff in powers if power >= k))
+            for k in range(max((power for power, _ in powers), default=-1) + 1)}
         if at_plus:
             return XiRational(reg, out, own, 0)
         return XiRational(reg, out, 0, own)
@@ -341,16 +377,12 @@ class XiRational:
         it is the sum of S_k e_(a-1-k) over k < a, taken in the order
         :meth:`laurent` takes it; only S_0 .. S_(a-1) are needed, and only
         S_(a-1) when there is no pole at -i (e_0 = 1, e_s = 0 otherwise)."""
-        reg = self.registry
         own, other = self.a, self.b
-        out = CliffordElement.zero(reg)
         if not own:
-            return out
-        for k in range(0 if other else own - 1, min(own, self.degree() + 1)):
-            coeff = self._shifted(k, GR_I)
-            if coeff:
-                out = out + coeff * _expansion_coeff(other, own - 1 - k, _FAR_PLUS)
-        return out
+            return CliffordElement.zero(self.registry)
+        return CliffordElement.rotated_sum(self.registry, (
+            (self._shifted(k, 1), *_expansion_coeff(other, own - 1 - k, 1))
+            for k in range(0 if other else own - 1, min(own, self.degree() + 1))))
 
     def integrate(self, pi_ind: Indeterminate) -> CliffordElement:
         """Real-line integral, closing the contour in the upper half plane.

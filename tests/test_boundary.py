@@ -5,6 +5,7 @@ import pytest
 
 from wresidue.boundary import (
     CaseSpec,
+    assemble_boundary,
     case_prefactor,
     drop_components,
     enumerate_cases,
@@ -12,12 +13,16 @@ from wresidue.boundary import (
     extrinsic_form,
 )
 from wresidue.reference import (
+    BOUNDARY_SUITES,
     D2D2_LABELS,
+    Model,
     derived_d2d2,
     expected_d2d2,
     expected_d1d3,
+    load_suite,
 )
 from wresidue.scalars import GR, GR_I, ScalarPoly
+from wresidue.xicalc import XiRational
 
 
 def test_case_order_constraint(d2d2, d1d3):
@@ -141,3 +146,50 @@ def test_drop_components(model):
     value = model.var(x4) * model.var(y1) + model.var(y1)
     assert drop_components(value, (x4,)) == model.var(y1)
     assert drop_components(value, (y1,)).is_zero()
+
+
+# -- the antipodal identity ----------------------------------------------------
+#
+# The antipodal map xi -> -xi swaps the poles +i and -i, so it carries pi+ to
+# pi-; each jet has a definite parity in (xi', xn) and the sphere average is
+# even in xi'.  So every case value comes out the same with the left factor
+# projected by pi- in place of pi+, through other Laurent data (at -i) and
+# another traced integrand.
+
+
+def _with_pi_minus_left(monkeypatch, suite):
+    """The suite assembled afresh with every left factor projected by pi-."""
+    with monkeypatch.context() as patch:
+        patch.setattr(XiRational, "pi_plus", XiRational.pi_minus)
+        return assemble_boundary(load_suite(suite.name, suite.model))
+
+
+def _antipodal_breaks(plus, minus):
+    """Labels of the cases whose value moves with pi- on the left."""
+    assert [res.case for res in plus.cases] == [res.case for res in minus.cases]
+    return {p.label for p, m in zip(plus.cases, minus.cases) if p.value != m.value}
+
+
+def test_antipodal_left_factor_gives_every_case_value(suites, d2d2, d1d3, monkeypatch):
+    for plus in (d2d2, d1d3):
+        minus = _with_pi_minus_left(monkeypatch, suites[plus.suite])
+        assert _antipodal_breaks(plus, minus) == set()
+        nonzero = [(p, m) for p, m in zip(plus.cases, minus.cases) if p.value]
+        assert nonzero, plus.suite
+        for p, m in nonzero:  # not vacuous: another integrand, the same value
+            assert p.traced != m.traced, (plus.suite, p.label)
+
+
+def test_antipodal_identity_rejects_a_collar_bracket_without_xn(monkeypatch):
+    """The probe 3/2 h' xn -> 3/2 h' in the connection bracket breaks the
+    parity in xn, and with it the identity, at d2d2 rows b and c and at
+    d1d3 row c."""
+    model = Model()
+    model.__dict__["collar_bracket"] = XiRational.build(
+        model.registry, {0: model.hp_poly * Fraction(3, 2)})
+    broken = {}
+    for name in BOUNDARY_SUITES:
+        suite = load_suite(name, model)
+        broken[name] = _antipodal_breaks(assemble_boundary(suite),
+                                         _with_pi_minus_left(monkeypatch, suite))
+    assert broken == {"boundary-d2d2": {"b", "c"}, "boundary-d1d3": {"c"}}

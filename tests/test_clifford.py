@@ -17,7 +17,14 @@ from wresidue.clifford import (
     word_mul,
 )
 from wresidue.oracles import element_matrix, generator_matrices, word_matrix
-from wresidue.scalars import GR, GR_ONE, Registry, RegistryMismatchError, ScalarPoly
+from wresidue.scalars import (
+    GR,
+    GR_ONE,
+    KIND_CONN,
+    Registry,
+    RegistryMismatchError,
+    ScalarPoly,
+)
 from wresidue.verifier import run
 
 LETTERS = ((CF, 1), (CF, 2), (CN, 1), (CN, 2), (HC, 1), (HC, 2))
@@ -158,6 +165,87 @@ def test_product_trace_equals_full_product_trace(reg):
         a = _random_element(reg, rng)
         b = _random_element(reg, rng)
         assert a.product_trace(b, 2, 2) == (a * b).trace(2, 2)
+
+
+def _layout(elem):
+    """Words, monomials and values of an element, in their order."""
+    return [(w, list(p.terms.items())) for w, p in elem.terms.items()]
+
+
+def _poly_element(reg, rng, atoms):
+    """Up to three words, each with up to three monomials in ``atoms``."""
+    out = CliffordElement.zero(reg)
+    for _ in range(rng.randint(1, 3)):
+        word = CliffordElement.identity(reg)
+        for letter in rng.sample(LETTERS, rng.randint(0, 2)):
+            word = word * _gen(reg, *letter)
+        for _ in range(rng.randint(1, 3)):
+            coeff = GR(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), rng.randint(-2, 2))
+            out = out + word * (ScalarPoly.const(reg, coeff) * rng.choice(atoms))
+    return out
+
+
+def _sum_by_addition(reg, pieces):
+    out = CliffordElement.zero(reg)
+    for elem, turn, scale in pieces:
+        out = out + elem * (GR(0, 1) ** turn * scale)
+    return out
+
+
+def test_rotated_sum_is_repeated_addition(reg):
+    """Same value, word order and monomial order as adding one piece at a
+    time, including words and monomials that cancel and come back."""
+    atoms = [ScalarPoly.var(reg, reg.add(name, KIND_CONN)) for name in ("w0", "w1", "w2")]
+    rng = random.Random(41)
+    for _ in range(300):
+        pieces = []
+        for _ in range(rng.randint(0, 5)):
+            if pieces and rng.random() < 0.4:
+                # undo part of an earlier piece: -i^t s x == i^(t+2) s x
+                elem, turn, scale = rng.choice(pieces)
+                kept = dict(list(elem.terms.items())[:rng.randint(1, len(elem.terms))])
+                pieces.append((CliffordElement(reg, kept), turn + 2, scale))
+            else:
+                pieces.append((_poly_element(reg, rng, atoms), rng.randint(-6, 6),
+                               rng.choice((1, -1, 3, Fraction(-2, 5)))))
+        got, want = CliffordElement.rotated_sum(reg, pieces), _sum_by_addition(reg, pieces)
+        assert got == want
+        assert _layout(got) == _layout(want)
+
+
+def test_rotated_sum_puts_a_returning_word_last(reg):
+    w0, w1 = (ScalarPoly.var(reg, reg.add(name, KIND_CONN)) for name in ("w0", "w1"))
+    e1, e2 = _gen(reg, CF, 1), _gen(reg, HC, 2)
+    x = e1 * (w0 + w1)
+    pieces = [(x, 0, 1), (e2 * w0, 1, 2), (e1 * w1, 2, 1),  # drops e1's w1
+              (e1 * w0, 2, 1),  # drops e1
+              (e1 * w1, 0, 1), (e1 * w0, 0, 3)]  # e1 comes back last, w1 before w0
+    got = CliffordElement.rotated_sum(reg, pieces)
+    assert _layout(got) == _layout(_sum_by_addition(reg, pieces))
+    assert [w for w in got.terms] == [((HC, 2),), ((CF, 1),)]
+    assert list(got.terms[((CF, 1),)].terms) == [((1, 1),), ((0, 1),)]
+
+
+def _product_trace_scaling_the_product(a, b, p, q):
+    """The product trace as it was first written: each matching pair's
+    product, scaled afterwards."""
+    dim = fiber_dimension(p, q)
+    small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
+    acc = ScalarPoly.zero(a.registry)
+    for w, c1 in small.items():
+        if w in big:
+            acc = acc + c1 * big[w] * (word_mul(w, w)[0] * dim)
+    return acc
+
+
+def test_product_trace_scales_a_factor_and_keeps_the_order(reg):
+    atoms = [ScalarPoly.var(reg, reg.add(name, KIND_CONN)) for name in ("w0", "w1", "w2")]
+    rng = random.Random(43)
+    for _ in range(300):
+        a, b = _poly_element(reg, rng, atoms), _poly_element(reg, rng, atoms)
+        got, want = a.product_trace(b, 2, 2), _product_trace_scaling_the_product(a, b, 2, 2)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
 
 
 # -- matrix realization oracle ----------------------------------------------

@@ -108,10 +108,25 @@ def test_gr_from_ints_matches_the_fraction_path(re, im):
 @given(mixed, mixed)
 def test_gr_eq_and_hash_follow_parts(x, y):
     assert (x == y) == ((x.re, x.im) == (y.re, y.im))
-    assert hash(x) == hash((x.re, x.im))
     assert x == GR(x.re, x.im) and hash(x) == hash(GR(x.re, x.im))
     if not x.im:
-        assert x == x.re and hash(x) == hash((x.re, Fraction(0)))
+        assert x == x.re and hash(x) == hash(x.re)
+
+
+@pytest.mark.parametrize("number", [0, 1, -3, 10**30, Fraction(1, 2), Fraction(-7, 3)])
+def test_gr_hash_agrees_with_the_equal_number(number):
+    """A real value equals the int or Fraction it holds, so it hashes alike
+    and either finds the other in a set."""
+    value = GR(number)
+    assert value == number and hash(value) == hash(number)
+    assert number in {value} and value in {number}
+    assert value in {GR(Fraction(number) * 4, 0) / 4}
+
+
+def test_gr_complex_hash_is_the_canonical_triple():
+    value = GR(Fraction(1, 2), Fraction(-3, 4))
+    assert hash(value) == hash((value._a, value._b, value._d)) == hash((2, -3, 4))
+    assert value in {GR(Fraction(2, 4), Fraction(-6, 8))}
 
 
 def _same_complex(x):

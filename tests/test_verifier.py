@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -419,3 +420,40 @@ def test_cli_parser_defaults():
     assert args.suite == "all"
     assert args.fmt == "json"
     assert args.emit_intermediates is None
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after a test that sets it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_pauses_the_collector_and_restores_it(enabled, collector, cli_runs, monkeypatch):
+    """The suites run with the cyclic collector off; afterwards it is as it
+    was before, and the report does not depend on it."""
+    seen = []
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return run_suite(*args)
+
+    (gc.enable if enabled else gc.disable)()
+    monkeypatch.setattr(verifier, "run_suite", recording)
+    assert run(("all",)) == cli_runs[0]
+    assert seen == [False] * 4
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_engine_failure_restores_the_collector(enabled, collector, monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("probe")
+
+    (gc.enable if enabled else gc.disable)()
+    monkeypatch.setattr(verifier, "run_suite", broken)
+    assert main(["--suite", "all"]) == 3
+    assert capsys.readouterr().err == "wres-verify: internal error: RuntimeError: probe\n"
+    assert gc.isenabled() is enabled

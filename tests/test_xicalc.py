@@ -12,6 +12,7 @@ from wresidue.xicalc import (
     XiRational,
     _num_mul_linear,
     _synthetic_div,
+    _vanishes_at,
     pi_minus,
     pi_plus,
     xi_derivative,
@@ -331,3 +332,115 @@ def test_mixed_operands_lift_the_lower_one(reg, low, op, high):
                       (fn(higher, lower), fn(higher, lifted))):
         assert type(got) is type(higher)
         assert got == want
+
+
+# -- fast paths against the code they replace ---------------------------------
+
+
+def _one_pole(f):
+    return (f.a == 0) != (f.b == 0)
+
+
+def _assert_derivative_is_the_formula(f):
+    """The one-pole derivative equals the two-pole formula stripped back to
+    canonical form, in value and in the order of its xn powers."""
+    got, want = f.xi_derivative(), f._two_pole_derivative()
+    assert got == want
+    assert list(got.num) == list(want.num)
+
+
+def test_one_pole_derivative_is_the_formula_on_every_suite_factor(suites, d2d2, d1d3):
+    checked = 0
+    for suite in suites.values():
+        for f in list(suite._factors.values()):
+            if _one_pole(f) or not (f.a or f.b):
+                _assert_derivative_is_the_formula(f)
+                checked += _one_pole(f)
+    assert checked == 14  # the seven pi+ entries of each suite
+
+
+def test_one_pole_derivative_is_the_formula_on_seeded_elements(sweep):
+    reg = Registry()
+    rng = random.Random(7)
+    poles = []
+    while len(poles) < 200:
+        f = sweep._decaying(reg, rng, with_generators=True) if len(poles) % 2 else sweep._any(reg, rng)
+        if _one_pole(f):
+            _assert_derivative_is_the_formula(f)
+            poles.append(f.a > 0)
+    assert 0 < sum(poles) < len(poles)  # poles at +i and at -i alone
+
+
+def test_one_pole_derivative_keeps_every_traced_integrand(model, d2d2, d1d3, monkeypatch):
+    """Assembled with the two-pole formula in place of the one-pole path,
+    every traced integrand has the same xn powers, words and monomials in
+    the same order: the report's floats are summed in that order."""
+    from wresidue.boundary import assemble_boundary
+    from wresidue.reference import load_suite
+
+    monkeypatch.setattr(XiRational, "_one_pole_derivative", XiRational._two_pole_derivative)
+    for fast in (d2d2, d1d3):
+        slow = assemble_boundary(load_suite(fast.suite, model))
+        for got, want in zip(fast.cases, slow.cases):
+            assert got.case == want.case and got.value == want.value
+            if want.traced is not None:
+                assert _layout(got.traced.num) == _layout(want.traced.num)
+
+
+def _vanishes_by_full_grouping(num, sign):
+    """Every rotated (word, monomial) sum of the numerator at sign * i, all
+    grouped before any is tested."""
+    groups = {}
+    for m, elem in num.items():
+        for word, poly in elem.terms.items():
+            for mono, c in poly.terms.items():
+                groups.setdefault((word, mono), []).append(c.times_i_pow(m * sign))
+    return all(not sum(values[1:], values[0]) for values in groups.values())
+
+
+def _with_late_remainder(num, reg):
+    """(xn^2 + 1) N plus one monomial met after all of its own: the first
+    rotated sum vanishes at +-i, and the last does not."""
+    from wresidue.scalars import KIND_CONN
+    out = _num_mul_linear(_num_mul_linear(num, reg, 1), reg, -1)
+    top = max(out)
+    late = ScalarPoly.var(reg, reg.get_or_add("late", KIND_CONN))
+    out[top] = out[top] + _const(reg, 1) * late
+    return out
+
+
+def _numerators_with_linear_factors(reg, rng, letters):
+    num = _random_numerator(reg, rng, letters)
+    if not num:
+        return []
+    cases = [num, _with_late_remainder(num, reg)]
+    for sign in (1, -1):
+        cases.append(_num_mul_linear(num, reg, sign))  # (xn - sign i) N
+        cases.append(_num_mul_linear(_num_mul_linear(num, reg, sign), reg, -sign))
+    return cases
+
+
+@_SHARES_SWEEP
+@given(seed=st.integers(0, 2**32))
+def test_pole_test_early_exit_is_the_full_grouping(sweep, seed):
+    reg = Registry()
+    for num in _numerators_with_linear_factors(reg, random.Random(seed), sweep.LETTERS):
+        for sign in (1, -1):
+            assert _vanishes_at(num, sign) == _vanishes_by_full_grouping(num, sign)
+
+
+def test_pole_test_finds_the_linear_factors_it_must(sweep, suites):
+    """Numerators built as (xn -+ i) N vanish there, on seeded numerators
+    and on every jet numerator of both suites."""
+    reg = Registry()
+    rng = random.Random(11)
+    nums = [_random_numerator(reg, rng, sweep.LETTERS) for _ in range(100)]
+    nums = [(reg, n) for n in nums if n]
+    for suite in suites.values():
+        nums += [(f.registry, f.num) for jets in (*suite.left.values(), *suite.right.values())
+                 for f in jets if f.num]
+    for reg, num in nums:
+        for sign in (1, -1):
+            assert _vanishes_at(_num_mul_linear(num, reg, sign), sign)
+            assert _vanishes_at(num, sign) == _vanishes_by_full_grouping(num, sign)
+            assert not _vanishes_at(_with_late_remainder(num, reg), sign)
