@@ -16,11 +16,13 @@ read with the model from a :class:`~wresidue.reference.Suite`, whose
 tangential x-derivatives of the jets vanish there.  Every case is evaluated
 twice, once as stated and once with one xn-covariable derivative moved
 across the product (integration by parts), and the two values must agree
-exactly.
+exactly.  The traced integrand is kept whole; its residue is taken only of
+the monomials whose sphere average can be nonzero.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +30,7 @@ from typing import Sequence
 
 from .reference import Suite
 from .scalars import GR, GR_ONE, GaussianRational, Indeterminate, ScalarPoly, minus_i_pow
-from .sphere import integrate_sphere
+from .sphere import integrate_sphere, survives_sphere
 from .xicalc import XiRational
 
 
@@ -125,7 +127,10 @@ def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     right = suite.factor(False, case.l, case.k, case.j + 1 - shift)
 
     traced = left.product_trace(right, model.p, model.q)
-    line_integral = traced.integrate(model.pi).scalar_part()
+    # only the monomials that survive the sphere average reach the residue
+    xi_ids = {ind.id for ind in model.xi}
+    line_integral = traced.integrate(
+        model.pi, keep=functools.partial(survives_sphere, xi_ids=xi_ids)).scalar_part()
     averaged = integrate_sphere(line_integral, model.xi, model.omega3)
     sign = GR_ONE if shift % 2 == 0 else -GR_ONE
     value = averaged * (case_prefactor(case) * sign)

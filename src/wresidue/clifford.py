@@ -270,18 +270,18 @@ class CliffordElement:
         words: dict = {}
         for elem, turn, scale in pieces:
             turn %= 4
-            scaled = scale != 1
-            if scaled:
-                scale = GaussianRational(scale)
+            if scale.__class__ is int:
+                num, den = scale, 1
+            else:
+                num, den = scale.numerator, scale.denominator
+            moved = turn or num != 1 or den != 1
             for word, poly in elem.terms.items():
                 acc = words.get(word)
                 if acc is None:
                     acc = words[word] = {}
                 for mono, c in poly.terms.items():
-                    if turn:
-                        c = c.times_i_pow(turn)
-                    if scaled:
-                        c = c * scale
+                    if moved:
+                        c = c.turn_scale(turn, num, den)
                     prev = acc.get(mono)
                     if prev is None:
                         acc[mono] = c

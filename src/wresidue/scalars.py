@@ -140,6 +140,25 @@ class GaussianRational:
             a, b = -b, a
         return _new(a, b, self._d)
 
+    def turn_scale(self, turn: int, num: int, den: int) -> "GaussianRational":
+        """``self * i**turn * (num / den)`` for ``turn`` in 0..3 and a real
+        ``num / den`` in lowest terms with ``den > 0``: the quarter turn of
+        :meth:`times_i_pow` and the cross-cancelling of :meth:`__mul__`'s
+        real branch, building one value."""
+        a, b = self._a, self._b
+        if turn == 1:
+            a, b = -b, a
+        elif turn == 2:
+            a, b = -a, -b
+        elif turn == 3:
+            a, b = b, -a
+        d = self._d
+        if d == 1 and den == 1:
+            return _new(a * num, b * num, 1)
+        g1, g2 = gcd(num, d), gcd(a, b, den)
+        k = num // g1
+        return _new(k * (a // g2), k * (b // g2), (d // g1) * (den // g2))
+
     # -- predicates & conversions -----------------------------------------
 
     def is_zero(self) -> bool:
@@ -513,6 +532,11 @@ class ScalarPoly:
     def substitute(self, bindings: Mapping[Indeterminate, GaussianRational]) -> "ScalarPoly":
         """Evaluate some indeterminates at exact scalar values.
 
+        Terms are grouped by the monomial left in the unbound indeterminates,
+        and each group is summed over the lcm of its denominators and reduced
+        once.  The result's monomials come in the order their groups are
+        first met in, among the groups whose total is nonzero.
+
         Formal markers may not be bound here; they are never evaluated.
         """
         for ind in bindings:
@@ -520,27 +544,36 @@ class ScalarPoly:
                 raise MarkerSubstitutionError(f"cannot bind formal marker {ind.name!r}")
         values = {ind.id: _as_gr(v) for ind, v in bindings.items()}
         powers: dict[tuple[int, int], GaussianRational] = {}
-        out: dict[Monomial, GaussianRational] = {}
+        # per remaining monomial: [real, imaginary, denominator], unreduced
+        groups: dict[Monomial, list[int]] = {}
         for mono, coeff in self.terms.items():
-            acc = coeff
+            a, b, d = coeff._a, coeff._b, coeff._d
             rest = []
             for iid, exp in mono:
                 if iid in values:
                     power = powers.get((iid, exp))
                     if power is None:
                         power = powers[iid, exp] = values[iid] ** exp
-                    acc = acc * power
+                    pa, pb = power._a, power._b
+                    a, b, d = a * pa - b * pb, a * pb + b * pa, d * power._d
                 else:
                     rest.append((iid, exp))
-            if acc.is_zero():
+            if not (a or b):
                 continue
             key = tuple(rest)
-            total = out.get(key, GR_ZERO) + acc
-            if total.is_zero():
-                out.pop(key, None)
+            acc = groups.get(key)
+            if acc is None:
+                groups[key] = [a, b, d]
+            elif acc[2] == d:
+                acc[0] += a
+                acc[1] += b
             else:
-                out[key] = total
-        return ScalarPoly(self.registry, out)
+                da = acc[2]
+                g = gcd(da, d)
+                sa, sb = d // g, da // g
+                acc[0], acc[1], acc[2] = acc[0] * sa + a * sb, acc[1] * sa + b * sb, da * sa
+        return ScalarPoly._pruned(self.registry, {
+            key: _canon(a, b, d) for key, (a, b, d) in groups.items() if a or b})
 
     def replace(self, ind: Indeterminate, value: "ScalarPoly") -> "ScalarPoly":
         """Substitute one indeterminate by a polynomial."""
@@ -615,14 +648,27 @@ class ScalarPoly:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two monomials, each sorted by indeterminate id, by merging."""
     if not m1:
         return m2
     if not m2:
         return m1
-    merged = dict(m1)
-    for iid, exp in m2:
-        merged[iid] = merged.get(iid, 0) + exp
-    return tuple(sorted(merged.items()))
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        t1, t2 = m1[i], m2[j]
+        if t1[0] < t2[0]:
+            out.append(t1)
+            i += 1
+        elif t2[0] < t1[0]:
+            out.append(t2)
+            j += 1
+        else:
+            out.append((t1[0], t1[1] + t2[1]))
+            i += 1
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def _mono_sort_key(mono: Monomial):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
-from .scalars import GR, GR_ZERO, Indeterminate, ScalarPoly
+from .scalars import GR, GR_ZERO, Indeterminate, Monomial, ScalarPoly
 
 
 def _double_factorial(n: int) -> int:
@@ -47,6 +47,12 @@ def moment_fraction(exponents: Iterable[int]) -> Fraction:
     for k in range(1, total + 1):
         den *= DIM + 2 * k - 2
     return Fraction(num, den)
+
+
+def survives_sphere(mono: Monomial, xi_ids: Container[int]) -> bool:
+    """Whether a monomial can average to nonzero over the sphere: exactly
+    when every covariable exponent in it is even (see ``moment_fraction``)."""
+    return not any(exp % 2 for iid, exp in mono if iid in xi_ids)
 
 
 def integrate_sphere(value: ScalarPoly, xi_inds: Sequence[Indeterminate],

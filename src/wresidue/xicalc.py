@@ -22,6 +22,7 @@ from .scalars import (
     GR,
     GaussianRational,
     Indeterminate,
+    Monomial,
     Registry,
     ScalarPoly,
 )
@@ -377,25 +378,49 @@ class XiRational:
         it is the sum of S_k e_(a-1-k) over k < a, taken in the order
         :meth:`laurent` takes it; only S_0 .. S_(a-1) are needed, and only
         S_(a-1) when there is no pole at -i (e_0 = 1, e_s = 0 otherwise)."""
-        own, other = self.a, self.b
+        return self._residue(1)
+
+    def _residue(self, sign: int) -> CliffordElement:
+        """The residue at ``sign * i``, as :meth:`residue_at_plus_i` builds
+        it, with the two poles' roles swapped when ``sign`` is -1."""
+        own, other = (self.a, self.b) if sign > 0 else (self.b, self.a)
         if not own:
             return CliffordElement.zero(self.registry)
         return CliffordElement.rotated_sum(self.registry, (
-            (self._shifted(k, 1), *_expansion_coeff(other, own - 1 - k, 1))
+            (self._shifted(k, sign), *_expansion_coeff(other, own - 1 - k, sign))
             for k in range(0 if other else own - 1, min(own, self.degree() + 1))))
 
-    def integrate(self, pi_ind: Indeterminate) -> CliffordElement:
+    def _kept(self, keep: Callable[[Monomial], bool]) -> "XiRational":
+        """The coefficient monomials that ``keep`` accepts, over the same pole
+        orders.  The copy is taken as is, not made canonical: only the
+        residue, which holds for any representation, is taken of it."""
+        reg = self.registry
+        num: NumDict = {}
+        for m, elem in self.num.items():
+            words = {}
+            for word, poly in elem.terms.items():
+                terms = {mono: c for mono, c in poly.terms.items() if keep(mono)}
+                if terms:
+                    words[word] = ScalarPoly._pruned(reg, terms)
+            if words:
+                num[m] = CliffordElement._pruned(reg, words)
+        return XiRational._canonical(reg, num, self.a, self.b)
+
+    def integrate(self, pi_ind: Indeterminate,
+                  keep: Callable[[Monomial], bool] | None = None) -> CliffordElement:
         """Real-line integral, closing the contour in the upper half plane.
 
         Requires numerator degree <= a + b - 2; the result carries the
-        supplied symbolic pi marker as a factor.
+        supplied symbolic pi marker as a factor.  With ``keep``, the residue
+        is taken only of the coefficient monomials it accepts, while the
+        degree check still reads the whole element.
         """
         if self.is_zero():
             return CliffordElement.zero(self.registry)
         if self.degree() > self.a + self.b - 2:
             raise InsufficientDecayError(
                 f"degree {self.degree()} with pole orders ({self.a},{self.b})")
-        res = self.residue_at_plus_i()
+        res = (self if keep is None else self._kept(keep)).residue_at_plus_i()
         pi_factor = ScalarPoly.var(self.registry, pi_ind) * GR(0, 2)
         return res * pi_factor
 
@@ -403,14 +428,27 @@ class XiRational:
 
     def eval_scalar_complex(self, xn: complex, bindings: Mapping[int, complex] | None = None) -> complex:
         """Evaluate the identity-word component at a numeric point."""
+        return self._evaluator(bindings)(xn)
+
+    def _evaluator(self, bindings: Mapping[int, complex] | None) -> Callable[[complex], complex]:
+        """The identity-word component as a function of a numeric xn, with
+        each numerator coefficient floated once, here."""
         bindings = bindings or {}
-        num = 0j
+        coeffs = []
         for m, c in self.num.items():
             for word in c.terms:
                 if word:
                     raise ValueError("numeric evaluation needs an identity-word element")
-            num += c.scalar_part().eval_complex(bindings) * xn ** m
-        return num / ((xn - 1j) ** self.a * (xn + 1j) ** self.b)
+            coeffs.append((m, c.scalar_part().eval_complex(bindings)))
+        a, b = self.a, self.b
+
+        def value(xn: complex) -> complex:
+            num = 0j
+            for m, c in coeffs:
+                num += c * xn ** m
+            return num / ((xn - 1j) ** a * (xn + 1j) ** b)
+
+        return value
 
     def render(self) -> str:
         if not self.num:
@@ -447,5 +485,5 @@ def numeric_xi_oracle(f: XiRational, bindings: Mapping[int, complex] | None = No
     identity-word component over the real line, one evaluation per abscissa."""
     from .quadpack import qagie  # only the corroboration needs it; set-up stays lean
 
-    value = functools.cache(lambda x: f.eval_scalar_complex(x, bindings))
+    value = functools.cache(f._evaluator(bindings))
     return complex(qagie(lambda x: value(x).real)[0], qagie(lambda x: value(x).imag)[0])

@@ -5,6 +5,7 @@ import pytest
 
 from wresidue.boundary import (
     CaseSpec,
+    CaseResult,
     assemble_boundary,
     case_prefactor,
     drop_components,
@@ -21,8 +22,10 @@ from wresidue.reference import (
     expected_d1d3,
     load_suite,
 )
-from wresidue.scalars import GR, GR_I, ScalarPoly
-from wresidue.xicalc import XiRational
+from wresidue.clifford import CliffordElement
+from wresidue.scalars import GR, GR_I, GR_ONE, ScalarPoly
+from wresidue.sphere import integrate_sphere, survives_sphere
+from wresidue.xicalc import InsufficientDecayError, XiRational
 
 
 def test_case_order_constraint(d2d2, d1d3):
@@ -193,3 +196,96 @@ def test_antipodal_identity_rejects_a_collar_bracket_without_xn(monkeypatch):
         broken[name] = _antipodal_breaks(assemble_boundary(suite),
                                          _with_pi_minus_left(monkeypatch, suite))
     assert broken == {"boundary-d2d2": {"b", "c"}, "boundary-d1d3": {"c"}}
+
+
+# -- the residue of the sphere-surviving part --------------------------------
+
+
+def _value_from_the_whole_integrand(model, res: CaseResult, shift: int) -> ScalarPoly:
+    """A case value as it was first computed: the residue of the whole
+    traced integrand, odd covariable monomials included."""
+    line = res.traced.integrate(model.pi).scalar_part()
+    sign = GR_ONE if shift % 2 == 0 else -GR_ONE
+    return integrate_sphere(line, model.xi, model.omega3) * (case_prefactor(res.case) * sign)
+
+
+def _odd_monomials(model, traced: XiRational) -> int:
+    xi_ids = {ind.id for ind in model.xi}
+    return sum(not survives_sphere(mono, xi_ids) for elem in traced.num.values()
+               for poly in elem.terms.values() for mono in poly.terms)
+
+
+def test_sphere_survivors_give_every_case_value_in_order(suites):
+    """Both shifts of every case of both suites: the value from the
+    surviving monomials equals the whole integrand's, monomial order too,
+    and the traced integrand stays whole."""
+    odd = 0
+    for suite in suites.values():
+        model = suite.model
+        for case in enumerate_cases(suite):
+            for shift in (0, 1):
+                res = evaluate_case(suite, case, shift)
+                if res.traced is None:
+                    continue
+                want = _value_from_the_whole_integrand(model, res, shift)
+                assert res.value == want, (suite.name, case, shift)
+                assert list(res.value.terms.items()) == list(want.terms.items())
+                odd += _odd_monomials(model, res.traced)
+    assert odd  # not vacuous: the traced integrands keep their odd monomials
+
+
+def _case_with_integrand(monkeypatch, suite, num, a, b) -> CaseResult:
+    """The first case of ``suite`` without tangential derivatives, its traced
+    integrand replaced by ``num`` over the pole orders ``(a, b)``."""
+    reg = suite.model.registry
+    traced = XiRational(reg, {m: CliffordElement.identity(reg, c) for m, c in num.items()}, a, b)
+    case = next(c for c in enumerate_cases(suite) if not c.alpha_abs)
+    with monkeypatch.context() as patch:
+        patch.setattr(XiRational, "product_trace", lambda *args: traced)
+        res = evaluate_case(suite, case)
+    assert res.traced is traced
+    return res
+
+
+def test_decay_check_reads_the_odd_monomials(suites, monkeypatch):
+    """The only power too high for the poles sits on an odd monomial, which
+    the residue drops; the degree check must still see it."""
+    suite = suites["boundary-d2d2"]
+    model = suite.model
+    xi1, xi2 = (model.var(ind) for ind in model.xi[:2])
+    num = {0: xi1 * xi1, 1: xi2 * xi2 * GR(3), 2: xi1 * xi2 * xi2}
+    with pytest.raises(InsufficientDecayError):
+        _case_with_integrand(monkeypatch, suite, num, 2, 1)
+    # without it the same integrand integrates, to a nonzero value
+    del num[2]
+    assert _case_with_integrand(monkeypatch, suite, num, 2, 1).value
+
+
+def test_an_integrand_of_odd_monomials_gives_zero(suites, monkeypatch):
+    suite = suites["boundary-d1d3"]
+    model = suite.model
+    xi1, xi2, xi3 = (model.var(ind) for ind in model.xi)
+    num = {0: xi1 * GR(5), 1: xi1 * xi2 * xi3 + xi2 * xi2 * xi3}
+    res = _case_with_integrand(monkeypatch, suite, num, 2, 1)
+    assert res.value == ScalarPoly.zero(model.registry)
+    assert res.traced.integrate(model.pi)  # the whole integrand's residue is not zero
+
+
+# -- the contour closed downwards -------------------------------------------
+
+
+def test_residue_at_minus_i_gives_every_case_value(suites, d2d2, d1d3, monkeypatch):
+    """-2 pi i Res at -i in place of 2 pi i Res at +i: every case value of
+    both suites is the same, through the surviving monomials' residue at the
+    other pole.  Taking the residue at -i without the sign is caught."""
+    for plus in (d2d2, d1d3):
+        suite = suites[plus.suite]
+        with monkeypatch.context() as patch:
+            patch.setattr(XiRational, "residue_at_plus_i", lambda f: -f._residue(-1))
+            down = assemble_boundary(suite)
+        assert [r.value for r in down.cases] == [r.value for r in plus.cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(XiRational, "residue_at_plus_i", lambda f: f._residue(-1))
+            wrong = assemble_boundary(suite)
+        moved = {p.label for p, w in zip(plus.cases, wrong.cases) if p.value != w.value}
+        assert moved == {p.label for p in plus.cases if p.value}, plus.suite

@@ -226,6 +226,28 @@ def test_rotated_sum_puts_a_returning_word_last(reg):
     assert list(got.terms[((CF, 1),)].terms) == [((1, 1),), ((0, 1),)]
 
 
+@pytest.mark.parametrize("coeff, turn, scale", [
+    (GR(3, -2), 2, 5),  # integer coefficient, integer scale: the d == 1 shortcut
+    (GR(-4, 6), 1, -1),
+    (GR(Fraction(3, 4), Fraction(-5, 6)), 0, Fraction(-8, 9)),  # negative Fraction scale
+    (GR(Fraction(6, 5), 2), 3, Fraction(-10, 3)),  # turn 3 and cancelling across
+    (GR(7, 0), -1, Fraction(3, 14)),  # turn -1 is turn 3
+    (GR(0, Fraction(1, 2)), 3, 4),
+])
+def test_rotated_sum_turns_and_scales_in_one_step(reg, coeff, turn, scale):
+    w0, w1 = (ScalarPoly.var(reg, reg.add(name, KIND_CONN)) for name in ("w0", "w1"))
+    e1 = _gen(reg, CF, 1)
+    elem = e1 * (w0 * coeff + w1 * GR(Fraction(2, 3))) + CliffordElement.identity(reg, w1 * coeff)
+    pieces = [(elem, turn, scale), (e1 * w1, turn + 1, scale)]
+    got, want = CliffordElement.rotated_sum(reg, pieces), _sum_by_addition(reg, pieces)
+    assert got == want
+    assert _layout(got) == _layout(want)
+    # == compares the stored triples, so this also checks the one value is canonical
+    scale = Fraction(scale)
+    assert coeff.turn_scale(turn % 4, scale.numerator, scale.denominator) == \
+        coeff.times_i_pow(turn) * GR(scale)
+
+
 def _product_trace_scaling_the_product(a, b, p, q):
     """The product trace as it was first written: each matching pair's
     product, scaled afterwards."""

@@ -6,6 +6,7 @@ the report's quadrature digits do not depend on which of the two ran.
 """
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -14,11 +15,14 @@ import subprocess
 import sys
 import warnings
 
+import pytest
 from scipy import integrate
 
 import wresidue
 from wresidue import cli, quadpack, verifier
-from wresidue.xicalc import numeric_xi_oracle
+from wresidue.clifford import CF, CliffordElement
+from wresidue.verifier import exact_bindings, numeric_bindings
+from wresidue.xicalc import XiRational, numeric_xi_oracle
 
 SETTINGS = dict(epsabs=quadpack.EPSABS, epsrel=quadpack.EPSREL, limit=quadpack.LIMIT)
 
@@ -121,6 +125,59 @@ def test_engine_integrands_match_quad_bit_for_bit(monkeypatch):
         parts = _parts(lambda x: f.eval_scalar_complex(x, bindings))
         assert [_port(p) for p in parts] == [_quad(p) for p in parts]
         assert numeric_xi_oracle(f, bindings) == complex(*(_quad(p)[0] for p in parts))
+
+
+def _value_refloating_each_coefficient(f, x, bindings):
+    """The identity-word value as first written: every coefficient floated
+    again at each abscissa."""
+    num = 0j
+    for m, c in f.num.items():
+        num += c.scalar_part().eval_complex(bindings) * x ** m
+    return num / ((x - 1j) ** f.a * (x + 1j) ** f.b)
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_oracle_floats_each_coefficient_once_and_keeps_every_bit(model, d2d2, d1d3,
+                                                                 monkeypatch):
+    """At every abscissa QAGIE asks for, on every case integrand bound as the
+    corroboration binds it, both evaluators give the old value bit for bit."""
+    bound = exact_bindings(model)
+    bindings = numeric_bindings(model, bound)
+    asked = []
+    qagie = quadpack.qagie
+
+    def recording(part):
+        return qagie(lambda x: asked.append(x) or part(x))
+
+    monkeypatch.setattr(quadpack, "qagie", recording)
+    integrands = [res.traced.substitute(bound) for result in (d2d2, d1d3)
+                  for res in result.cases if res.value]
+    assert integrands
+    for f in integrands:
+        asked.clear()
+        got = numeric_xi_oracle(f, bindings)
+        assert asked
+        value = f._evaluator(bindings)
+        for x in asked:
+            want = _bits(_value_refloating_each_coefficient(f, x, bindings))
+            assert _bits(value(x)) == want
+            assert _bits(f.eval_scalar_complex(x, bindings)) == want
+        old = functools.cache(lambda x: _value_refloating_each_coefficient(f, x, bindings))
+        assert _bits(got) == _bits(complex(qagie(lambda x: old(x).real)[0],
+                                           qagie(lambda x: old(x).imag)[0]))
+
+
+def test_oracle_rejects_a_word_before_integrating(model):
+    reg = model.registry
+    f = XiRational(reg, {0: CliffordElement.identity(reg), 1: CliffordElement.generator(reg, CF, 1)},
+                   2, 1)
+    with pytest.raises(ValueError, match="identity-word"):
+        numeric_xi_oracle(f)
+    with pytest.raises(ValueError, match="identity-word"):
+        f.eval_scalar_complex(0.5)
 
 
 def test_full_run_imports_neither_numpy_nor_scipy():

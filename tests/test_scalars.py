@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -16,8 +17,10 @@ from wresidue.scalars import (
     Registry,
     RegistryMismatchError,
     ScalarPoly,
+    _mono_mul,
     minus_i_pow,
 )
+from wresidue.verifier import exact_bindings
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 gaussians = st.builds(GR, rationals, rationals)
@@ -283,3 +286,115 @@ def test_zero_coefficients_pruned(reg):
     x, y, _ = _vars(reg)
     assert (x - x).terms == {}
     assert (x + y - y) == x
+
+
+# -- substitution: one reduction per remaining monomial ----------------------
+
+
+def _substitute_by_running_sum(p, bindings):
+    """Substitution as it was first written: every term reduced and added
+    to a running sum, a sum that reaches zero dropped."""
+    values = {ind.id: v for ind, v in bindings.items()}
+    out = {}
+    for mono, coeff in p.terms.items():
+        acc, rest = coeff, []
+        for iid, exp in mono:
+            if iid in values:
+                acc = acc * values[iid] ** exp
+            else:
+                rest.append((iid, exp))
+        if acc.is_zero():
+            continue
+        key = tuple(rest)
+        total = out.get(key, GR_ZERO) + acc
+        if total.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = total
+    return ScalarPoly(p.registry, out)
+
+
+def test_substitute_is_the_running_sum_on_every_corroboration_integrand(model, d2d2, d1d3):
+    bound = exact_bindings(model)
+    seen = 0
+    for result in (d2d2, d1d3):
+        for res in result.cases:
+            if res.traced is None:
+                continue
+            for elem in res.traced.num.values():
+                for poly in elem.terms.values():
+                    got, want = poly.substitute(bound), _substitute_by_running_sum(poly, bound)
+                    assert got == want
+                    assert list(got.terms.items()) == list(want.terms.items())
+                    seen += 1
+    assert seen
+
+
+def test_partial_substitution_matches_the_running_sum_in_value(reg):
+    rng = random.Random(13)
+    inds = [reg.get_or_add(f"w{k}F", KIND_CONN) for k in range(3)]
+    for _ in range(300):
+        p = _random_poly(reg, rng)
+        bound = {ind: GR(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+                 for ind in rng.sample(inds, rng.randint(0, 3))}
+        assert p.substitute(bound) == _substitute_by_running_sum(p, bound)
+
+
+def test_substitute_keys_come_first_met_among_nonzero_groups(reg):
+    """Complex bindings: the x group cancels and disappears; the y group's
+    running sum cancels on the way and comes back, and y keeps its first-met
+    place."""
+    x, y, z, u = (reg.add(name, KIND_CONN) for name in ("x", "y", "z", "u"))
+    mark = reg.add("Omega", KIND_MARKER)
+    var = functools.partial(ScalarPoly.var, reg)
+    p = (var(x) * var(z) + var(y) * var(z) * GR(2) + var(mark) + var(x) * var(u)
+         + var(y) * var(u) * GR(2) + var(y) * var(z) * var(z) * GR(Fraction(1, 3)))
+    bound = {z: GR_I, u: -GR_I}
+    got = p.substitute(bound)
+    # x: i - i = 0;  y: 2i - 2i, then -1/3
+    assert got == var(mark) + var(y) * GR(Fraction(-1, 3))
+    assert list(got.terms) == [((y.id, 1),), ((mark.id, 1),)]
+    # the running sum dropped y on the way and put it back last
+    assert list(_substitute_by_running_sum(p, bound).terms) == [((mark.id, 1),), ((y.id, 1),)]
+    with pytest.raises(MarkerSubstitutionError):
+        p.substitute({z: GR_I, mark: GR_ONE})
+
+
+# -- monomial product ----------------------------------------------------------
+
+
+def _mono_mul_by_dict(m1, m2):
+    """The monomial product as it was first written: merge in a dict, then
+    sort."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    merged = dict(m1)
+    for iid, exp in m2:
+        merged[iid] = merged.get(iid, 0) + exp
+    return tuple(sorted(merged.items()))
+
+
+def _random_mono(rng, ids):
+    return tuple((iid, rng.randint(1, 4)) for iid in sorted(rng.sample(ids, rng.randint(0, len(ids)))))
+
+
+@pytest.mark.parametrize("m1, m2", [
+    ((), ()), ((), ((3, 1),)), (((3, 1),), ()),
+    (((0, 1), (1, 2)), ((2, 1), (5, 3))),  # disjoint, one after the other
+    (((2, 1), (5, 3)), ((0, 1), (1, 2))),
+    (((0, 1), (4, 2), (7, 1)), ((1, 1), (5, 2), (9, 1))),  # interleaved
+    (((0, 1), (4, 2)), ((0, 3), (4, 1))),  # the same ids
+    (((0, 1), (3, 2), (6, 1)), ((3, 1), (8, 2))),  # one shared id
+])
+def test_mono_mul_merges_like_the_dict(m1, m2):
+    assert _mono_mul(m1, m2) == _mono_mul_by_dict(m1, m2)
+
+
+def test_mono_mul_merges_like_the_dict_on_seeded_monomials():
+    rng = random.Random(17)
+    ids = list(range(9))
+    for _ in range(2000):
+        m1, m2 = _random_mono(rng, ids), _random_mono(rng, ids)
+        assert _mono_mul(m1, m2) == _mono_mul_by_dict(m1, m2)

@@ -4,8 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from wresidue.scalars import GR, KIND_MARKER, KIND_XI, Registry, ScalarPoly
-from wresidue.sphere import integrate_sphere, moment_fraction, numeric_sphere_oracle
+from wresidue.scalars import GR, KIND_CONN, KIND_MARKER, KIND_XI, Registry, ScalarPoly
+from wresidue.sphere import (
+    integrate_sphere,
+    moment_fraction,
+    numeric_sphere_oracle,
+    survives_sphere,
+)
 
 
 @pytest.fixture()
@@ -80,3 +85,15 @@ def test_integrate_sphere_result_free_of_covariables(setting):
     got = integrate_sphere(poly, xi, omega)
     assert not (got.indeterminate_ids() & {ind.id for ind in xi})
     assert omega.id in got.indeterminate_ids()
+
+
+def test_survivors_are_the_monomials_with_a_nonzero_moment(setting):
+    reg, xi, _ = setting
+    spectator = reg.add("w", KIND_CONN)
+    rng = random.Random(23)
+    xi_ids = {ind.id for ind in xi}
+    for _ in range(300):
+        exps = [rng.randint(0, 4) for _ in xi]
+        mono = tuple(sorted([(ind.id, e) for ind, e in zip(xi, exps) if e]
+                            + [(spectator.id, rng.randint(1, 3))] * rng.randint(0, 1)))
+        assert survives_sphere(mono, xi_ids) == bool(moment_fraction(exps))
