@@ -16,8 +16,10 @@ read with the model from a :class:`~wresidue.reference.Suite`, whose
 tangential x-derivatives of the jets vanish there.  Every case is evaluated
 twice, once as stated and once with one xn-covariable derivative moved
 across the product (integration by parts), and the two values must agree
-exactly.  The traced integrand is kept whole; its residue is taken only of
-the monomials whose sphere average can be nonzero.
+exactly.  The stated form's traced integrand is kept whole; its residue is
+taken only of the monomials whose sphere average can be nonzero.  The moved
+form's integrand holds only the terms that can survive the sphere, apart
+from the xn powers the decay check reads, and is not kept.
 """
 
 from __future__ import annotations
@@ -78,10 +80,8 @@ def enumerate_cases(suite: Suite) -> tuple[CaseSpec, ...]:
     n = suite.model.n
     found = []
     for r in sorted(suite.left, reverse=True):
-        for l in sorted(suite.right, reverse=True):
+        for l in suite.partners(True, r):
             budget = r + l + n - 1
-            if budget < 0:
-                continue
             for k in range(budget + 1):
                 for j in range(budget + 1 - k):
                     rem = budget - k - j
@@ -116,7 +116,13 @@ class BoundaryResult:
 
 def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     """One case; ``shift`` moves that many xn-covariable derivatives from the
-    right factor onto the left one, with the integration-by-parts sign."""
+    right factor onto the left one, with the integration-by-parts sign.
+
+    The stated form (``shift`` 0) keeps its whole traced integrand in
+    ``traced``.  A moved form is only compared with it: its integrand joins
+    only the monomial pairs whose product can survive the sphere (see
+    :meth:`~wresidue.xicalc.XiRational.product_trace`), goes through the same
+    decay check and residue, and is not kept."""
     model = suite.model
     if not 0 <= shift <= case.j + 1:
         raise ValueError(f"shift {shift} outside 0..{case.j + 1}")
@@ -126,15 +132,18 @@ def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     left = suite.factor(True, case.r, case.j, case.k + shift)
     right = suite.factor(False, case.l, case.k, case.j + 1 - shift)
 
-    traced = left.product_trace(right, model.p, model.q)
-    # only the monomials that survive the sphere average reach the residue
     xi_ids = {ind.id for ind in model.xi}
+    if shift:
+        traced = left.product_trace(right, model.p, model.q, even_in=xi_ids)
+    else:
+        traced = left.product_trace(right, model.p, model.q)
+    # only the monomials that survive the sphere average reach the residue
     line_integral = traced.integrate(
         model.pi, keep=functools.partial(survives_sphere, xi_ids=xi_ids)).scalar_part()
     averaged = integrate_sphere(line_integral, model.xi, model.omega3)
     sign = GR_ONE if shift % 2 == 0 else -GR_ONE
     value = averaged * (case_prefactor(case) * sign)
-    return CaseResult(case, value, traced=traced)
+    return CaseResult(case, value, traced=None if shift else traced)
 
 
 def assemble_boundary(suite: Suite) -> BoundaryResult:

@@ -568,19 +568,36 @@ class Suite:
     expected: Mapping[str, ScalarPoly]
     _factors: dict = field(default_factory=dict, compare=False, repr=False)
 
+    def partners(self, left: bool, order: int) -> tuple[int, ...]:
+        """The orders of the other factor's jets that a jet of ``order`` on
+        the left (or right) side meets in some case, highest first: left
+        order r and right order l meet when r + l + n - 1 >= 0."""
+        others = self.right if left else self.left
+        return tuple(o for o in sorted(others, reverse=True)
+                     if order + o + self.model.n - 1 >= 0)
+
     def factor(self, plus: bool, order: int, xn_order: int, nxi: int) -> XiRational:
         """``nxi`` xn-covariable derivatives of jet ``[order][xn_order]``: of
         the left factor after pi+ when ``plus`` holds, else of the right
-        factor.  Each is built at most once per suite."""
+        factor.  Each is built at most once per suite.
+
+        The jet is first restricted to the Clifford words its partner jets
+        (``partners``, at any xn order) carry: the fiber trace of a product
+        of two words is zero unless they agree, and pi+ and d/dxn act word
+        by word and make no word, so no case value moves.  A jet that
+        carries no other word is used as it is."""
         key = (plus, order, xn_order, nxi)
         got = self._factors.get(key)
         if got is None:
             if nxi:
                 got = self.factor(plus, order, xn_order, nxi - 1).xi_derivative()
-            elif plus:
-                got = self.left[order][xn_order].pi_plus()
             else:
-                got = self.right[order][xn_order]
+                jets, others = (self.left, self.right) if plus else (self.right, self.left)
+                words = {word for o in self.partners(plus, order) for jet in others[o]
+                         for elem in jet.num.values() for word in elem.terms}
+                got = jets[order][xn_order].on_words(words)
+                if plus:
+                    got = got.pi_plus()
             self._factors[key] = got
         return got
 

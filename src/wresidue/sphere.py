@@ -49,10 +49,18 @@ def moment_fraction(exponents: Iterable[int]) -> Fraction:
     return Fraction(num, den)
 
 
+def odd_class(mono: Monomial, xi_ids: Container[int]) -> tuple[int, ...]:
+    """The covariables with an odd exponent in a monomial, in id order.  A
+    product of two monomials can survive the sphere exactly when their
+    classes are equal."""
+    return tuple(iid for iid, exp in mono if exp % 2 and iid in xi_ids)
+
+
 def survives_sphere(mono: Monomial, xi_ids: Container[int]) -> bool:
     """Whether a monomial can average to nonzero over the sphere: exactly
-    when every covariable exponent in it is even (see ``moment_fraction``)."""
-    return not any(exp % 2 for iid, exp in mono if iid in xi_ids)
+    when every covariable exponent in it is even (see ``moment_fraction``),
+    that is, when its odd class is empty."""
+    return not odd_class(mono, xi_ids)
 
 
 def integrate_sphere(value: ScalarPoly, xi_inds: Sequence[Indeterminate],

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Container, Mapping
 
 from .clifford import CliffordElement
 from .scalars import (
@@ -26,6 +26,7 @@ from .scalars import (
     Registry,
     ScalarPoly,
 )
+from .sphere import odd_class
 
 NumDict = dict[int, CliffordElement]
 
@@ -98,6 +99,18 @@ def _num_mul_linear(num: NumDict, registry: Registry, sign: int) -> NumDict:
         out[m + 1] = out.get(m + 1, CliffordElement.zero(registry)) + coeff
         out[m] = out.get(m, CliffordElement.zero(registry)) + coeff.times_i_pow(sign + 2)
     return _clean(out)
+
+
+def _by_odd_class(elem: CliffordElement, xi_ids: Container[int]) -> dict[tuple, CliffordElement]:
+    """``elem`` split by the odd class of its monomials (``sphere.odd_class``),
+    each part in the element's word and monomial order."""
+    parts: dict[tuple, dict] = {}
+    for word, poly in elem.terms.items():
+        for mono, c in poly.terms.items():
+            parts.setdefault(odd_class(mono, xi_ids), {}).setdefault(word, {})[mono] = c
+    reg = elem.registry
+    return {cls: CliffordElement._pruned(reg, {w: ScalarPoly._pruned(reg, t) for w, t in words.items()})
+            for cls, words in parts.items()}
 
 
 def _expansion_coeff(order: int, s: int, sign: int) -> tuple[int, Fraction | int]:
@@ -237,20 +250,44 @@ class XiRational:
     def substitute(self, bindings) -> "XiRational":
         return self.map_coeffs(lambda c: c.substitute(bindings))
 
-    def product_trace(self, other: "XiRational", p: int, q: int) -> "XiRational":
-        """Equivalent of ``(self * other).trace(p, q)`` via the word join."""
+    def product_trace(self, other: "XiRational", p: int, q: int,
+                      even_in: Container[int] | None = None) -> "XiRational":
+        """Equivalent of ``(self * other).trace(p, q)`` via the word join.
+
+        With ``even_in``, the ids of the sphere's covariables, two monomials
+        are joined only when their product can survive the sphere average,
+        that is, when their odd classes agree (``sphere.odd_class``).  At xn
+        powers above a + b - 2 the join stays whole, so that the degree check
+        of :meth:`integrate` still reads every monomial there.  That element
+        is taken over the summed pole orders as is, not made canonical:
+        stripping a shared linear factor lowers the degree and a + b alike,
+        so it fails the degree check exactly when the whole product does,
+        and its residue of surviving monomials is the whole product's."""
         reg = self.registry
+        a, b = self.a + other.a, self.b + other.b
+        if even_in is not None:
+            classes1 = {m: _by_odd_class(c, even_in) for m, c in self.num.items()}
+            classes2 = {m: _by_odd_class(c, even_in) for m, c in other.num.items()}
         acc: dict[int, ScalarPoly] = {}
         for m1, c1 in self.num.items():
             for m2, c2 in other.num.items():
-                piece = c1.product_trace(c2, p, q)
+                key = m1 + m2
+                if even_in is None or key > a + b - 2:
+                    piece = c1.product_trace(c2, p, q)
+                else:
+                    part2 = classes2[m2]
+                    piece = ScalarPoly.zero(reg)
+                    for cls, part1 in classes1[m1].items():
+                        if cls in part2:
+                            piece = piece + part1.product_trace(part2[cls], p, q)
                 if piece.is_zero():
                     continue
-                key = m1 + m2
                 prev = acc.get(key)
                 acc[key] = piece if prev is None else prev + piece
         out = {m: CliffordElement.identity(reg, s) for m, s in acc.items()}
-        return XiRational(reg, out, self.a + other.a, self.b + other.b)
+        if even_in is None:
+            return XiRational(reg, out, a, b)
+        return XiRational._canonical(reg, _clean(out), a, b)
 
     # -- calculus ----------------------------------------------------------
 
@@ -404,6 +441,22 @@ class XiRational:
                     words[word] = ScalarPoly._pruned(reg, terms)
             if words:
                 num[m] = CliffordElement._pruned(reg, words)
+        return XiRational._canonical(reg, num, self.a, self.b)
+
+    def on_words(self, words: Container) -> "XiRational":
+        """The Clifford words in ``words``, over the same pole orders; the
+        element itself when it carries no other word.  The copy is taken as
+        is, in the element's own key, word and monomial order."""
+        if all(word in words for elem in self.num.values() for word in elem.terms):
+            return self
+        reg = self.registry
+        num: NumDict = {}
+        for m, elem in self.num.items():
+            kept = {word: poly for word, poly in elem.terms.items() if word in words}
+            if kept:
+                num[m] = CliffordElement._pruned(reg, kept)
+        if not num:
+            return XiRational.zero(reg)
         return XiRational._canonical(reg, num, self.a, self.b)
 
     def integrate(self, pi_ind: Indeterminate,

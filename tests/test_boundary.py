@@ -1,11 +1,14 @@
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from wresidue import xicalc
 from wresidue.boundary import (
     CaseSpec,
     CaseResult,
+    IbpMismatchError,
     assemble_boundary,
     case_prefactor,
     drop_components,
@@ -17,12 +20,13 @@ from wresidue.reference import (
     BOUNDARY_SUITES,
     D2D2_LABELS,
     Model,
+    Suite,
     derived_d2d2,
     expected_d2d2,
     expected_d1d3,
     load_suite,
 )
-from wresidue.clifford import CliffordElement
+from wresidue.clifford import CF, CliffordElement, generator_square_sign
 from wresidue.scalars import GR, GR_I, GR_ONE, ScalarPoly
 from wresidue.sphere import integrate_sphere, survives_sphere
 from wresidue.xicalc import InsufficientDecayError, XiRational
@@ -201,12 +205,13 @@ def test_antipodal_identity_rejects_a_collar_bracket_without_xn(monkeypatch):
 # -- the residue of the sphere-surviving part --------------------------------
 
 
-def _value_from_the_whole_integrand(model, res: CaseResult, shift: int) -> ScalarPoly:
+def _value_from_the_whole_integrand(model, case: CaseSpec, traced: XiRational,
+                                    shift: int) -> ScalarPoly:
     """A case value as it was first computed: the residue of the whole
     traced integrand, odd covariable monomials included."""
-    line = res.traced.integrate(model.pi).scalar_part()
+    line = traced.integrate(model.pi).scalar_part()
     sign = GR_ONE if shift % 2 == 0 else -GR_ONE
-    return integrate_sphere(line, model.xi, model.omega3) * (case_prefactor(res.case) * sign)
+    return integrate_sphere(line, model.xi, model.omega3) * (case_prefactor(case) * sign)
 
 
 def _odd_monomials(model, traced: XiRational) -> int:
@@ -216,22 +221,141 @@ def _odd_monomials(model, traced: XiRational) -> int:
 
 
 def test_sphere_survivors_give_every_case_value_in_order(suites):
-    """Both shifts of every case of both suites: the value from the
+    """The stated form of every case of both suites: the value from the
     surviving monomials equals the whole integrand's, monomial order too,
-    and the traced integrand stays whole."""
+    and the traced integrand stays whole.  The moved form keeps no
+    integrand; ``test_moved_form_value_is_the_whole_products`` covers it."""
     odd = 0
     for suite in suites.values():
         model = suite.model
         for case in enumerate_cases(suite):
-            for shift in (0, 1):
-                res = evaluate_case(suite, case, shift)
-                if res.traced is None:
-                    continue
-                want = _value_from_the_whole_integrand(model, res, shift)
-                assert res.value == want, (suite.name, case, shift)
-                assert list(res.value.terms.items()) == list(want.terms.items())
-                odd += _odd_monomials(model, res.traced)
+            res = evaluate_case(suite, case)
+            if case.alpha_abs:
+                assert res.traced is None
+                continue
+            want = _value_from_the_whole_integrand(model, case, res.traced, 0)
+            assert res.value == want, (suite.name, case)
+            assert list(res.value.terms.items()) == list(want.terms.items())
+            odd += _odd_monomials(model, res.traced)
     assert odd  # not vacuous: the traced integrands keep their odd monomials
+
+
+# -- the moved form: only what survives the sphere is joined -----------------
+
+
+def _factor_pairs(suite):
+    """Every case without tangential derivatives, with its left and right
+    factors for each shift."""
+    for case in enumerate_cases(suite):
+        if not case.alpha_abs:
+            for shift in (0, 1):
+                yield case, shift, (suite.factor(True, case.r, case.j, case.k + shift),
+                                    suite.factor(False, case.l, case.k, case.j + 1 - shift))
+
+
+def test_moved_form_value_is_the_whole_products(suites):
+    """Every case of both suites: the moved form's value equals the one the
+    whole product gives, and the moved form keeps no integrand."""
+    nonzero = 0
+    for suite in suites.values():
+        model = suite.model
+        for case, shift, (left, right) in _factor_pairs(suite):
+            if not shift:
+                continue
+            res = evaluate_case(suite, case, shift)
+            assert res.traced is None
+            whole = left.product_trace(right, model.p, model.q)
+            want = _value_from_the_whole_integrand(model, case, whole, shift)
+            assert res.value == want, (suite.name, case)
+            nonzero += bool(want)
+    assert nonzero
+
+
+def _canonical(f: XiRational) -> XiRational:
+    return XiRational(f.registry, f.num, f.a, f.b)
+
+
+def test_even_join_is_the_surviving_part_of_the_whole_product(suites):
+    """For the factors of both shifts of every case, the join over equal odd
+    classes is the sphere-surviving part of the whole product, over the
+    summed pole orders, with no odd monomial below the decay bound."""
+    dropped = 0
+    for suite in suites.values():
+        model = suite.model
+        xi_ids = {ind.id for ind in model.xi}
+        survives = functools.partial(survives_sphere, xi_ids=xi_ids)
+        for case, shift, (left, right) in _factor_pairs(suite):
+            even = left.product_trace(right, model.p, model.q, even_in=xi_ids)
+            whole = left.product_trace(right, model.p, model.q)
+            assert (even.a, even.b) == (left.a + right.a, left.b + right.b)
+            assert _canonical(even._kept(survives)) == _canonical(whole._kept(survives))
+            assert not any(_odd_monomials(model, XiRational(even.registry, {m: c}))
+                           for m, c in even.num.items() if m <= even.a + even.b - 2)
+            dropped += _odd_monomials(model, whole)
+    assert dropped
+
+
+def _crafted_case(monkeypatch, suite, left, right, shift):
+    """The first case of ``suite`` without tangential derivatives, with every
+    factor it asks for replaced by ``left`` or ``right``."""
+    case = next(c for c in enumerate_cases(suite) if not c.alpha_abs)
+    with monkeypatch.context() as patch:
+        patch.setattr(Suite, "factor", lambda self, plus, *key: left if plus else right)
+        return evaluate_case(suite, case, shift)
+
+
+def test_decay_check_reads_whole_joins_above_the_bound(suites, monkeypatch):
+    """xn^3 is above the bound 2 of the pole orders (2, 2).  Reached only by
+    xi1 against xi2, a pair of unequal odd classes, it fails the decay check
+    in both forms; cancelled by a second such pair, both forms integrate."""
+    suite = suites["boundary-d2d2"]
+    model = suite.model
+    reg = model.registry
+    xi1, xi2 = (model.var(ind) for ind in model.xi[:2])
+    one, e = model.ident(), model.gen(CF, 1)
+    sign = generator_square_sign((CF, 1))  # tr(e e) = sign tr(1)
+    left = XiRational(reg, {0: one, 2: one * xi1 + e * xi2}, 2, 0)
+    lone = XiRational(reg, {0: one, 1: one * xi2}, 0, 2)
+    cancelled = XiRational(reg, {0: one, 1: one * xi2 - e * (xi1 * sign)}, 0, 2)
+    for shift in (0, 1):
+        with pytest.raises(InsufficientDecayError):
+            _crafted_case(monkeypatch, suite, left, lone, shift)
+        assert _crafted_case(monkeypatch, suite, left, cancelled, shift).value
+
+
+def test_a_join_that_drops_one_odd_class_is_caught(suites, monkeypatch):
+    """The moved form with the pairs of one odd class left out no longer
+    agrees with the stated form."""
+    suite = suites["boundary-d1d3"]
+    xi1 = suite.model.xi[0].id
+    split = xicalc._by_odd_class
+    monkeypatch.setattr(xicalc, "_by_odd_class", lambda elem, ids: {
+        cls: part for cls, part in split(elem, ids).items() if cls != (xi1,)})
+    with pytest.raises(IbpMismatchError):
+        assemble_boundary(suite)
+
+
+def test_cases_and_partner_words_read_one_pairing_rule(model, suites):
+    """``Suite.partners`` is the budget rule r + l + n - 1 >= 0, highest
+    order first, and both the cases and the word restriction read it."""
+    for suite in suites.values():
+        for plus, mine, others in ((True, suite.left, suite.right),
+                                   (False, suite.right, suite.left)):
+            for order in mine:
+                assert suite.partners(plus, order) == tuple(
+                    o for o in sorted(others, reverse=True) if order + o + model.n - 1 >= 0)
+        pairs = {(c.r, c.l) for c in enumerate_cases(suite)}
+        assert pairs == {(r, l) for r in suite.left for l in suite.partners(True, r)}
+
+
+def test_no_partners_means_no_cases_and_no_factor_words(model, suites, monkeypatch):
+    monkeypatch.setattr(Suite, "partners", lambda self, left, order: ())
+    for name, suite in suites.items():
+        assert enumerate_cases(suite) == ()
+        fresh = load_suite(name, model)
+        for plus, jets in ((True, fresh.left), (False, fresh.right)):
+            for order in jets:
+                assert fresh.factor(plus, order, 0, 0).is_zero(), (name, plus, order)
 
 
 def _case_with_integrand(monkeypatch, suite, num, a, b) -> CaseResult:

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from wresidue import reference
+from wresidue.boundary import assemble_boundary, enumerate_cases, evaluate_case
 from wresidue.reference import (
+    BOUNDARY_SUITES,
     FINGERPRINT_RECIPES,
     Model,
     builtin_waivers,
@@ -190,6 +192,98 @@ def test_display_checks_read_the_assembled_factor_table(suites, d2d2, d1d3, monk
         assert {check.record_id for check in checks} == set(DISPLAY_FACTORS[name])
         for check in checks:
             assert check.engine is suite.factor(*DISPLAY_FACTORS[name][check.record_id])
+
+
+# -- each boundary factor on its partners' words ----------------------------
+#
+# The whole-factor route below is the derivation without the word
+# restriction: every factor from its whole jet.
+
+
+@pytest.fixture(scope="module")
+def whole_factor_suites(model):
+    """Each boundary suite loaded afresh with the word restriction turned
+    off, its cases assembled and each case's moved form evaluated."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(XiRational, "on_words", lambda self, words: self)
+        out = {}
+        for name in BOUNDARY_SUITES:
+            suite = load_suite(name, model)
+            moved = [evaluate_case(suite, case, 1) for case in enumerate_cases(suite)]
+            out[name] = (suite, assemble_boundary(suite), moved)
+    return out
+
+
+def _layout(f: XiRational):
+    """Pole orders, then every xn power, word and monomial in order."""
+    return (f.a, f.b, [(m, [(w, list(p.terms.items())) for w, p in e.terms.items()])
+                       for m, e in f.num.items()])
+
+
+def _partner_words(suite, plus: bool, order: int) -> set:
+    """Every word the other side's jets carry at an order that meets
+    ``order`` in some case (left r, right l: r + l + n - 1 >= 0)."""
+    others = suite.right if plus else suite.left
+    return {word for o, jets in others.items() if order + o + suite.model.n - 1 >= 0
+            for jet in jets for elem in jet.num.values() for word in elem.terms}
+
+
+def test_partner_words_keep_every_traced_integrand_and_value(suites, d2d2, d1d3,
+                                                             whole_factor_suites):
+    """Assembled from whole factors, every traced integrand keeps its pole
+    orders, xn powers, words and monomials in order, and every case value
+    of both shifts is the same, in monomial order."""
+    for got in (d2d2, d1d3):
+        suite = suites[got.suite]
+        _, want, moved = whole_factor_suites[got.suite]
+        traced = 0
+        for g, w, m in zip(got.cases, want.cases, moved, strict=True):
+            assert g.case == w.case == m.case
+            assert list(g.value.terms.items()) == list(w.value.terms.items()), g.case
+            assert (g.traced is None) == (w.traced is None)
+            if w.traced is not None:
+                assert _layout(g.traced) == _layout(w.traced), g.case
+                traced += 1
+            here = evaluate_case(suite, g.case, 1).value
+            assert list(here.terms.items()) == list(m.value.terms.items()), g.case
+        assert traced, got.suite
+
+
+def test_restricted_factor_is_the_word_restriction_of_the_whole(suites, d2d2, d1d3,
+                                                                whole_factor_suites):
+    """Each factor equals the whole factor cut to its partners' words, in
+    value and in pole orders; some factors do drop words."""
+    dropped = 0
+    for name, suite in suites.items():
+        whole_suite = whole_factor_suites[name][0]
+        reg = suite.model.registry
+        assert set(suite._factors) == set(whole_suite._factors)
+        for key, whole in whole_suite._factors.items():
+            plus, order = key[0], key[1]
+            words = _partner_words(suite, plus, order)
+            num = {}
+            for m, elem in whole.num.items():
+                kept = {w: p for w, p in elem.terms.items() if w in words}
+                if kept:
+                    num[m] = CliffordElement(reg, kept)
+            want = XiRational._canonical(reg, num, whole.a, whole.b) if num else XiRational.zero(reg)
+            got = suite.factor(*key)
+            assert got == want and (got.a, got.b) == (want.a, want.b), (name, key)
+            dropped += got != whole
+    assert dropped  # not vacuous: the restriction drops words somewhere
+
+
+def test_display_factors_are_the_unrestricted_derivation(suites, d2d2, d1d3,
+                                                         whole_factor_suites):
+    """Every factor a display check reads comes from a jet that the word
+    restriction returns as the same object, so it is the whole derivation."""
+    for name, suite in suites.items():
+        whole_suite = whole_factor_suites[name][0]
+        for plus, order, xn_order, nxi in DISPLAY_FACTORS[name].values():
+            jet = (suite.left if plus else suite.right)[order][xn_order]
+            assert jet.on_words(_partner_words(suite, plus, order)) is jet
+            key = (plus, order, xn_order, nxi)
+            assert suite.factor(*key) == whole_suite.factor(*key), (name, key)
 
 
 def test_suite_factor_table_is_not_compared(model, suites, d2d2):

@@ -276,6 +276,21 @@ def test_residue_is_the_minus_one_laurent_coefficient(sweep, seed, a, b):
         [(w, list(c.terms)) for w, c in want.terms.items()]
 
 
+def test_on_words_keeps_pole_orders_and_order(reg):
+    """A word restriction is taken as is: the part on one word may share a
+    linear factor with the denominator, and the copy keeps it, with the
+    element's own key order; nothing to drop gives the element itself."""
+    e = CliffordElement.generator(reg, CF, 1)
+    # 1 + e (xn - i), over (xn - i): canonical, but its e part is divisible
+    f = XiRational(reg, {1: e, 0: e * GR(0, -1) + CliffordElement.identity(reg)}, 1, 0)
+    assert (f.a, f.b) == (1, 0)
+    cut = f.on_words({((CF, 1),)})
+    assert (cut.a, cut.b) == (1, 0) and list(cut.num) == [1, 0]
+    assert XiRational(reg, cut.num, cut.a, cut.b) == XiRational(reg, {0: e})
+    assert f.on_words({(), ((CF, 1),), ((CF, 2),)}) is f
+    assert f.on_words(set()).is_zero()
+
+
 def test_substitute_and_coeff_derivative(reg, pi_ind):
     from wresidue.scalars import KIND_CONN
     w = reg.add("w0F", KIND_CONN)
