@@ -24,15 +24,14 @@ from the xn powers the decay check reads, and is not kept.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .reference import Suite
-from .scalars import GR, GR_ONE, GaussianRational, Indeterminate, ScalarPoly, minus_i_pow
-from .sphere import integrate_sphere, survives_sphere
+from .scalars import GR, GR_ONE, GaussianRational, Indeterminate, ScalarPoly
+from .sphere import integrate_sphere
 from .xicalc import XiRational
 
 
@@ -63,7 +62,8 @@ def case_prefactor(case: CaseSpec) -> GaussianRational:
     for a in case.alpha:
         alpha_fact *= math.factorial(a)
     denom = alpha_fact * math.factorial(case.j + case.k + 1)
-    return minus_i_pow(case.alpha_abs + case.j + case.k + 1) * GR(Fraction(1, denom))
+    # (-i)^m is the quarter turn i^(-m)
+    return GR_ONE.turn_scale(-(case.alpha_abs + case.j + case.k + 1) % 4, 1, denom)
 
 
 def _compositions(total: int, parts: int):
@@ -138,8 +138,7 @@ def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     else:
         traced = left.product_trace(right, model.p, model.q)
     # only the monomials that survive the sphere average reach the residue
-    line_integral = traced.integrate(
-        model.pi, keep=functools.partial(survives_sphere, xi_ids=xi_ids)).scalar_part()
+    line_integral = traced.integrate(model.pi, even_in=xi_ids).scalar_part()
     averaged = integrate_sphere(line_integral, model.xi, model.omega3)
     sign = GR_ONE if shift % 2 == 0 else -GR_ONE
     value = averaged * (case_prefactor(case) * sign)

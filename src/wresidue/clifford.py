@@ -253,11 +253,6 @@ class CliffordElement:
             acc = piece if acc is None else acc + piece
         return acc if acc is not None else ScalarPoly.zero(self.registry)
 
-    def times_i_pow(self, k: int) -> "CliffordElement":
-        """``self * i**k`` by quarter turns of every coefficient."""
-        return CliffordElement._pruned(self.registry,
-                                       {w: c.times_i_pow(k) for w, c in self.terms.items()})
-
     @staticmethod
     def rotated_sum(registry: Registry, pieces) -> "CliffordElement":
         """Sum of ``elem * i**turn * scale`` over the ``(elem, turn, scale)``
@@ -277,8 +272,10 @@ class CliffordElement:
             moved = turn or num != 1 or den != 1
             for word, poly in elem.terms.items():
                 acc = words.get(word)
-                if acc is None:
-                    acc = words[word] = {}
+                if acc is None:  # a new word takes the piece's monomials in order
+                    words[word] = {mono: c.turn_scale(turn, num, den) for mono, c
+                                   in poly.terms.items()} if moved else dict(poly.terms)
+                    continue
                 for mono, c in poly.terms.items():
                     if moved:
                         c = c.turn_scale(turn, num, den)

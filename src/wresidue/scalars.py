@@ -132,19 +132,11 @@ class GaussianRational:
             n >>= 1
         return out
 
-    def times_i_pow(self, k: int) -> "GaussianRational":
-        """``self * i**k``: a quarter turn swaps the integer parts and
-        negates one, so no gcd is taken."""
-        a, b = self._a, self._b
-        for _ in range(k % 4):
-            a, b = -b, a
-        return _new(a, b, self._d)
-
     def turn_scale(self, turn: int, num: int, den: int) -> "GaussianRational":
         """``self * i**turn * (num / den)`` for ``turn`` in 0..3 and a real
-        ``num / den`` in lowest terms with ``den > 0``: the quarter turn of
-        :meth:`times_i_pow` and the cross-cancelling of :meth:`__mul__`'s
-        real branch, building one value."""
+        ``num / den`` in lowest terms with ``den > 0``, as one value: the
+        quarter turn swaps the integer parts and negates one, with no gcd,
+        and the scale cross-cancels as in :meth:`__mul__`'s real branch."""
         a, b = self._a, self._b
         if turn == 1:
             a, b = -b, a
@@ -266,11 +258,6 @@ GR = GaussianRational
 GR_ZERO = GaussianRational(0, 0)
 GR_ONE = GaussianRational(1, 0)
 GR_I = GaussianRational(0, 1)
-
-
-def minus_i_pow(k: int) -> GaussianRational:
-    """(-i)**k, exact."""
-    return GR_I.__neg__() ** (k % 4)
 
 
 # -- indeterminates --------------------------------------------------------
@@ -487,11 +474,6 @@ class ScalarPoly:
             base = base * base
             n >>= 1
         return out
-
-    def times_i_pow(self, k: int) -> "ScalarPoly":
-        """``self * i**k``, each coefficient turned by a quarter ``k`` times."""
-        return ScalarPoly._pruned(self.registry,
-                                  {m: c.times_i_pow(k) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ScalarPoly):

@@ -50,17 +50,12 @@ def moment_fraction(exponents: Iterable[int]) -> Fraction:
 
 
 def odd_class(mono: Monomial, xi_ids: Container[int]) -> tuple[int, ...]:
-    """The covariables with an odd exponent in a monomial, in id order.  A
-    product of two monomials can survive the sphere exactly when their
+    """The covariables with an odd exponent in a monomial, in id order: the
+    one rule for which monomials can survive the sphere.  A monomial can
+    average to nonzero exactly when its class is empty (see
+    ``moment_fraction``), and a product of two monomials exactly when their
     classes are equal."""
     return tuple(iid for iid, exp in mono if exp % 2 and iid in xi_ids)
-
-
-def survives_sphere(mono: Monomial, xi_ids: Container[int]) -> bool:
-    """Whether a monomial can average to nonzero over the sphere: exactly
-    when every covariable exponent in it is even (see ``moment_fraction``),
-    that is, when its odd class is empty."""
-    return not odd_class(mono, xi_ids)
 
 
 def integrate_sphere(value: ScalarPoly, xi_inds: Sequence[Indeterminate],

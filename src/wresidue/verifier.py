@@ -139,7 +139,7 @@ def _trace_records(model) -> list[ClaimRecord]:
             tr.is_zero(), note="curvature block of the endomorphism traces to zero"))
 
     for (p, q), (co, _) in endo.items():
-        want = Fraction(2) ** (p // 2 + q - 2)
+        want = reference.interior_expected(p, q, p + q)["endo-trace"]
         records.append(_claim(f"endo-trace-rank-{p}-{q}", f"{want} * s",
                               f"{co} * s", co == want))
 

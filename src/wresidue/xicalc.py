@@ -22,7 +22,6 @@ from .scalars import (
     GR,
     GaussianRational,
     Indeterminate,
-    Monomial,
     Registry,
     ScalarPoly,
 )
@@ -72,7 +71,7 @@ def _vanishes_at(num: NumDict, sign: int) -> bool:
                     found = later.terms.get(word)
                     c = None if found is None else found.terms.get(mono)
                     if c is not None:
-                        c = c.times_i_pow(m * sign)
+                        c = c.turn_scale(m * sign % 4, 1, 1)
                         total = c if total is None else total + c
                 if total:
                     return False
@@ -84,9 +83,9 @@ def _synthetic_div(num: NumDict, registry: Registry, sign: int) -> NumDict:
     divides only after checking that the remainder vanishes;
     ``polynomial_part`` drops a nonzero remainder on purpose."""
     quot: NumDict = {}
-    carry = CliffordElement.zero(registry)
+    carry = zero = CliffordElement.zero(registry)
     for m in range(max(num, default=0), 0, -1):
-        carry = carry.times_i_pow(sign) + num.get(m, CliffordElement.zero(registry)) if carry else num.get(m, CliffordElement.zero(registry))
+        carry = CliffordElement.rotated_sum(registry, ((carry, sign, 1), (num.get(m, zero), 0, 1)))
         if carry:
             quot[m - 1] = carry
     return quot
@@ -94,11 +93,11 @@ def _synthetic_div(num: NumDict, registry: Registry, sign: int) -> NumDict:
 
 def _num_mul_linear(num: NumDict, registry: Registry, sign: int) -> NumDict:
     """Multiply the numerator by (xn - sign * i); -sign * i is i**(sign + 2)."""
-    out: NumDict = {}
+    pieces: dict[int, list] = {}
     for m, coeff in num.items():
-        out[m + 1] = out.get(m + 1, CliffordElement.zero(registry)) + coeff
-        out[m] = out.get(m, CliffordElement.zero(registry)) + coeff.times_i_pow(sign + 2)
-    return _clean(out)
+        pieces.setdefault(m + 1, []).append((coeff, 0, 1))
+        pieces.setdefault(m, []).append((coeff, sign + 2, 1))
+    return _clean({m: CliffordElement.rotated_sum(registry, p) for m, p in pieces.items()})
 
 
 def _by_odd_class(elem: CliffordElement, xi_ids: Container[int]) -> dict[tuple, CliffordElement]:
@@ -427,22 +426,6 @@ class XiRational:
             (self._shifted(k, sign), *_expansion_coeff(other, own - 1 - k, sign))
             for k in range(0 if other else own - 1, min(own, self.degree() + 1))))
 
-    def _kept(self, keep: Callable[[Monomial], bool]) -> "XiRational":
-        """The coefficient monomials that ``keep`` accepts, over the same pole
-        orders.  The copy is taken as is, not made canonical: only the
-        residue, which holds for any representation, is taken of it."""
-        reg = self.registry
-        num: NumDict = {}
-        for m, elem in self.num.items():
-            words = {}
-            for word, poly in elem.terms.items():
-                terms = {mono: c for mono, c in poly.terms.items() if keep(mono)}
-                if terms:
-                    words[word] = ScalarPoly._pruned(reg, terms)
-            if words:
-                num[m] = CliffordElement._pruned(reg, words)
-        return XiRational._canonical(reg, num, self.a, self.b)
-
     def on_words(self, words: Container) -> "XiRational":
         """The Clifford words in ``words``, over the same pole orders; the
         element itself when it carries no other word.  The copy is taken as
@@ -460,28 +443,33 @@ class XiRational:
         return XiRational._canonical(reg, num, self.a, self.b)
 
     def integrate(self, pi_ind: Indeterminate,
-                  keep: Callable[[Monomial], bool] | None = None) -> CliffordElement:
+                  even_in: Container[int] | None = None) -> CliffordElement:
         """Real-line integral, closing the contour in the upper half plane.
 
         Requires numerator degree <= a + b - 2; the result carries the
-        supplied symbolic pi marker as a factor.  With ``keep``, the residue
-        is taken only of the coefficient monomials it accepts, while the
-        degree check still reads the whole element.
+        supplied symbolic pi marker as a factor.  With ``even_in``, the ids
+        of the sphere's covariables as in :meth:`product_trace`, the residue
+        is taken only of the monomials that can survive the sphere, those
+        with an empty odd class (``sphere.odd_class``), over the same pole
+        orders and not made canonical: a residue holds for any
+        representation.  The degree check still reads the whole element.
         """
         if self.is_zero():
             return CliffordElement.zero(self.registry)
         if self.degree() > self.a + self.b - 2:
             raise InsufficientDecayError(
                 f"degree {self.degree()} with pole orders ({self.a},{self.b})")
-        res = (self if keep is None else self._kept(keep)).residue_at_plus_i()
+        f = self
+        if even_in is not None:
+            reg = self.registry
+            num = {m: CliffordElement(reg, {w: ScalarPoly(reg, {
+                mono: c for mono, c in poly.terms.items() if not odd_class(mono, even_in)})
+                for w, poly in elem.terms.items()}) for m, elem in self.num.items()}
+            f = XiRational._canonical(reg, _clean(num), self.a, self.b)
         pi_factor = ScalarPoly.var(self.registry, pi_ind) * GR(0, 2)
-        return res * pi_factor
+        return f.residue_at_plus_i() * pi_factor
 
     # -- numeric evaluation ------------------------------------------------
-
-    def eval_scalar_complex(self, xn: complex, bindings: Mapping[int, complex] | None = None) -> complex:
-        """Evaluate the identity-word component at a numeric point."""
-        return self._evaluator(bindings)(xn)
 
     def _evaluator(self, bindings: Mapping[int, complex] | None) -> Callable[[complex], complex]:
         """The identity-word component as a function of a numeric xn, with

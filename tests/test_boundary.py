@@ -1,4 +1,4 @@
-import functools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,7 +28,7 @@ from wresidue.reference import (
 )
 from wresidue.clifford import CF, CliffordElement, generator_square_sign
 from wresidue.scalars import GR, GR_I, GR_ONE, ScalarPoly
-from wresidue.sphere import integrate_sphere, survives_sphere
+from wresidue.sphere import integrate_sphere, odd_class
 from wresidue.xicalc import InsufficientDecayError, XiRational
 
 
@@ -62,6 +62,10 @@ def test_prefactor_values():
                                    k=0, j=0, alpha=(0, 0, 0))) == -GR_I
     assert case_prefactor(CaseSpec(**base, k=0, j=0, alpha=(2, 0, 0))) == \
         GR(0, Fraction(1, 2))
+    # (-i)^(k+1) / (k+1)! once round the cycle and on
+    for k in range(6):
+        assert case_prefactor(CaseSpec(**base, k=k, j=0, alpha=(0, 0, 0))) == \
+            GR(0, -1) ** (k + 1) * GR(Fraction(1, math.factorial(k + 1)))
 
 
 def test_enumerate_rejects_unlabelled_cases(suites):
@@ -216,7 +220,7 @@ def _value_from_the_whole_integrand(model, case: CaseSpec, traced: XiRational,
 
 def _odd_monomials(model, traced: XiRational) -> int:
     xi_ids = {ind.id for ind in model.xi}
-    return sum(not survives_sphere(mono, xi_ids) for elem in traced.num.values()
+    return sum(bool(odd_class(mono, xi_ids)) for elem in traced.num.values()
                for poly in elem.terms.values() for mono in poly.terms)
 
 
@@ -271,8 +275,12 @@ def test_moved_form_value_is_the_whole_products(suites):
     assert nonzero
 
 
-def _canonical(f: XiRational) -> XiRational:
-    return XiRational(f.registry, f.num, f.a, f.b)
+def _even_part(f: XiRational, xi_ids) -> XiRational:
+    """The monomials of ``f`` whose odd class is empty, made canonical."""
+    reg = f.registry
+    return XiRational(reg, {m: CliffordElement(reg, {
+        w: ScalarPoly(reg, {mono: c for mono, c in poly.terms.items() if not odd_class(mono, xi_ids)})
+        for w, poly in elem.terms.items()}) for m, elem in f.num.items()}, f.a, f.b)
 
 
 def test_even_join_is_the_surviving_part_of_the_whole_product(suites):
@@ -283,12 +291,13 @@ def test_even_join_is_the_surviving_part_of_the_whole_product(suites):
     for suite in suites.values():
         model = suite.model
         xi_ids = {ind.id for ind in model.xi}
-        survives = functools.partial(survives_sphere, xi_ids=xi_ids)
         for case, shift, (left, right) in _factor_pairs(suite):
             even = left.product_trace(right, model.p, model.q, even_in=xi_ids)
             whole = left.product_trace(right, model.p, model.q)
             assert (even.a, even.b) == (left.a + right.a, left.b + right.b)
-            assert _canonical(even._kept(survives)) == _canonical(whole._kept(survives))
+            assert _even_part(even, xi_ids) == _even_part(whole, xi_ids)
+            assert even.integrate(model.pi, even_in=xi_ids) == \
+                whole.integrate(model.pi, even_in=xi_ids)
             assert not any(_odd_monomials(model, XiRational(even.registry, {m: c}))
                            for m, c in even.num.items() if m <= even.a + even.b - 2)
             dropped += _odd_monomials(model, whole)

@@ -233,6 +233,8 @@ def test_rotated_sum_puts_a_returning_word_last(reg):
     (GR(Fraction(6, 5), 2), 3, Fraction(-10, 3)),  # turn 3 and cancelling across
     (GR(7, 0), -1, Fraction(3, 14)),  # turn -1 is turn 3
     (GR(0, Fraction(1, 2)), 3, 4),
+    (GR(3, -2), 1, 1),  # a pure quarter turn, as the pole test makes it, at d == 1
+    (GR(Fraction(6, 5), Fraction(-1, 3)), 3, 1),  # and at d > 1
 ])
 def test_rotated_sum_turns_and_scales_in_one_step(reg, coeff, turn, scale):
     w0, w1 = (ScalarPoly.var(reg, reg.add(name, KIND_CONN)) for name in ("w0", "w1"))
@@ -245,7 +247,7 @@ def test_rotated_sum_turns_and_scales_in_one_step(reg, coeff, turn, scale):
     # == compares the stored triples, so this also checks the one value is canonical
     scale = Fraction(scale)
     assert coeff.turn_scale(turn % 4, scale.numerator, scale.denominator) == \
-        coeff.times_i_pow(turn) * GR(scale)
+        coeff * GR(0, 1) ** turn * GR(scale)
 
 
 def _product_trace_scaling_the_product(a, b, p, q):

@@ -122,7 +122,7 @@ def test_engine_integrands_match_quad_bit_for_bit(monkeypatch):
         assert cli.main(["--suite", "all"]) == 0
     assert len(seen) == 8
     for f, bindings in seen:
-        parts = _parts(lambda x: f.eval_scalar_complex(x, bindings))
+        parts = _parts(f._evaluator(bindings))
         assert [_port(p) for p in parts] == [_quad(p) for p in parts]
         assert numeric_xi_oracle(f, bindings) == complex(*(_quad(p)[0] for p in parts))
 
@@ -164,7 +164,6 @@ def test_oracle_floats_each_coefficient_once_and_keeps_every_bit(model, d2d2, d1
         for x in asked:
             want = _bits(_value_refloating_each_coefficient(f, x, bindings))
             assert _bits(value(x)) == want
-            assert _bits(f.eval_scalar_complex(x, bindings)) == want
         old = functools.cache(lambda x: _value_refloating_each_coefficient(f, x, bindings))
         assert _bits(got) == _bits(complex(qagie(lambda x: old(x).real)[0],
                                            qagie(lambda x: old(x).imag)[0]))
@@ -177,7 +176,7 @@ def test_oracle_rejects_a_word_before_integrating(model):
     with pytest.raises(ValueError, match="identity-word"):
         numeric_xi_oracle(f)
     with pytest.raises(ValueError, match="identity-word"):
-        f.eval_scalar_complex(0.5)
+        f._evaluator(None)(0.5)
 
 
 def test_full_run_imports_neither_numpy_nor_scipy():

@@ -18,7 +18,6 @@ from wresidue.scalars import (
     RegistryMismatchError,
     ScalarPoly,
     _mono_mul,
-    minus_i_pow,
 )
 from wresidue.verifier import exact_bindings
 
@@ -162,11 +161,6 @@ def test_gr_division_inverts_multiplication(x, y):
 def test_gr_immutable():
     with pytest.raises(AttributeError):
         GR_ONE.re = Fraction(2)
-
-
-def test_minus_i_pow_cycle():
-    assert [minus_i_pow(k) for k in range(4)] == [GR_ONE, -GR_I, -GR_ONE, GR_I]
-    assert minus_i_pow(5) == minus_i_pow(1)
 
 
 def test_gr_i_squares_to_minus_one():

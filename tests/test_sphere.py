@@ -9,7 +9,7 @@ from wresidue.sphere import (
     integrate_sphere,
     moment_fraction,
     numeric_sphere_oracle,
-    survives_sphere,
+    odd_class,
 )
 
 
@@ -96,4 +96,4 @@ def test_survivors_are_the_monomials_with_a_nonzero_moment(setting):
         exps = [rng.randint(0, 4) for _ in xi]
         mono = tuple(sorted([(ind.id, e) for ind, e in zip(xi, exps) if e]
                             + [(spectator.id, rng.randint(1, 3))] * rng.randint(0, 1)))
-        assert survives_sphere(mono, xi_ids) == bool(moment_fraction(exps))
+        assert (not odd_class(mono, xi_ids)) == bool(moment_fraction(exps))
