@@ -163,6 +163,14 @@ def test_gr_immutable():
         GR_ONE.re = Fraction(2)
 
 
+def test_minus_i_pow_cycle():
+    # (-i)**k is the turn by -k quarter turns
+    minus_i_pow = [GR_ONE.turn_scale(-k % 4, 1, 1) for k in range(6)]
+    assert minus_i_pow[:4] == [GR_ONE, -GR_I, -GR_ONE, GR_I]
+    assert minus_i_pow[5] == minus_i_pow[1]
+    assert minus_i_pow == [GR(0, -1) ** k for k in range(6)]
+
+
 def test_gr_i_squares_to_minus_one():
     assert GR_I * GR_I == -GR_ONE
 
