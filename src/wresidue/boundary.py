@@ -16,18 +16,17 @@ read with the model from a :class:`~wresidue.reference.Suite`, whose
 tangential x-derivatives of the jets vanish there.  Every case is evaluated
 twice, once as stated and once with one xn-covariable derivative moved
 across the product (integration by parts), and the two values must agree
-exactly.  The stated form's traced integrand is kept whole; its residue is
-taken only of the monomials whose sphere average can be nonzero.  The moved
-form's integrand holds only the terms that can survive the sphere, apart
-from the xn powers the decay check reads, and is not kept.
+exactly.  Both forms join only the terms that can survive the sphere, apart
+from the xn powers the decay check reads: the stated form in the whole
+product's order, the moved form class by class.  A case keeps the stated
+form's factors and forms its whole traced integrand only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .reference import Suite
 from .scalars import GR, GR_ONE, GaussianRational, Indeterminate, ScalarPoly
@@ -39,8 +38,7 @@ class IbpMismatchError(AssertionError):
     """The two integration-by-parts forms of a case disagreed."""
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(NamedTuple):
     label: str
     r: int
     l: int
@@ -94,20 +92,23 @@ def enumerate_cases(suite: Suite) -> tuple[CaseSpec, ...]:
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case: CaseSpec
     value: ScalarPoly
     note: str = ""
-    traced: XiRational | None = None
+    factors: tuple | None = None  # the stated form's (left, right, p, q)
 
     @property
     def label(self) -> str:
         return self.case.label
 
+    @property
+    def traced(self) -> XiRational | None:
+        """The stated form's whole traced integrand, formed on each read."""
+        return None if self.factors is None else self.factors[0].product_trace(*self.factors[1:])
 
-@dataclass(frozen=True)
-class BoundaryResult:
+
+class BoundaryResult(NamedTuple):
     suite: str
     cases: tuple[CaseResult, ...]
     groups: dict[str, ScalarPoly]
@@ -118,11 +119,11 @@ def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     """One case; ``shift`` moves that many xn-covariable derivatives from the
     right factor onto the left one, with the integration-by-parts sign.
 
-    The stated form (``shift`` 0) keeps its whole traced integrand in
-    ``traced``.  A moved form is only compared with it: its integrand joins
-    only the monomial pairs whose product can survive the sphere (see
-    :meth:`~wresidue.xicalc.XiRational.product_trace`), goes through the same
-    decay check and residue, and is not kept."""
+    Both forms join only the monomial pairs that can survive the sphere: the
+    stated form (``shift`` 0) in the whole product's order, which its value
+    keeps, and a moved form, only compared with it, class by class (see
+    :meth:`~wresidue.xicalc.XiRational.product_trace` and ``class_trace``).
+    The stated form keeps its factors, from which ``traced`` is formed."""
     model = suite.model
     if not 0 <= shift <= case.j + 1:
         raise ValueError(f"shift {shift} outside 0..{case.j + 1}")
@@ -133,16 +134,14 @@ def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     right = suite.factor(False, case.l, case.k, case.j + 1 - shift)
 
     xi_ids = {ind.id for ind in model.xi}
-    if shift:
-        traced = left.product_trace(right, model.p, model.q, even_in=xi_ids)
-    else:
-        traced = left.product_trace(right, model.p, model.q)
+    join = left.class_trace if shift else left.product_trace
+    traced = join(right, model.p, model.q, even_in=xi_ids)
     # only the monomials that survive the sphere average reach the residue
     line_integral = traced.integrate(model.pi, even_in=xi_ids).scalar_part()
     averaged = integrate_sphere(line_integral, model.xi, model.omega3)
     sign = GR_ONE if shift % 2 == 0 else -GR_ONE
     value = averaged * (case_prefactor(case) * sign)
-    return CaseResult(case, value, traced=None if shift else traced)
+    return CaseResult(case, value, factors=None if shift else (left, right, model.p, model.q))
 
 
 def assemble_boundary(suite: Suite) -> BoundaryResult:

@@ -261,7 +261,8 @@ class CliffordElement:
 
         Value, word order and monomial order are those of adding the pieces
         one at a time with ``+``, starting from zero: a word or monomial
-        that sums to zero is dropped and, if it comes back, goes last."""
+        that sums to zero is dropped and, if it comes back, goes last.  A
+        word that one unmoved piece alone reaches shares its coefficient."""
         words: dict = {}
         for elem, turn, scale in pieces:
             turn %= 4
@@ -274,8 +275,10 @@ class CliffordElement:
                 acc = words.get(word)
                 if acc is None:  # a new word takes the piece's monomials in order
                     words[word] = {mono: c.turn_scale(turn, num, den) for mono, c
-                                   in poly.terms.items()} if moved else dict(poly.terms)
+                                   in poly.terms.items()} if moved else poly
                     continue
+                if acc.__class__ is ScalarPoly:
+                    acc = words[word] = dict(acc.terms)
                 for mono, c in poly.terms.items():
                     if moved:
                         c = c.turn_scale(turn, num, den)
@@ -290,8 +293,9 @@ class CliffordElement:
                             del acc[mono]
                 if not acc:
                     del words[word]
-        return CliffordElement._pruned(
-            registry, {w: ScalarPoly._pruned(registry, t) for w, t in words.items()})
+        return CliffordElement._pruned(registry, {
+            w: t if t.__class__ is ScalarPoly else ScalarPoly._pruned(registry, t)
+            for w, t in words.items()})
 
     def map_coeffs(self, fn: Callable[[ScalarPoly], ScalarPoly]) -> "CliffordElement":
         return CliffordElement(self.registry, {w: fn(c) for w, c in self.terms.items()})

@@ -127,21 +127,25 @@ def curvature_form_traces(setting: InteriorSetting) -> dict[str, ScalarPoly]:
     return {
         "derivative-forward": da.trace(p, q),
         "derivative-backward": -db.trace(p, q),
-        "commutator": (a * b - b * a).trace(p, q),
+        "commutator": a.product_trace(b, p, q) - b.product_trace(a, p, q),
         "frame-bracket": -br.trace(p, q),
     }
 
 
-def first_principles_coefficients(p: int, q: int, n: int) -> dict[str, Fraction | ScalarPoly]:
+def first_principles_coefficients(p: int, q: int, n: int, *,
+                                  _endo=None) -> dict[str, Fraction | ScalarPoly]:
     """The interior coefficients keyed as :func:`reference.interior_expected`:
     the quadratic-form weight ``v * Tr(Id) / 6`` and the two-form weight
     ``v / 2 * tr(Omega)``, both in units of ``pi**(n/2)``, the metric
     scalar-curvature weight, and the endomorphism-trace multiple of the
-    curvature marker."""
+    curvature marker.  ``_endo``, shared by the verifier, is an
+    ``InteriorSetting(p, q)`` and its :func:`trace_endomorphism`."""
     if n % 2:
         raise ValueError("only even total dimension is supported")
-    setting = InteriorSetting(p, q)
-    endo_co, _ = trace_endomorphism(setting)
+    if _endo is None:
+        setting = InteriorSetting(p, q)
+        _endo = setting, trace_endomorphism(setting)
+    setting, (endo_co, _) = _endo
     two_form = sum(curvature_form_traces(setting).values(), ScalarPoly.zero(setting.registry))
     # sphere volume 2*pi**m/Gamma(m); pi**m stays implicit in the field
     vol = Fraction(2, math.factorial(n // 2 - 1))

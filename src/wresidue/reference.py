@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Mapping, NamedTuple
@@ -476,8 +475,7 @@ def derived_fingerprints() -> dict[str, dict[str, dict[str, GR]]]:
 # waivers
 
 
-@dataclass(frozen=True)
-class Waiver:
+class Waiver(NamedTuple):
     suite: str
     label: str
     reason: str
@@ -499,8 +497,7 @@ def builtin_waivers() -> tuple[Waiver, ...]:
 # pinned intermediate displays
 
 
-@dataclass(frozen=True)
-class DisplayCheck:
+class DisplayCheck(NamedTuple):
     record_id: str
     engine: XiRational
     encoded: XiRational
@@ -555,18 +552,21 @@ def display_checks(suite: Suite) -> tuple[DisplayCheck, ...]:
 # suite containers
 
 
-@dataclass(frozen=True)
 class Suite:
     """One boundary suite's jets, case labels, expected rows and table of
     boundary factors, built once per run by :func:`load_suite`."""
 
-    name: str
-    model: Model
-    left: Jets
-    right: Jets
-    labels: Mapping[tuple[int, int, int, int, int], str]
-    expected: Mapping[str, ScalarPoly]
-    _factors: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("name", "model", "left", "right", "labels", "expected", "_factors")
+
+    def __init__(self, name: str, model: Model, left: Jets, right: Jets,
+                 labels: Mapping[tuple[int, int, int, int, int], str],
+                 expected: Mapping[str, ScalarPoly]):
+        self.name, self.model, self.left, self.right = name, model, left, right
+        self.labels, self.expected, self._factors = labels, expected, {}
+
+    def __eq__(self, other):  # the factor table is derived, so not compared
+        return isinstance(other, Suite) and all(
+            getattr(self, key) == getattr(other, key) for key in self.__slots__[:-1])
 
     def partners(self, left: bool, order: int) -> tuple[int, ...]:
         """The orders of the other factor's jets that a jet of ``order`` on

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .reference import Waiver, builtin_waivers
 from .scalars import GR_ZERO, ScalarPoly
@@ -29,8 +29,7 @@ STATUS_MISMATCH = "mismatch"
 STATUS_FLAG = "convention-flag"
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(NamedTuple):
     record_id: str
     recorded: str
     computed: str
@@ -43,8 +42,7 @@ class ClaimRecord:
     waivable: bool = True
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     records: tuple[ClaimRecord, ...]
 

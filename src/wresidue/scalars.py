@@ -7,10 +7,9 @@ numeric oracles that cross-check the exact results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 class RegistryMismatchError(ValueError):
@@ -273,8 +272,7 @@ KIND_MARKER = "formal-marker"
 _KINDS = {KIND_XI, KIND_X, KIND_Y, KIND_HPRIME, KIND_CONN, KIND_CURV, KIND_MARKER}
 
 
-@dataclass(frozen=True)
-class Indeterminate:
+class Indeterminate(NamedTuple):
     """A named commuting indeterminate; identity comes from the registry id."""
 
     id: int

@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import math
 import os
-from dataclasses import replace
 from fractions import Fraction
 
 from . import interior, reference
@@ -107,10 +106,19 @@ def _fmt(x: float) -> str:
 # interior suite
 
 
-def _interior_records() -> list[ClaimRecord]:
+class _Endomorphisms(dict):
+    """Each split's interior setting and traced endomorphism, made once."""
+
+    def __missing__(self, split):
+        setting = interior.InteriorSetting(*split)
+        self[split] = setting, interior.trace_endomorphism(setting)
+        return self[split]
+
+
+def _interior_records(endo: _Endomorphisms) -> list[ClaimRecord]:
     records = []
     for p, q, n in reference.INTERIOR_CASES:
-        got = interior.first_principles_coefficients(p, q, n)
+        got = interior.first_principles_coefficients(p, q, n, _endo=endo[p, q])
         want = reference.interior_expected(p, q, n)
         units = {"einstein": f" * pi^{n // 2}", "endo-trace": " * s"}
         for key in _INTERIOR_KEYS:
@@ -126,25 +134,23 @@ def _interior_records() -> list[ClaimRecord]:
 # traces suite
 
 
-def _trace_records(model) -> list[ClaimRecord]:
+def _trace_records(model, endo: _Endomorphisms) -> list[ClaimRecord]:
     records = []
-    settings = {(p, q): interior.InteriorSetting(p, q) for p, q in ((2, 2), (4, 2), (2, 4))}
-    endo = {split: interior.trace_endomorphism(s) for split, s in settings.items()}
-
-    block_traces = endo[2, 2][1]
+    traced = {split: endo[split] for split in ((2, 2), (4, 2), (2, 4))}
+    block_traces = traced[2, 2][1][1]
     for block in ("mixed-pair", "leaf-pair", "perp-pair"):
         tr = block_traces[block]
         records.append(_claim(
             f"endo-block-{block.removesuffix('-pair')}-trace", "0", tr.render(),
             tr.is_zero(), note="curvature block of the endomorphism traces to zero"))
 
-    for (p, q), (co, _) in endo.items():
+    for (p, q), (_, (co, _)) in traced.items():
         want = reference.interior_expected(p, q, p + q)["endo-trace"]
         records.append(_claim(f"endo-trace-rank-{p}-{q}", f"{want} * s",
                               f"{co} * s", co == want))
 
     p, q = 2, 2
-    setting = settings[p, q]
+    setting = traced[p, q][0]
     diag = (setting.c(1) * setting.c(1)).trace(p, q).constant_part()
     off = (setting.c(1) * setting.c(2)).trace(p, q).constant_part()
     full = -(GR(2) ** (p // 2 + q))
@@ -197,14 +203,16 @@ def _corroborate(suite, result, rows) -> dict[str, tuple[tuple[str, ...], str]]:
     recorded row, and the frozen fingerprints.  The note is empty when all
     three hold; otherwise it names what failed, and no waiver covers the row.
 
-    The exact atom bindings are substituted before integrating, so the
-    quadrature runs over a constant-coefficient rational function; each
-    case is integrated once and shared between its row and the total."""
+    The exact atom bindings are substituted into each case factor once, and
+    the bound factors are joined whole: the quadrature runs over the traced
+    integrand as a constant-coefficient rational function.  Each case is
+    integrated once and shared between its row and the total."""
     model = suite.model
     bound_atoms = exact_bindings(model)
     bindings = numeric_bindings(model, bound_atoms)
     fingerprints = reference.derived_fingerprints()[suite.name]
     quadrature: dict[int, tuple[bool, str]] = {}
+    substituted = {}  # by factor id; the suite holds every factor
     out = {}
     for label in _ROW_ORDER:
         row, want = rows[label], suite.expected[label]
@@ -213,10 +221,14 @@ def _corroborate(suite, result, rows) -> dict[str, tuple[tuple[str, ...], str]]:
         evidence = []
         cases_ok = True
         for idx, res in enumerate(result.cases):
-            if (label != "total" and res.label != label) or res.traced is None:
+            if (label != "total" and res.label != label) or res.factors is None:
                 continue
             if idx not in quadrature:
-                small = res.traced.substitute(bound_atoms)
+                for factor in res.factors[:2]:
+                    if id(factor) not in substituted:
+                        substituted[id(factor)] = factor.substitute(bound_atoms)
+                left, right, p, q = res.factors
+                small = substituted[id(left)].product_trace(substituted[id(right)], p, q)
                 sym = small.integrate(model.pi).scalar_part().eval_complex(bindings)
                 num = numeric_xi_oracle(small, bindings)
                 rel = abs(sym - num) / max(abs(sym), 1.0)
@@ -325,23 +337,25 @@ def _checked_waivers(environ=None):
     return waivers
 
 
-def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
+def run_suite(name, model=None, waivers=None, emit_dir=None, _endo=None) -> SuiteReport:
     """Recompute one suite, then give each waivable mismatch its waiver, if
     any.
 
     Waivers passed in are taken as checked (:func:`run` checks them once,
     before any suite runs); without them, :func:`_checked_waivers` loads and
-    checks them before the suite is computed."""
+    checks them before the suite is computed.  :func:`run` shares one
+    ``_endo`` between its suites."""
     if name not in reference.ALL_SUITES:
         raise UnknownSuiteError(name)
     model = model if model is not None else build_model()
     if waivers is None:
         waivers = _checked_waivers()
     texts: dict[str, str] = {}
+    endo = _Endomorphisms() if _endo is None else _endo
     if name == "interior":
-        records = _interior_records()
+        records = _interior_records(endo)
     elif name == "traces":
-        records = _trace_records(model)
+        records = _trace_records(model, endo)
     else:
         records, texts = _boundary_records(load_suite(name, model), bool(emit_dir))
     try:
@@ -351,7 +365,7 @@ def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
     except OSError as exc:
         raise ConfigurationError(f"cannot write intermediate file: {exc}") from exc
     return SuiteReport(suite=name, records=tuple(
-        replace(r, waiver=waiver_reason(waivers, name, r.record_id))
+        r._replace(waiver=waiver_reason(waivers, name, r.record_id))
         if r.status == STATUS_MISMATCH and r.waivable else r for r in records))
 
 
@@ -381,7 +395,8 @@ def run(names, fmt="json", emit_dir=None, environ=None):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        reports = tuple(run_suite(n, model, waivers, emit_dir) for n in expanded)
+        endo = _Endomorphisms()
+        reports = tuple(run_suite(n, model, waivers, emit_dir, endo) for n in expanded)
     finally:
         if collecting:
             gc.enable()

@@ -226,6 +226,23 @@ def test_rotated_sum_puts_a_returning_word_last(reg):
     assert list(got.terms[((CF, 1),)].terms) == [((1, 1),), ((0, 1),)]
 
 
+def test_rotated_sum_shares_a_lone_unmoved_coefficient(reg):
+    """A word that one unmoved piece alone reaches keeps that piece's
+    coefficient object; a second piece on the word copies it first, so no
+    input changes."""
+    w0, w1 = (ScalarPoly.var(reg, reg.add(name, KIND_CONN)) for name in ("w0", "w1"))
+    e1, e2 = _gen(reg, CF, 1), _gen(reg, HC, 2)
+    x, y = e1 * (w0 + w1) + e2 * w1, e1 * (w0 * GR(-1) + w1)
+    before = [_layout(x), _layout(y)]
+    lone = CliffordElement.rotated_sum(reg, [(x, 4, 1)])
+    assert all(lone.terms[w] is c for w, c in x.terms.items())
+    got = CliffordElement.rotated_sum(reg, [(x, 0, 1), (y, 0, 1), (y, 1, 3)])
+    assert got.terms[((HC, 2),)] is x.terms[((HC, 2),)]
+    assert got.terms[((CF, 1),)] is not x.terms[((CF, 1),)]
+    assert _layout(got) == _layout(_sum_by_addition(reg, [(x, 0, 1), (y, 0, 1), (y, 1, 3)]))
+    assert [_layout(x), _layout(y)] == before
+
+
 @pytest.mark.parametrize("coeff, turn, scale", [
     (GR(3, -2), 2, 5),  # integer coefficient, integer scale: the d == 1 shortcut
     (GR(-4, 6), 1, -1),

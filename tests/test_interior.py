@@ -96,3 +96,15 @@ def test_parity_guards():
         first_principles_coefficients(2, 2, 5)
     with pytest.raises(ValueError):
         InteriorSetting(3, 2)
+
+
+def test_commutator_trace_is_the_full_commutator_trace():
+    """Each product of the commutator term, traced without its discarded
+    words, is the trace of the whole product, and the term is the trace of
+    the whole commutator."""
+    for p, q in ((2, 2), (4, 0), (2, 4)):
+        setting = InteriorSetting(p, q)
+        a, b = setting.connection_term("a"), setting.connection_term("b")
+        assert a.product_trace(b, p, q) == (a * b).trace(p, q) != 0
+        assert b.product_trace(a, p, q) == (b * a).trace(p, q)
+        assert curvature_form_traces(setting)["commutator"] == (a * b - b * a).trace(p, q)

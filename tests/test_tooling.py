@@ -1,6 +1,8 @@
 """Tooling that wraps the package from outside must keep finding its targets."""
 
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,18 @@ def test_rendering_and_orchestration_name_no_atom():
     src = Path(__file__).resolve().parents[1] / "src" / "wresidue"
     for name in ("verifier.py", "report.py"):
         assert "by_name(" not in (src / name).read_text(encoding="utf-8"), name
+
+
+def test_set_up_imports_neither_dataclasses_nor_inspect():
+    """The benchmark's set-up (import the CLI, build the model, load the
+    waivers) imports neither module, which cost it time; pytest imports
+    both itself, so a fresh interpreter checks."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "import wresidue.cli\n"
+            "from wresidue import reference, report\n"
+            "reference.build_model(); report.load_waivers()\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"

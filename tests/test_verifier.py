@@ -2,12 +2,12 @@ import gc
 import hashlib
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from wresidue import interior, reference, verifier
+from wresidue import clifford, interior, reference, verifier
+from wresidue.boundary import assemble_boundary
 from wresidue.report import (
     REPORT_VERSION,
     STATUS_FLAG,
@@ -24,6 +24,7 @@ from wresidue.verifier import (
     RECORD_IDS,
     ConfigurationError,
     UnknownSuiteError,
+    exact_bindings,
     run,
     run_suite,
 )
@@ -248,6 +249,53 @@ def test_nonzero_two_form_trace_is_a_mismatch(monkeypatch):
                           "rank-4-0-dim-4-two-form": ("0", "4*wDaF12"),
                           "rank-2-4-dim-6-two-form": ("0", "16*wDaF12")}
 
+def test_corroboration_integrates_each_traced_integrand_bound(model, monkeypatch):
+    """The corroboration binds each case's two factors and joins them whole:
+    for every case of both suites that is the traced integrand with the
+    bindings substituted, in value, pole orders and key order, the order in
+    which the quadrature sums."""
+    bound, oracle = exact_bindings(model), verifier.numeric_xi_oracle
+    for name in reference.BOUNDARY_SUITES:
+        suite, seen = reference.load_suite(name, model), []
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "numeric_xi_oracle", lambda f, b: seen.append(f) or oracle(f, b))
+            verifier._boundary_records(suite, False)
+        cases = [res for res in assemble_boundary(suite).cases if res.traced is not None]
+        assert len(seen) == len(cases), name
+        for res in cases:
+            want = res.traced.substitute(bound)
+            got = [f for f in seen if f == want]
+            assert got and all(list(f.num) == list(want.num) for f in got), (name, res.case)
+
+
+def test_endomorphism_traces_are_shared_within_one_run_only(monkeypatch):
+    """One run traces each split's endomorphism once, for the interior and
+    traces suites alike; a patch applied before the next run reaches its
+    records."""
+    def traces(text):
+        return {r["id"]: r["computed"] for r in _by_suite(text)["traces"]}
+
+    splits, trace = [], interior.trace_endomorphism
+    with monkeypatch.context() as patch:
+        patch.setattr(interior, "trace_endomorphism",
+                      lambda s: splits.append((s.p, s.q)) or trace(s))
+        _, first = run(("all",), environ={})
+    assert sorted(splits) == [(2, 2), (2, 4), (4, 0), (4, 2)]
+
+    blocks = interior.endomorphism_blocks
+
+    def doubled(setting):
+        out = blocks(setting)
+        return {**out, "scalar": out["scalar"] * 2}
+
+    monkeypatch.setattr(interior, "endomorphism_blocks", doubled)
+    monkeypatch.setitem(clifford._SQ_SIGN, clifford.HC, -clifford._SQ_SIGN[clifford.HC])
+    _, second = run(("all",), environ={})
+    moved = {key for key, value in traces(second).items() if value != traces(first)[key]}
+    assert moved == {"endo-trace-rank-2-2", "endo-trace-rank-4-2", "endo-trace-rank-2-4",
+                     "perp-pair-difference"}
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -388,7 +436,7 @@ def test_waiver_lapses_when_the_engine_drifts(monkeypatch):
     def drifted(suite):
         res = orig(suite)
         c = res.groups["c"]
-        return replace(res, groups={**res.groups, "c": c * 2}, total=res.total + c)
+        return res._replace(groups={**res.groups, "c": c * 2}, total=res.total + c)
 
     monkeypatch.setattr(verifier, "assemble_boundary", drifted)
     code, text = run(("boundary-d2d2",))
@@ -404,7 +452,7 @@ def test_waiver_lapses_when_the_engine_drifts(monkeypatch):
 def test_cli_engine_exception_exits_three(monkeypatch, capsys):
     """An exception from the engine is an internal error: exit 3 and one
     stderr line, not a traceback and not the mismatch code 1."""
-    def broken(p, q, n):
+    def broken(p, q, n, **shared):
         raise ValueError("connection curvature two-form has nonzero fiber trace\n(probe)")
 
     monkeypatch.setattr(interior, "first_principles_coefficients", broken)
