@@ -16,10 +16,9 @@ read with the model from a :class:`~wresidue.reference.Suite`, whose
 tangential x-derivatives of the jets vanish there.  Every case is evaluated
 twice, once as stated and once with one xn-covariable derivative moved
 across the product (integration by parts), and the two values must agree
-exactly.  Both forms join only the terms that can survive the sphere, apart
-from the xn powers the decay check reads: the stated form in the whole
-product's order, the moved form class by class.  A case keeps the stated
-form's factors and forms its whole traced integrand only when read.
+exactly.  Both forms join only the terms that can survive the sphere, class
+by class, apart from the xn powers the decay check reads.  A case keeps the
+stated form's factors and forms its whole traced integrand only when read.
 """
 
 from __future__ import annotations
@@ -119,11 +118,10 @@ def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     """One case; ``shift`` moves that many xn-covariable derivatives from the
     right factor onto the left one, with the integration-by-parts sign.
 
-    Both forms join only the monomial pairs that can survive the sphere: the
-    stated form (``shift`` 0) in the whole product's order, which its value
-    keeps, and a moved form, only compared with it, class by class (see
-    :meth:`~wresidue.xicalc.XiRational.product_trace` and ``class_trace``).
-    The stated form keeps its factors, from which ``traced`` is formed."""
+    Every form joins only the monomial pairs that can survive the sphere,
+    class by class (see :meth:`~wresidue.xicalc.XiRational.product_trace`).
+    The stated form (``shift`` 0) keeps its factors, from which ``traced``
+    is formed."""
     model = suite.model
     if not 0 <= shift <= case.j + 1:
         raise ValueError(f"shift {shift} outside 0..{case.j + 1}")
@@ -134,10 +132,8 @@ def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     right = suite.factor(False, case.l, case.k, case.j + 1 - shift)
 
     xi_ids = {ind.id for ind in model.xi}
-    join = left.class_trace if shift else left.product_trace
-    traced = join(right, model.p, model.q, even_in=xi_ids)
-    # only the monomials that survive the sphere average reach the residue
-    line_integral = traced.integrate(model.pi, even_in=xi_ids).scalar_part()
+    traced = left.product_trace(right, model.p, model.q, even_in=xi_ids)
+    line_integral = traced.integrate(model.pi).scalar_part()
     averaged = integrate_sphere(line_integral, model.xi, model.omega3)
     sign = GR_ONE if shift % 2 == 0 else -GR_ONE
     value = averaged * (case_prefactor(case) * sign)

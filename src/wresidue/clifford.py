@@ -36,10 +36,6 @@ Generator = tuple  # (kind, index), index starting at 1
 Word = tuple  # tuple of generators, strictly increasing
 
 
-def generator_square_sign(g: Generator) -> int:
-    return _SQ_SIGN[g[0]]
-
-
 def word_mul_letter(word: Word, g: Generator) -> tuple[int, Word]:
     """Multiply a normal-ordered word by one generator on the right."""
     sign = 1

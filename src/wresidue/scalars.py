@@ -480,13 +480,6 @@ class ScalarPoly:
 
     # -- structure queries -------------------------------------------------
 
-    def indeterminate_ids(self) -> set[int]:
-        out = set()
-        for mono in self.terms:
-            for iid, _ in mono:
-                out.add(iid)
-        return out
-
     def coefficient_of(self, mono_inds: Mapping[Indeterminate, int]) -> "ScalarPoly":
         """Coefficient of the exact monomial in the given indeterminates.
 

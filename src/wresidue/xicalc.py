@@ -17,15 +17,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Container, Mapping
 
-from .clifford import CliffordElement, fiber_dimension, word_mul
-from .scalars import (
-    GR,
-    GaussianRational,
-    Indeterminate,
-    Registry,
-    ScalarPoly,
-    _mono_mul,
-)
+from .clifford import CliffordElement
+from .scalars import GR, GaussianRational, Indeterminate, Registry, ScalarPoly
 from .sphere import odd_class
 
 NumDict = dict[int, CliffordElement]
@@ -111,44 +104,6 @@ def _by_odd_class(elem: CliffordElement, xi_ids: Container[int]) -> dict[tuple, 
     reg = elem.registry
     return {cls: CliffordElement._pruned(reg, {w: ScalarPoly._pruned(reg, t) for w, t in words.items()})
             for cls, words in parts.items()}
-
-
-def _odd_groups(elem: CliffordElement, xi_ids: Container[int]) -> dict:
-    """Each word's monomials of ``elem`` by odd class, each class in order."""
-    groups: dict = {}
-    for word, poly in elem.terms.items():
-        for mono, c in poly.terms.items():
-            groups.setdefault(word, {}).setdefault(odd_class(mono, xi_ids), {})[mono] = c
-    return groups
-
-
-def _ordered_trace(c1: CliffordElement, c2: CliffordElement, groups: dict,
-                   p: int, q: int) -> ScalarPoly:
-    """``c1.product_trace(c2, p, q)`` over the monomial pairs of equal odd
-    class in ``groups`` (``_odd_groups`` by coefficient id), in its order."""
-    small, big = (c2, c1) if len(c2.terms) < len(c1.terms) else (c1, c2)
-    acc = ScalarPoly.zero(c1.registry)
-    for word, poly in small.terms.items():
-        by_class = groups[id(big)].get(word)
-        if by_class is None:
-            continue
-        classes = {m: cls for cls, part in groups[id(small)][word].items() for m in part}
-        scale, out = GR(fiber_dimension(p, q) * word_mul(word, word)[0]), {}
-        for m1, g1 in poly.terms.items():
-            partners = by_class.get(classes.get(m1))
-            if not partners:
-                continue
-            g1 = g1 * scale
-            for m2, g2 in partners.items():
-                mono, prod = _mono_mul(m1, m2), g1 * g2
-                prev = out.get(mono)
-                prod = prod if prev is None else prev + prod
-                if prod:
-                    out[mono] = prod
-                else:
-                    del out[mono]
-        acc = acc + ScalarPoly._pruned(c1.registry, out)
-    return acc
 
 
 def _expansion_coeff(order: int, s: int, sign: int) -> tuple[int, Fraction | int]:
@@ -294,44 +249,30 @@ class XiRational:
 
         With ``even_in``, the ids of the sphere's covariables, two monomials
         are joined only when their product can survive the sphere average,
-        that is, when their odd classes agree (``sphere.odd_class``), in the
-        order :meth:`CliffordElement.product_trace` meets them: per shared
-        word, each monomial of the coefficient with fewer words against those
-        of its class in the other.  At xn powers above a + b - 2 the join
-        stays whole, so that the degree check of :meth:`integrate` still
-        reads every monomial there.  That element is
-        taken over the summed pole orders as is, not made canonical:
-        stripping a shared linear factor lowers the degree and a + b alike,
-        so it fails the degree check exactly when the whole product does,
-        and its residue of surviving monomials is the whole product's."""
-        return self._join(other, p, q, even_in, by_class=False)
-
-    def class_trace(self, other: "XiRational", p: int, q: int,
-                    even_in: Container[int]) -> "XiRational":
-        """:meth:`product_trace` with ``even_in`` by a second route: each
-        coefficient split by odd class (``_by_odd_class``) and joined class
-        by class, giving the same element in another monomial order."""
-        return self._join(other, p, q, even_in, by_class=True)
-
-    def _join(self, other: "XiRational", p: int, q: int, even_in, by_class: bool) -> "XiRational":
+        that is, when their odd classes agree (``sphere.odd_class``): each
+        coefficient is split by odd class (``_by_odd_class``) and joined
+        class by class.  At xn powers above a + b - 2 the join stays whole,
+        so that the degree check of :meth:`integrate` still reads every
+        monomial there.  That element is taken over the summed pole orders
+        as is, not made canonical: stripping a shared linear factor lowers
+        the degree and a + b alike, so it fails the degree check exactly
+        when the whole product does, and its residue is the residue of the
+        whole product's surviving monomials."""
         reg = self.registry
         a, b = self.a + other.a, self.b + other.b
         if even_in is not None:
-            split = _by_odd_class if by_class else _odd_groups
-            parts = {id(c): split(c, even_in) for f in (self, other) for c in f.num.values()}
+            parts = {id(c): _by_odd_class(c, even_in) for f in (self, other) for c in f.num.values()}
         acc: dict[int, ScalarPoly] = {}
         for m1, c1 in self.num.items():
             for m2, c2 in other.num.items():
                 key = m1 + m2
                 if even_in is None or key > a + b - 2:
                     piece = c1.product_trace(c2, p, q)
-                elif by_class:
+                else:
                     part2, piece = parts[id(c2)], ScalarPoly.zero(reg)
                     for cls, part1 in parts[id(c1)].items():
                         if cls in part2:
                             piece = piece + part1.product_trace(part2[cls], p, q)
-                else:
-                    piece = _ordered_trace(c1, c2, parts, p, q)
                 if piece.is_zero():
                     continue
                 prev = acc.get(key)
@@ -495,32 +436,19 @@ class XiRational:
             return XiRational.zero(reg)
         return XiRational._canonical(reg, num, self.a, self.b)
 
-    def integrate(self, pi_ind: Indeterminate,
-                  even_in: Container[int] | None = None) -> CliffordElement:
+    def integrate(self, pi_ind: Indeterminate) -> CliffordElement:
         """Real-line integral, closing the contour in the upper half plane.
 
         Requires numerator degree <= a + b - 2; the result carries the
-        supplied symbolic pi marker as a factor.  With ``even_in``, the ids
-        of the sphere's covariables as in :meth:`product_trace`, the residue
-        is taken only of the monomials that can survive the sphere, those
-        with an empty odd class (``sphere.odd_class``), over the same pole
-        orders and not made canonical: a residue holds for any
-        representation.  The degree check still reads the whole element.
+        supplied symbolic pi marker as a factor.
         """
         if self.is_zero():
             return CliffordElement.zero(self.registry)
         if self.degree() > self.a + self.b - 2:
             raise InsufficientDecayError(
                 f"degree {self.degree()} with pole orders ({self.a},{self.b})")
-        f = self
-        if even_in is not None:
-            reg = self.registry
-            num = {m: CliffordElement(reg, {w: ScalarPoly(reg, {
-                mono: c for mono, c in poly.terms.items() if not odd_class(mono, even_in)})
-                for w, poly in elem.terms.items()}) for m, elem in self.num.items()}
-            f = XiRational._canonical(reg, _clean(num), self.a, self.b)
         pi_factor = ScalarPoly.var(self.registry, pi_ind) * GR(0, 2)
-        return f.residue_at_plus_i() * pi_factor
+        return self.residue_at_plus_i() * pi_factor
 
     # -- numeric evaluation ------------------------------------------------
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -25,9 +26,10 @@ from wresidue.reference import (
     expected_d1d3,
     load_suite,
 )
-from wresidue.clifford import CF, CliffordElement, generator_square_sign
+from wresidue.clifford import CF, CliffordElement
 from wresidue.scalars import GR, GR_I, GR_ONE, ScalarPoly
 from wresidue.sphere import integrate_sphere, odd_class
+from wresidue.verifier import run
 from wresidue.xicalc import InsufficientDecayError, XiRational
 
 
@@ -224,11 +226,11 @@ def _odd_monomials(model, traced: XiRational) -> int:
                for poly in elem.terms.values() for mono in poly.terms)
 
 
-def test_sphere_survivors_give_every_case_value_in_order(suites):
+def test_sphere_survivors_give_every_case_value(suites):
     """The stated form of every case of both suites: the value from the
-    surviving monomials equals the whole integrand's, monomial order too,
-    and the traced integrand stays whole.  The moved form keeps no
-    integrand; ``test_moved_form_value_is_the_whole_products`` covers it."""
+    surviving monomials equals the whole integrand's, and the traced
+    integrand stays whole.  The moved form keeps no integrand;
+    ``test_moved_form_value_is_the_whole_products`` covers it."""
     odd = 0
     for suite in suites.values():
         model = suite.model
@@ -239,7 +241,6 @@ def test_sphere_survivors_give_every_case_value_in_order(suites):
                 continue
             want = _value_from_the_whole_integrand(model, case, res.traced, 0)
             assert res.value == want, (suite.name, case)
-            assert list(res.value.terms.items()) == list(want.terms.items())
             odd += _odd_monomials(model, res.traced)
     assert odd  # not vacuous: the traced integrands keep their odd monomials
 
@@ -283,6 +284,10 @@ def _even_part(f: XiRational, xi_ids) -> XiRational:
         for w, poly in elem.terms.items()}) for m, elem in f.num.items()}, f.a, f.b)
 
 
+def _sphere_average(model, f: XiRational) -> ScalarPoly:
+    return integrate_sphere(f.integrate(model.pi).scalar_part(), model.xi, model.omega3)
+
+
 def test_even_join_is_the_surviving_part_of_the_whole_product(suites):
     """For the factors of both shifts of every case, the join over equal odd
     classes is the sphere-surviving part of the whole product, over the
@@ -296,8 +301,7 @@ def test_even_join_is_the_surviving_part_of_the_whole_product(suites):
             whole = left.product_trace(right, model.p, model.q)
             assert (even.a, even.b) == (left.a + right.a, left.b + right.b)
             assert _even_part(even, xi_ids) == _even_part(whole, xi_ids)
-            assert even.integrate(model.pi, even_in=xi_ids) == \
-                whole.integrate(model.pi, even_in=xi_ids)
+            assert _sphere_average(model, even) == _sphere_average(model, whole)
             assert not any(_odd_monomials(model, XiRational(even.registry, {m: c}))
                            for m, c in even.num.items() if m <= even.a + even.b - 2)
             dropped += _odd_monomials(model, whole)
@@ -322,7 +326,7 @@ def test_decay_check_reads_whole_joins_above_the_bound(suites, monkeypatch):
     reg = model.registry
     xi1, xi2 = (model.var(ind) for ind in model.xi[:2])
     one, e = model.ident(), model.gen(CF, 1)
-    sign = generator_square_sign((CF, 1))  # tr(e e) = sign tr(1)
+    sign = (e * e).scalar_part().constant_part()  # tr(e e) = sign tr(1)
     left = XiRational(reg, {0: one, 2: one * xi1 + e * xi2}, 2, 0)
     lone = XiRational(reg, {0: one, 1: one * xi2}, 0, 2)
     cancelled = XiRational(reg, {0: one, 1: one * xi2 - e * (xi1 * sign)}, 0, 2)
@@ -332,29 +336,49 @@ def test_decay_check_reads_whole_joins_above_the_bound(suites, monkeypatch):
         assert _crafted_case(monkeypatch, suite, left, cancelled, shift).value
 
 
-def test_a_join_that_drops_one_odd_class_is_caught(suites, monkeypatch):
-    """The moved form with the pairs of one odd class left out no longer
-    agrees with the stated form."""
-    suite = suites["boundary-d1d3"]
-    xi1 = suite.model.xi[0].id
+def test_forms_that_disagree_are_caught(model, monkeypatch):
+    """Left factors whose xn-covariable derivatives are doubled move the
+    moved form of a case with k = 0 and not its stated form."""
+    suite = load_suite("boundary-d2d2", model)
+    factor = Suite.factor
+    monkeypatch.setattr(Suite, "factor", lambda self, plus, order, xn_order, nxi: (
+        factor(self, plus, order, xn_order, nxi) * GR(2) if plus and nxi == 1
+        else factor(self, plus, order, xn_order, nxi)))
+    with pytest.raises(IbpMismatchError):
+        assemble_boundary(suite)
+
+
+def _boundary_records() -> tuple[int, dict]:
+    """Exit code and records of a run of both boundary suites, by suite and id."""
+    code, text = run(list(BOUNDARY_SUITES), environ={})
+    return code, {(s["suite"], r["id"]): r for s in json.loads(text)["suites"]
+                  for r in s["records"]}
+
+
+_CASE_ROWS = {"a-II", "a-III", "b", "c", "total"}
+
+
+@pytest.mark.parametrize("dropped, changed", [
+    ("xi1", {"boundary-d1d3": _CASE_ROWS}),
+    ("empty", {"boundary-d2d2": _CASE_ROWS, "boundary-d1d3": _CASE_ROWS}),
+], ids=["xi1", "empty"])
+def test_a_join_that_drops_one_odd_class_is_caught(model, monkeypatch, dropped, changed):
+    """Both integration-by-parts forms join through one route, so they lose
+    the same odd class and still agree; the exact rows catch the loss.
+    Without ξ1's class only d1d3 rows move, as that class adds nothing to a
+    d2d2 case value; without the empty class both suites' rows move."""
+    _, before = _boundary_records()
+    cls = (model.xi[0].id,) if dropped == "xi1" else ()
     split = xicalc._by_odd_class
     monkeypatch.setattr(xicalc, "_by_odd_class", lambda elem, ids: {
-        cls: part for cls, part in split(elem, ids).items() if cls != (xi1,)})
-    with pytest.raises(IbpMismatchError):
-        assemble_boundary(suite)
-
-
-def test_a_stated_join_that_drops_one_odd_class_is_caught(suites, monkeypatch):
-    """The stated form with the pairs of one odd class left out no longer
-    agrees with the moved form: the two forms join by separate routes."""
-    suite = suites["boundary-d1d3"]
-    xi1 = suite.model.xi[0].id
-    groups = xicalc._odd_groups
-    monkeypatch.setattr(xicalc, "_odd_groups", lambda elem, ids: {
-        word: {cls: part for cls, part in by_class.items() if cls != (xi1,)}
-        for word, by_class in groups(elem, ids).items()})
-    with pytest.raises(IbpMismatchError):
-        assemble_boundary(suite)
+        c: part for c, part in split(elem, ids).items() if c != cls})
+    code, after = _boundary_records()
+    assert code == 1
+    moved = {}
+    for key, record in after.items():
+        if record != before[key]:
+            moved.setdefault(key[0], set()).add(key[1])
+    assert moved == changed
 
 
 def test_cases_and_partner_words_read_one_pairing_rule(model, suites):

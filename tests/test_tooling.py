@@ -1,5 +1,6 @@
 """Tooling that wraps the package from outside must keep finding its targets."""
 
+import ast
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wresidue"
 
 
 def test_benchmark_tracer_covers_every_target(monkeypatch):
@@ -61,3 +63,54 @@ def test_set_up_imports_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert done.stdout == "[]\n"
+
+
+def _names(tree: ast.AST):
+    """Every name a tree reads or binds by assignment: plain names,
+    attributes and the names imported from another module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _leftovers(package: Path) -> list[str]:
+    """Private functions, methods and classes that no other code of the
+    package names, and imports their module never uses."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    named: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _names(tree):
+            named[name] = named.get(name, 0) + 1
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") and not name.startswith("__"):
+                inside = sum(n == name for n in _names(node))
+                if named.get(name, 0) == inside:
+                    found.append(f"{module}: {name} is named nowhere else")
+        if module == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        found.append(f"{module}: {bound} is imported but never used")
+    return found
+
+
+def test_no_private_name_or_import_is_left_unused():
+    """A private definition that nothing else in the package names, or an
+    import its module never reads, is a leftover of a deleted path."""
+    assert _leftovers(PACKAGE) == []
