@@ -294,6 +294,19 @@ def test_suite_factor_table_is_not_compared(model, suites, d2d2):
     assert not fresh._factors and fresh == suite
 
 
+def test_boundary_jets_pinned(suites):
+    """Every jet of both suites, by suite, side, order and index.  ``render``
+    sorts its terms, so this pins values and pole orders, not key order
+    (the report pin guards what of that order the report reads)."""
+    lines = [f"{name}/{side}/{order}/{k}: {jet.render()}"
+             for name, suite in suites.items()
+             for side, jets in (("left", suite.left), ("right", suite.right))
+             for order in sorted(jets, reverse=True)
+             for k, jet in enumerate(jets[order])]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "86ca32f76cbfb5482899756a0659f3ab83af2952dede0161cb91d920d1e3a9b5")
+
+
 def test_second_composition_builds_the_inverse_square_symbol_once(model, monkeypatch):
     calls = []
 
