@@ -210,57 +210,64 @@ def build_model() -> Model:
 # jets
 
 
-def sigma_m3_square(model: Model) -> XiRational:
-    """Order ``-3`` symbol of the inverse square at the base point."""
+def compose(left: Jets, right: Jets) -> Jets:
+    """The top order, with its d_xn jet, and the next order of the product of
+    two operators from the top two orders of each, by the Leibniz rule
+    sigma(PQ) = sum_a<=1 (-i)^a/a! d_xi_n^a p d_xn^a q (tangential
+    x-derivatives vanish at the base point).  A left top order without a
+    d_xn jet is constant in xn."""
+    top, low = max(left), max(right)
+    (p, *dp), (p1,) = left[top], left[top - 1]
+    (q, dq), (q1,) = right[low], right[low - 1]
+    return {top + low: (p * q, dp[0] * q + p * dq if dp else p * dq),
+            top + low - 1: (p * q1 + p1 * q + p.xi_derivative() * dq * _MI,)}
+
+
+def nabla_jets(model: Model) -> Jets:
+    """sigma_2 = -X(xi)Y(xi) and sigma_1 of nabla_X nabla_Y, which carries the
+    double-covariant connection contracted with each field."""
+    conn = [model.connection(d, model.smix) for d in range(1, model.n + 1)]
+    xblk, yblk = (sum(blk * model.var(ind) for blk, ind in zip(conn, atoms)) * GR_I
+                  for atoms in (model.X, model.Y))
+    return {2: (-model.t_full_num,),
+            1: (model.field(model.dXY) * GR_I + model.field(model.X) * yblk
+                + model.field(model.Y) * xblk,)}
+
+
+def inverse_first(model: Model) -> Jets:
+    """sigma_-1 = i c(xi)/|xi|^2 of the inverse first-order operator, its
+    d_xn jet, and sigma_-2."""
+    reg = model.registry
+    hp = model.hp_poly
+    cxin = model.c_xi_num
+    half = model.cxi * (hp * _HALF)
+    inner = XiRational(reg, {0: half, 2: half}) + cxin * -hp
+    sandwich = cxin * model.sigma0_base * cxin
+    lift = cxin * (model.cdxn * model.cxi) * (hp * _HALF)
+    deep = cxin * model.cdxn * cxin * -hp
+    return {-1: (XiRational(reg, (cxin * GR_I).num, 1, 1),
+                 XiRational(reg, (inner * GR_I).num, 2, 2)),
+            -2: (XiRational(reg, sandwich.num, 2, 2) + XiRational(reg, lift.num, 2, 2)
+                 + XiRational(reg, deep.num, 3, 3),)}
+
+
+def inverse_square(model: Model) -> Jets:
+    """sigma_-2 = 1/|xi|^2 of the inverse square, its d_xn jet, and sigma_-3."""
     reg = model.registry
     # -2 times the base connection paired with xi: the first-order content
     # of the squared operator's subleading symbol
     bracket = model.pair(lambda d: model.connection(d, model.nabtm)) * (-2) + model.collar_bracket
     term1 = XiRational.build(reg, {1: model.hp_poly * GR(0, -2)})
     term2 = XiRational.build(reg, {0: 1, 2: 1}) * (bracket * _MI)
-    return XiRational(reg, (term1 + term2).num, 3, 3)
-
-
-def sigma1_conn_num(model: Model) -> XiRational:
-    """Numerator of the first-order double-covariant symbol (no denominator)."""
-    conn = [model.connection(d, model.smix) for d in range(1, model.n + 1)]
-    # the double-covariant connection contracted with each field
-    xblk, yblk = (sum(blk * model.var(ind) for blk, ind in zip(conn, atoms)) * GR_I
-                  for atoms in (model.X, model.Y))
-    return (model.field(model.dXY) * GR_I + model.field(model.X) * yblk
-            + model.field(model.Y) * xblk)
+    return {-2: (XiRational.build(reg, {0: 1}, 1, 1),
+                 XiRational.build(reg, {0: -model.hp_poly}, 2, 2)),
+            -3: (XiRational(reg, (term1 + term2).num, 3, 3),)}
 
 
 def symbols_d2d2(model: Model) -> tuple[Jets, Jets]:
-    reg = model.registry
-    hp = model.hp_poly
-    tfull = model.t_full_num
-    sm3 = sigma_m3_square(model)
-
-    s0 = XiRational(reg, (-tfull).num, 1, 1)
-    s0_dxn = XiRational(reg, (tfull * hp).num, 2, 2)
-    # order -1: the product, connection and collar-transfer summands
-    prod = -tfull * sm3
-    conn = XiRational(reg, sigma1_conn_num(model).num, 1, 1)
-    transfer = XiRational.build(
-        reg, {0: model.c_hat * (hp * _MI), 1: model.n_hat * (hp * GR(0, -2))}, 2, 2)
-    sm2 = XiRational.build(reg, {0: 1}, 1, 1)
-    sm2_dxn = XiRational.build(reg, {0: -hp}, 2, 2)
-    return ({0: (s0, s0_dxn), -1: (prod + conn + transfer,)},
-            {-2: (sm2, sm2_dxn), -3: (sm3,)})
-
-
-def sigma_m2_first(model: Model) -> XiRational:
-    """Order ``-2`` symbol of the inverse first-order operator."""
-    reg = model.registry
-    hp = model.hp_poly
-    cxin = model.c_xi_num
-    sandwich = cxin * model.sigma0_base * cxin
-    lift = cxin * (model.cdxn * model.cxi) * (hp * _HALF)
-    deep = cxin * model.cdxn * cxin * -hp
-    return (XiRational(reg, sandwich.num, 2, 2)
-            + XiRational(reg, lift.num, 2, 2)
-            + XiRational(reg, deep.num, 3, 3))
+    """nabla_X nabla_Y D^-2 against D^-2."""
+    inv2 = inverse_square(model)
+    return compose(nabla_jets(model), inv2), inv2
 
 
 def sigma2_cube_num(model: Model) -> XiRational:
@@ -291,25 +298,10 @@ def sigma_m4_cube(model: Model) -> XiRational:
 
 
 def symbols_d1d3(model: Model) -> tuple[Jets, Jets]:
-    reg = model.registry
-    hp = model.hp_poly
-    cxin = model.c_xi_num
-    tfull = model.t_full_num
-
-    s1 = XiRational(reg, (tfull * cxin * _MI).num, 1, 1)
-    half = model.cxi * (hp * _HALF)
-    inner = XiRational(reg, {0: half, 2: half}) + cxin * -hp
-    s1_dxn = XiRational(reg, (tfull * inner * _MI).num, 2, 2)
-    # order 0: the product, connection and collar-transfer summands
-    prod = -tfull * sigma_m2_first(model)
-    conn = sigma1_conn_num(model) * XiRational(reg, (cxin * GR_I).num, 1, 1)
-    transfer = (XiRational.build(reg, {0: -model.c_hat, 1: model.n_hat * (-2)})
-                * (XiRational(reg, {0: half}, 1, 1) + XiRational(reg, (cxin * -hp).num, 2, 2)))
-    sm3 = XiRational(reg, (cxin * GR_I).num, 2, 2)
-    sm3_dxn = (XiRational(reg, {0: model.cxi * (hp * _HALF * GR_I)}, 2, 2)
-               + XiRational(reg, (cxin * (hp * GR(0, -2))).num, 3, 3))
-    return ({1: (s1, s1_dxn), 0: (prod + conn + transfer,)},
-            {-3: (sm3, sm3_dxn), -4: (sigma_m4_cube(model),)})
+    """nabla_X nabla_Y D^-1 against D^-3 = D^-1 D^-2, whose sigma_-4 is written out."""
+    inv1 = inverse_first(model)
+    return (compose(nabla_jets(model), inv1),
+            {-3: compose(inv1, inverse_square(model))[-3], -4: (sigma_m4_cube(model),)})
 
 
 # ---------------------------------------------------------------------------

@@ -149,10 +149,9 @@ def _trace_records(model, endo: _Endomorphisms) -> list[ClaimRecord]:
         records.append(_claim(f"endo-trace-rank-{p}-{q}", f"{want} * s",
                               f"{co} * s", co == want))
 
-    p, q = 2, 2
-    setting = traced[p, q][0]
-    diag = (setting.c(1) * setting.c(1)).trace(p, q).constant_part()
-    off = (setting.c(1) * setting.c(2)).trace(p, q).constant_part()
+    p, q = model.p, model.q
+    diag = (model.c(1) * model.c(1)).trace(p, q).constant_part()
+    off = (model.c(1) * model.c(2)).trace(p, q).constant_part()
     full = -(GR(2) ** (p // 2 + q))
     records.append(ClaimRecord(
         record_id="two-letter-leaf-pair",
@@ -163,7 +162,7 @@ def _trace_records(model, endo: _Endomorphisms) -> list[ClaimRecord]:
         evidence=(f"full-fiber over recorded ratio = 2^q = {2 ** q}",),
     ))
 
-    hc1, hc2, cn1, cn2 = setting.gen(HC, 1), setting.gen(HC, 2), setting.c(3), setting.c(4)
+    hc1, hc2, cn1, cn2 = model.gen(HC, 1), model.gen(HC, 2), model.c(p + 1), model.c(p + 2)
     diag = (hc1 * hc1 - cn1 * cn1).trace(p, q)
     off = (hc1 * hc2 - cn1 * cn2).trace(p, q)
     want = GR(2) ** (p // 2 + q + 1)
@@ -176,12 +175,12 @@ def _trace_records(model, endo: _Endomorphisms) -> list[ClaimRecord]:
         note="recorded complement-factor value lifted by the distinguished "
              f"factor dimension 2^(p/2) = {2 ** (p // 2)}"))
 
-    got = (model.sigma0_base * model.cdxn).trace(2, 2)
+    got = (model.sigma0_base * model.cdxn).trace(p, q)
     records.append(_claim(
         "normal-divergence-trace", "4*(wM12d1 + wM22d2 + wP12d3)", got.render(),
         got == model.div_poly * -4, note="equals -4 times the boundary divergence scalar"))
 
-    tang = (model.sigma0_base * model.cxi).trace(2, 2)
+    tang = (model.sigma0_base * model.cxi).trace(p, q)
     avg = integrate_sphere(tang, model.xi, model.omega3)
     records.append(_claim(
         "tangential-divergence-trace", "0", avg.render(), avg.is_zero(),

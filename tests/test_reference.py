@@ -310,12 +310,40 @@ def test_boundary_jets_pinned(suites):
 def test_second_composition_builds_the_inverse_square_symbol_once(model, monkeypatch):
     calls = []
 
-    def counted(m, _orig=reference.sigma_m3_square):
+    def counted(m, _orig=reference.inverse_square):
         calls.append(m)
         return _orig(m)
-    monkeypatch.setattr(reference, "sigma_m3_square", counted)
+    monkeypatch.setattr(reference, "inverse_square", counted)
     reference.symbols_d2d2(model)
     assert calls == [model]
+
+
+def test_compose_with_the_identity_returns_the_other_top_orders(model):
+    """The identity's jets on either side give back the other table's top
+    order, its d_xn jet (zero where the table has none) and the next order."""
+    reg = model.registry
+    zero = XiRational.zero(reg)
+    one = {0: (XiRational.build(reg, {0: 1}), zero), -1: (zero,)}
+    tables = (reference.nabla_jets(model), reference.inverse_first(model),
+              reference.inverse_square(model))
+    for jets in tables:
+        top = max(jets)
+        (p, *dp), (p1, *_) = jets[top], jets[top - 1]
+        want = {top: (p, dp[0] if dp else zero), top - 1: (p1,)}
+        assert reference.compose(jets, one) == want
+        if dp:
+            assert reference.compose(one, jets) == want
+
+
+def test_compose_by_hand(model):
+    """xn against an order-0 operator with d_xn jet D: the top d_xn jet is
+    xn*D, and the next order is the Leibniz term d_xi_n(xn) D (-i) = -i D."""
+    reg = model.registry
+    zero, xn = XiRational.zero(reg), XiRational.build(reg, {1: 1})
+    d = XiRational.build(reg, {0: model.hp_poly, 1: model.cdxn}, 1, 0)
+    got = reference.compose({1: (xn,), 0: (zero,)},
+                            {0: (XiRational.build(reg, {0: 1}), d), -1: (zero,)})
+    assert got == {1: (xn, xn * d), 0: (d * GR(0, -1),)}
 
 
 def test_display_checks_all_reproduce(suites):

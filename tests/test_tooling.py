@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wresidue"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "wresidue"
 
 
 def test_benchmark_tracer_covers_every_target(monkeypatch):
@@ -114,3 +115,36 @@ def test_no_private_name_or_import_is_left_unused():
     """A private definition that nothing else in the package names, or an
     import its module never reads, is a leftover of a deleted path."""
     assert _leftovers(PACKAGE) == []
+
+
+def _unnamed_public(root: Path) -> list[str]:
+    """Public module-level functions of the package that no file under
+    ``src/``, ``tests/`` or ``perfbench/`` names outside their own
+    definition; a name in a string (such as a tracer target) counts."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src", "tests", "perfbench")
+             for path in sorted((root / folder).rglob("*.py"))]
+
+    def names(tree):
+        yield from _names(tree)
+        yield from (node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.isidentifier())
+
+    named: dict[str, int] = {}
+    for tree in trees:
+        for name in names(tree):
+            named[name] = named.get(name, 0) + 1
+    found = []
+    for path in sorted((root / "src" / "wresidue").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                if named.get(node.name, 0) == sum(n == node.name for n in names(node)):
+                    found.append(f"{path.name}: {node.name} is named nowhere else")
+    return found
+
+
+def test_no_public_function_is_left_unnamed():
+    """A public module-level function that no code, test or benchmark names
+    is a leftover of a path that was replaced."""
+    assert _unnamed_public(ROOT) == []
