@@ -215,12 +215,15 @@ def compose(left: Jets, right: Jets) -> Jets:
     two operators from the top two orders of each, by the Leibniz rule
     sigma(PQ) = sum_a<=1 (-i)^a/a! d_xi_n^a p d_xn^a q (tangential
     x-derivatives vanish at the base point).  A left top order without a
-    d_xn jet is constant in xn."""
+    d_xn jet is constant in xn; the next order is formed only when both
+    tables carry one."""
     top, low = max(left), max(right)
-    (p, *dp), (p1,) = left[top], left[top - 1]
-    (q, dq), (q1,) = right[low], right[low - 1]
-    return {top + low: (p * q, dp[0] * q + p * dq if dp else p * dq),
-            top + low - 1: (p * q1 + p1 * q + p.xi_derivative() * dq * _MI,)}
+    (p, *dp), (q, dq) = left[top], right[low]
+    out = {top + low: (p * q, dp[0] * q + p * dq if dp else p * dq)}
+    if top - 1 in left and low - 1 in right:
+        (p1,), (q1,) = left[top - 1], right[low - 1]
+        out[top + low - 1] = (p * q1 + p1 * q + p.xi_derivative() * dq * _MI,)
+    return out
 
 
 def nabla_jets(model: Model) -> Jets:
@@ -301,7 +304,8 @@ def symbols_d1d3(model: Model) -> tuple[Jets, Jets]:
     """nabla_X nabla_Y D^-1 against D^-3 = D^-1 D^-2, whose sigma_-4 is written out."""
     inv1 = inverse_first(model)
     return (compose(nabla_jets(model), inv1),
-            {-3: compose(inv1, inverse_square(model))[-3], -4: (sigma_m4_cube(model),)})
+            {-3: compose(inv1, {-2: inverse_square(model)[-2]})[-3],
+             -4: (sigma_m4_cube(model),)})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ numeric oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Container, Iterable, Mapping, Sequence
@@ -88,6 +89,37 @@ def integrate_sphere(value: ScalarPoly, xi_inds: Sequence[Indeterminate],
     return ScalarPoly(registry, out)
 
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) by the recurrence k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2)."""
+    p0, p1 = 1.0, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@functools.cache
+def gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], exact for polynomials of degree below 2n.
+
+    Newton's method finds each nonnegative root of P_n from the guess
+    cos(pi (j + 3/4) / (n + 1/2)); the negative half mirrors it, so the rule
+    is symmetric to the last bit.
+    """
+    roots = []
+    for j in range(n // 2):
+        x = math.cos(math.pi * (j + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, dp = _legendre(n, x)
+            x -= p / dp
+            if abs(p / dp) < 1e-15:
+                break
+        roots.append((x, 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)))
+    middle = [(0.0, 2.0 / _legendre(n, 0.0)[1] ** 2)] if n % 2 else []
+    rule = [(-x, w) for x, w in roots] + middle + roots[::-1]
+    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
+
+
 def numeric_sphere_oracle(poly: ScalarPoly, xi_inds: Sequence[Indeterminate],
                           bindings: Mapping[int, complex] | None = None) -> complex:
     """Quadrature of a polynomial over the unit sphere in R^3.
@@ -97,13 +129,10 @@ def numeric_sphere_oracle(poly: ScalarPoly, xi_inds: Sequence[Indeterminate],
     """
     if len(xi_inds) != 3:
         raise ValueError("oracle is specific to three covariable components")
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(N_POLAR)
     base = dict(bindings or {})
     total = 0j
     dphi = 2.0 * math.pi / N_AZIMUTH
-    for z, w in zip(nodes.tolist(), weights.tolist()):
+    for z, w in zip(*gauss_legendre(N_POLAR)):
         rho = math.sqrt(max(0.0, 1.0 - z * z))
         for m in range(N_AZIMUTH):
             phi = dphi * m

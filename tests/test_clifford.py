@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,7 +15,7 @@ from wresidue.clifford import (
     fiber_dimension,
     word_mul,
 )
-from wresidue.oracles import element_matrix, generator_matrices, word_matrix
+from wresidue.oracles import generator_matrices, matrix_trace, monomial_mul, word_matrix
 from wresidue.scalars import (
     GR,
     GR_ONE,
@@ -27,6 +27,8 @@ from wresidue.scalars import (
 from wresidue.verifier import run
 
 LETTERS = ((CF, 1), (CF, 2), (CN, 1), (CN, 2), (HC, 1), (HC, 2))
+# every normal-ordered word over the six letters: 2^6 = 64
+ALL_WORDS = [w for r in range(len(LETTERS) + 1) for w in combinations(LETTERS, r)]
 
 
 @pytest.fixture()
@@ -70,10 +72,9 @@ def _word_element(reg, word, coeff=1):
 def test_word_product_table_matches_word_mul(reg):
     """Every product of two of the 64 words over the six letters, through
     the table, equals the uncached normal ordering."""
-    words = [w for r in range(len(LETTERS) + 1) for w in combinations(LETTERS, r)]
-    assert len(words) == 64
-    for w1 in words:
-        for w2 in words:
+    assert len(ALL_WORDS) == 64
+    for w1 in ALL_WORDS:
+        for w2 in ALL_WORDS:
             sign, word = word_mul(w1, w2)
             assert _word_element(reg, w1) * _word_element(reg, w2) == \
                 _word_element(reg, word, sign)
@@ -290,31 +291,59 @@ def test_product_trace_scales_a_factor_and_keeps_the_order(reg):
 # -- matrix realization oracle ----------------------------------------------
 
 
-def test_matrix_relations():
-    mats = generator_matrices()
+def _pauli_kron_generators():
+    """The generators as numpy Kronecker products of Pauli matrices, with the
+    factor i on the square -1 families: the construction the exact monomial
+    matrices must reproduce entry for entry."""
     import numpy as np
-    eye = np.eye(8)
+    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
+    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
+    eye = np.eye(2, dtype=complex)
+
+    def kron3(a, b, c):
+        return np.kron(np.kron(a, b), c)
+
+    return {
+        (CF, 1): 1j * kron3(s1, eye, eye),
+        (CF, 2): 1j * kron3(s2, eye, eye),
+        (CN, 1): 1j * kron3(s3, s1, eye),
+        (CN, 2): 1j * kron3(s3, s2, eye),
+        (HC, 1): kron3(s3, s3, s1),
+        (HC, 2): kron3(s3, s3, s2),
+    }
+
+
+def _signed(matrix, sign):
+    """``sign`` (+1 or -1) times an exact monomial matrix."""
+    cols, phases = matrix
+    return cols, tuple((p + (0 if sign == 1 else 2)) % 4 for p in phases)
+
+
+def test_matrix_relations():
+    import numpy as np
+    from twin import dense
+
+    mats = generator_matrices()
+    eye = word_matrix(())
+    assert eye == (tuple(range(8)), (0,) * 8)
     reg = Registry()
     for gen, m in mats.items():
         g = CliffordElement.generator(reg, *gen)
         sign = (g * g).scalar_part().constant_part().to_complex()
-        assert np.allclose(m @ m, sign * eye)
-    keys = list(mats)
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            ma, mb = mats[keys[a]], mats[keys[b]]
-            assert np.allclose(ma @ mb + mb @ ma, 0)
-    # word matrices are built once and shared read-only; the generator
-    # matrices stay fresh arrays, so writing into them reaches no cache
+        assert monomial_mul(m, m) == _signed(eye, sign)
+    for a, b in combinations(mats, 2):
+        ma, mb = mats[a], mats[b]
+        assert monomial_mul(ma, mb) == _signed(monomial_mul(mb, ma), -1)
+    # the densified generators are the Pauli Kronecker products, entry for entry
+    for gen, m in _pauli_kron_generators().items():
+        assert np.array_equal(dense(mats[gen]), m), gen
+    # word matrices are built once and shared; they are tuples, so no caller
+    # can write into the cache
     cached = word_matrix(((CF, 1), (HC, 2)))
     assert word_matrix(((CF, 1), (HC, 2))) is cached
-    with pytest.raises(ValueError):
-        cached[0, 0] = 1
-    fresh = generator_matrices()
-    for gen, m in mats.items():
-        assert m is not fresh[gen]
-        m[0, 0] += 1
-    assert np.array_equal(word_matrix(((CF, 1),)), fresh[(CF, 1)])
+    assert isinstance(cached, tuple) and all(isinstance(part, tuple) for part in cached)
+    assert word_matrix(((CF, 1),)) == mats[(CF, 1)]
 
 
 def test_matrix_oracle_trace(sweep):
@@ -324,14 +353,15 @@ def test_matrix_oracle_trace(sweep):
 
 
 def test_matrix_oracle_products(reg):
-    import numpy as np
-    rng = random.Random(43)
-    for _ in range(300):
-        a = _random_element(reg, rng, 3)
-        b = _random_element(reg, rng, 3)
-        lhs = element_matrix(a * b, {})
-        rhs = element_matrix(a, {}) @ element_matrix(b, {})
-        assert np.allclose(lhs, rhs, atol=1e-9)
+    """M(w1) M(w2) = sign M(w1 w2) exactly, with the sign and word of
+    ``word_mul``, on all 64 x 64 word pairs; each word's matrix trace is its
+    formal fiber trace, exactly."""
+    for w1, w2 in product(ALL_WORDS, repeat=2):
+        sign, word = word_mul(w1, w2)
+        assert monomial_mul(word_matrix(w1), word_matrix(w2)) == _signed(word_matrix(word), sign)
+    for word in ALL_WORDS:
+        elem = _word_element(reg, word, 3)
+        assert matrix_trace(elem, {}) == elem.trace(2, 2).constant_part().to_complex(), word
 
 
 # -- the split frame --------------------------------------------------------

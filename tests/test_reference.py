@@ -346,6 +346,23 @@ def test_compose_by_hand(model):
     assert got == {1: (xn, xn * d), 0: (d * GR(0, -1),)}
 
 
+def test_compose_against_a_top_order_only_table_gives_the_top_entry(model):
+    """Either table cut to its top order skips the next order and gives
+    exactly the full composition's top entry, d_xn jet included, with its
+    numerator keys in the same order (the report sums in that order)."""
+    nabla, inv1, inv2 = (reference.nabla_jets(model), reference.inverse_first(model),
+                         reference.inverse_square(model))
+    for left, right in ((inv1, inv2), (nabla, inv2), (nabla, inv1)):
+        full = reference.compose(left, right)
+        want = {max(full): full[max(full)]}
+        for cut_left, cut_right in ((left, {max(right): right[max(right)]}),
+                                    ({max(left): left[max(left)]}, right)):
+            got = reference.compose(cut_left, cut_right)
+            assert got == want
+            assert [list(jet.num) for jet in got[max(full)]] == \
+                [list(jet.num) for jet in want[max(full)]]
+
+
 def test_display_checks_all_reproduce(suites):
     seen = []
     for name, suite in suites.items():

@@ -6,6 +6,8 @@ import pytest
 
 from wresidue.scalars import GR, KIND_CONN, KIND_MARKER, KIND_XI, Registry, ScalarPoly
 from wresidue.sphere import (
+    N_POLAR,
+    gauss_legendre,
     integrate_sphere,
     moment_fraction,
     numeric_sphere_oracle,
@@ -40,6 +42,22 @@ def test_even_moment_table():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         moment_fraction((-2,))
+
+
+def test_gauss_legendre_matches_numpy_and_is_exact_below_degree_twenty():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = gauss_legendre(N_POLAR)
+    assert N_POLAR == 10
+    want_nodes, want_weights = leggauss(N_POLAR)
+    assert max(abs(a - b) for a, b in zip(nodes, want_nodes.tolist())) < 1e-15
+    assert max(abs(a - b) for a, b in zip(weights, want_weights.tolist())) < 1e-15
+    assert gauss_legendre(N_POLAR) is gauss_legendre(N_POLAR)
+    for k in range(2 * N_POLAR):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(sum(w * x ** k for x, w in zip(nodes, weights)) - exact) < 1e-15, k
+    # and no further: degree 2n is where a 10-point rule stops being exact
+    assert abs(sum(w * x ** 20 for x, w in zip(nodes, weights)) - 2.0 / 21) > 1e-7
 
 
 def test_moments_against_quadrature_through_degree_six(sweep, setting):

@@ -66,6 +66,40 @@ def test_set_up_imports_neither_dataclasses_nor_inspect():
     assert done.stdout == "[]\n"
 
 
+def test_package_imports_neither_numpy_nor_scipy():
+    """The package runs on the standard library alone: no module imports
+    numpy or scipy, at module level or inside a function."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {m}" for m in modules
+                      if m.split(".")[0] in ("numpy", "scipy")]
+    assert found == []
+
+
+def test_oracles_run_without_numpy():
+    """Both numeric oracles run in a fresh interpreter that never loads
+    numpy; the sibling of ``test_full_run_imports_neither_numpy_nor_scipy``."""
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+            "from wresidue import clifford, oracles, scalars, sphere\n"
+            "reg = scalars.Registry()\n"
+            "g = clifford.CliffordElement.generator(reg, clifford.CF, 1)\n"
+            "assert oracles.matrix_trace(g * g, {}) == -8\n"
+            "xi = [reg.add(f'xi{k}', scalars.KIND_XI) for k in (1, 2, 3)]\n"
+            "one = scalars.ScalarPoly.const(reg, 1)\n"
+            "assert abs(sphere.numeric_sphere_oracle(one, xi) - 4 * 3.141592653589793) < 1e-12\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"
+
+
 def _names(tree: ast.AST):
     """Every name a tree reads or binds by assignment: plain names,
     attributes and the names imported from another module."""

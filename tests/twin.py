@@ -5,8 +5,9 @@ calculus and exact sphere moments.  This helper reaches the same number on
 an independent path, with numpy and scipy only:
 
 * Clifford letters are the 8x8 generator matrices of
-  :func:`wresidue.oracles.generator_matrices`; every symbol below is an
-  8x8 matrix-valued function of the covariable (xi', xi_n).
+  :func:`wresidue.oracles.generator_matrices`, densified by :func:`dense`;
+  every symbol below is an 8x8 matrix-valued function of the covariable
+  (xi', xi_n).
 * Connection blocks are assembled from the atom values with the weights of
   the frozen model: ``M_d = 1/4 sum wF(j,l,d) c(f_j)c(f_l)``,
   ``N_d = 1/4 sum wP(s,t,d) (c(h_s)c(h_t) - hc(h_s)hc(h_t))``,
@@ -54,6 +55,15 @@ P, Q = 2, 2
 N = P + Q
 
 
+def dense(matrix):
+    """The 8x8 complex array of an exact monomial matrix ``(cols, phases)``,
+    whose row r holds ``i**phases[r]`` in column ``cols[r]``."""
+    cols, phases = matrix
+    out = np.zeros((len(cols), len(cols)), dtype=complex)
+    out[np.arange(len(cols)), cols] = [(1, 1j, -1, -1j)[p] for p in phases]
+    return out
+
+
 def _antisym(atoms, stem, a, b, d):
     if a == b:
         return 0.0
@@ -65,7 +75,7 @@ def _antisym(atoms, stem, a, b, d):
 def connection_blocks(atoms):
     """Per direction d = 1..n: the covariant block ``M_d + N_d + A_d`` and the
     first-order block ``B_d`` of the squared operator, as 8x8 matrices."""
-    mats = generator_matrices()
+    mats = {g: dense(m) for g, m in generator_matrices().items()}
     cf = {j: mats[(CF, j)] for j in range(1, P + 1)}
     ch = {s: mats[(CN, s)] for s in range(1, Q + 1)}
     hc = {s: mats[(HC, s)] for s in range(1, Q + 1)}
