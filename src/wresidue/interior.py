@@ -77,15 +77,18 @@ def endomorphism_blocks(setting: InteriorSetting) -> dict[str, CliffordElement]:
     """The endomorphism of the squared operator: scalar-curvature part plus
     three quarter-weighted curvature blocks, each the sum over a, b, t, s
     (in that nesting order, which sets atom order) of
-    ``curv(a, b, t, s) * first(a) second(b) hatc(h_s) hatc(h_t)``."""
+    ``curv(a, b, t, s) * first(a) second(b) hatc(h_s) hatc(h_t)``, built
+    pair by pair: ``first(a) second(b)`` times the (t, s) family."""
     quarter = GR(Fraction(1, 4))
     scalar = setting.ident(setting.var(setting.scurv) * quarter)
-    hc, ps, qs = lambda s: setting.gen(HC, s), range(1, setting.p + 1), range(1, setting.q + 1)
+    ps, qs = range(1, setting.p + 1), range(1, setting.q + 1)
     leaf, perp = setting.c, lambda s: setting.gen(CN, s)
+    hats = {(t, s): setting.gen(HC, s) * setting.gen(HC, t) for t, s in product(qs, qs)}
 
     def block(curv, first, firsts, second, seconds) -> CliffordElement:
-        return setting.family(product(firsts, seconds, qs, qs), curv,
-                              lambda a, b, t, s: first(a) * second(b) * hc(s) * hc(t), quarter)
+        return sum((first(a) * second(b) * setting.family(
+            hats, lambda t, s: curv(a, b, t, s), lambda t, s: hats[t, s], quarter)
+            for a, b in product(firsts, seconds)), CliffordElement.zero(setting.registry))
 
     return {"scalar": scalar,
             "mixed-pair": block(setting.r_mixed, leaf, ps, perp, qs),
@@ -132,20 +135,16 @@ def curvature_form_traces(setting: InteriorSetting) -> dict[str, ScalarPoly]:
     }
 
 
-def first_principles_coefficients(p: int, q: int, n: int, *,
-                                  _endo=None) -> dict[str, Fraction | ScalarPoly]:
+def first_principles_coefficients(p: int, q: int, n: int) -> dict[str, Fraction | ScalarPoly]:
     """The interior coefficients keyed as :func:`reference.interior_expected`:
     the quadratic-form weight ``v * Tr(Id) / 6`` and the two-form weight
     ``v / 2 * tr(Omega)``, both in units of ``pi**(n/2)``, the metric
     scalar-curvature weight, and the endomorphism-trace multiple of the
-    curvature marker.  ``_endo``, shared by the verifier, is an
-    ``InteriorSetting(p, q)`` and its :func:`trace_endomorphism`."""
+    curvature marker."""
     if n % 2:
         raise ValueError("only even total dimension is supported")
-    if _endo is None:
-        setting = InteriorSetting(p, q)
-        _endo = setting, trace_endomorphism(setting)
-    setting, (endo_co, _) = _endo
+    setting = InteriorSetting(p, q)
+    endo_co, _ = trace_endomorphism(setting)
     two_form = sum(curvature_form_traces(setting).values(), ScalarPoly.zero(setting.registry))
     # sphere volume 2*pi**m/Gamma(m); pi**m stays implicit in the field
     vol = Fraction(2, math.factorial(n // 2 - 1))

@@ -254,16 +254,22 @@ def inverse_first(model: Model) -> Jets:
                  + XiRational(reg, deep.num, 3, 3),)}
 
 
+def inverse_square_top(model: Model) -> Jets:
+    """sigma_-2 = 1/|xi|^2 of the inverse square and its d_xn jet."""
+    reg = model.registry
+    return {-2: (XiRational.build(reg, {0: 1}, 1, 1),
+                 XiRational.build(reg, {0: -model.hp_poly}, 2, 2))}
+
+
 def inverse_square(model: Model) -> Jets:
-    """sigma_-2 = 1/|xi|^2 of the inverse square, its d_xn jet, and sigma_-3."""
+    """:func:`inverse_square_top` and sigma_-3 of the inverse square."""
     reg = model.registry
     # -2 times the base connection paired with xi: the first-order content
     # of the squared operator's subleading symbol
     bracket = model.pair(lambda d: model.connection(d, model.nabtm)) * (-2) + model.collar_bracket
     term1 = XiRational.build(reg, {1: model.hp_poly * GR(0, -2)})
     term2 = XiRational.build(reg, {0: 1, 2: 1}) * (bracket * _MI)
-    return {-2: (XiRational.build(reg, {0: 1}, 1, 1),
-                 XiRational.build(reg, {0: -model.hp_poly}, 2, 2)),
+    return {**inverse_square_top(model),
             -3: (XiRational(reg, (term1 + term2).num, 3, 3),)}
 
 
@@ -304,7 +310,7 @@ def symbols_d1d3(model: Model) -> tuple[Jets, Jets]:
     """nabla_X nabla_Y D^-1 against D^-3 = D^-1 D^-2, whose sigma_-4 is written out."""
     inv1 = inverse_first(model)
     return (compose(nabla_jets(model), inv1),
-            {-3: compose(inv1, {-2: inverse_square(model)[-2]})[-3],
+            {-3: compose(inv1, inverse_square_top(model))[-3],
              -4: (sigma_m4_cube(model),)})
 
 

@@ -106,19 +106,10 @@ def _fmt(x: float) -> str:
 # interior suite
 
 
-class _Endomorphisms(dict):
-    """Each split's interior setting and traced endomorphism, made once."""
-
-    def __missing__(self, split):
-        setting = interior.InteriorSetting(*split)
-        self[split] = setting, interior.trace_endomorphism(setting)
-        return self[split]
-
-
-def _interior_records(endo: _Endomorphisms) -> list[ClaimRecord]:
+def _interior_records() -> list[ClaimRecord]:
     records = []
     for p, q, n in reference.INTERIOR_CASES:
-        got = interior.first_principles_coefficients(p, q, n, _endo=endo[p, q])
+        got = interior.first_principles_coefficients(p, q, n)
         want = reference.interior_expected(p, q, n)
         units = {"einstein": f" * pi^{n // 2}", "endo-trace": " * s"}
         for key in _INTERIOR_KEYS:
@@ -134,17 +125,17 @@ def _interior_records(endo: _Endomorphisms) -> list[ClaimRecord]:
 # traces suite
 
 
-def _trace_records(model, endo: _Endomorphisms) -> list[ClaimRecord]:
+def _trace_records(model) -> list[ClaimRecord]:
     records = []
-    traced = {split: endo[split] for split in ((2, 2), (4, 2), (2, 4))}
-    block_traces = traced[2, 2][1][1]
+    traced = {split: interior.trace_endomorphism(interior.InteriorSetting(*split))
+              for split in ((2, 2), (4, 2), (2, 4))}
     for block in ("mixed-pair", "leaf-pair", "perp-pair"):
-        tr = block_traces[block]
+        tr = traced[2, 2][1][block]
         records.append(_claim(
             f"endo-block-{block.removesuffix('-pair')}-trace", "0", tr.render(),
             tr.is_zero(), note="curvature block of the endomorphism traces to zero"))
 
-    for (p, q), (_, (co, _)) in traced.items():
+    for (p, q), (co, _) in traced.items():
         want = reference.interior_expected(p, q, p + q)["endo-trace"]
         records.append(_claim(f"endo-trace-rank-{p}-{q}", f"{want} * s",
                               f"{co} * s", co == want))
@@ -336,25 +327,23 @@ def _checked_waivers(environ=None):
     return waivers
 
 
-def run_suite(name, model=None, waivers=None, emit_dir=None, _endo=None) -> SuiteReport:
+def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
     """Recompute one suite, then give each waivable mismatch its waiver, if
     any.
 
     Waivers passed in are taken as checked (:func:`run` checks them once,
     before any suite runs); without them, :func:`_checked_waivers` loads and
-    checks them before the suite is computed.  :func:`run` shares one
-    ``_endo`` between its suites."""
+    checks them before the suite is computed."""
     if name not in reference.ALL_SUITES:
         raise UnknownSuiteError(name)
     model = model if model is not None else build_model()
     if waivers is None:
         waivers = _checked_waivers()
     texts: dict[str, str] = {}
-    endo = _Endomorphisms() if _endo is None else _endo
     if name == "interior":
-        records = _interior_records(endo)
+        records = _interior_records()
     elif name == "traces":
-        records = _trace_records(model, endo)
+        records = _trace_records(model)
     else:
         records, texts = _boundary_records(load_suite(name, model), bool(emit_dir))
     try:
@@ -394,8 +383,7 @@ def run(names, fmt="json", emit_dir=None, environ=None):
     collecting = gc.isenabled()
     gc.disable()
     try:
-        endo = _Endomorphisms()
-        reports = tuple(run_suite(n, model, waivers, emit_dir, endo) for n in expanded)
+        reports = tuple(run_suite(n, model, waivers, emit_dir) for n in expanded)
     finally:
         if collecting:
             gc.enable()

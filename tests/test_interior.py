@@ -1,9 +1,11 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from wresidue.clifford import CN, HC
 from wresidue.interior import (
     InteriorSetting,
     curvature_form_traces,
@@ -12,6 +14,7 @@ from wresidue.interior import (
     trace_endomorphism,
 )
 from wresidue.reference import INTERIOR_CASES, interior_expected
+from wresidue.scalars import GR
 
 RANKS = ((2, 2), (4, 2), (2, 4))
 
@@ -57,13 +60,44 @@ def test_endomorphism_curvature_blocks_traceless():
 
 
 def test_endomorphism_block_structure():
-    from wresidue.scalars import GR
-
     setting = InteriorSetting(2, 2)
     blocks = endomorphism_blocks(setting)
     assert set(blocks) == {"scalar", "mixed-pair", "leaf-pair", "perp-pair"}
     scalar = blocks["scalar"].trace(2, 2)
     assert scalar == setting.var(setting.scurv) * GR(2)
+
+
+def _term_by_term_blocks(setting):
+    """The curvature blocks one four-letter term at a time:
+    ``curv(a, b, t, s) * first(a) second(b) hatc(h_s) hatc(h_t) / 4`` over
+    (a, b, t, s) in that nesting order."""
+    quarter = GR(Fraction(1, 4))
+    ps, qs = range(1, setting.p + 1), range(1, setting.q + 1)
+    hc, leaf, perp = (lambda s: setting.gen(HC, s)), setting.c, (lambda s: setting.gen(CN, s))
+
+    def block(curv, first, firsts, second, seconds):
+        return setting.family(product(firsts, seconds, qs, qs), curv,
+                              lambda a, b, t, s: first(a) * second(b) * hc(s) * hc(t), quarter)
+
+    return {"mixed-pair": block(setting.r_mixed, leaf, ps, perp, qs),
+            "leaf-pair": block(setting.r_leaf, leaf, ps, leaf, ps),
+            "perp-pair": block(setting.r_perp, perp, qs, perp, qs)}
+
+
+def test_blocks_built_pair_by_pair_are_the_term_by_term_blocks():
+    """Each curvature block, built pair by pair, equals the term-by-term sum
+    in value, word order, monomial order per word and registry order."""
+    for p, q in ((2, 2), (4, 2), (2, 4), (4, 0)):
+        old, new = InteriorSetting(p, q), InteriorSetting(p, q)
+        want, got = _term_by_term_blocks(old), endomorphism_blocks(new)
+        assert [i.name for i in new.registry] == [i.name for i in old.registry], (p, q)
+        for name, el in want.items():
+            assert list(got[name].terms) == list(el.terms), (p, q, name)
+            for word, coeff in el.terms.items():
+                assert list(got[name].terms[word].terms.items()) == list(coeff.terms.items()), (
+                    p, q, name, word)
+        # with no perp directions every block is empty
+        assert any(el.terms for el in want.values()) == bool(q), (p, q)
 
 
 def test_derivative_and_commutator_traces_vanish():

@@ -268,19 +268,27 @@ def test_corroboration_integrates_each_traced_integrand_bound(model, monkeypatch
             assert got and all(list(f.num) == list(want.num) for f in got), (name, res.case)
 
 
-def test_endomorphism_traces_are_shared_within_one_run_only(monkeypatch):
-    """One run traces each split's endomorphism once, for the interior and
-    traces suites alike; a patch applied before the next run reaches its
+def test_each_suite_traces_its_own_endomorphisms(monkeypatch):
+    """Each suite traces the endomorphism of each split it reads, with no
+    share between suites; a patch applied before the next run reaches its
     records."""
     def traces(text):
         return {r["id"]: r["computed"] for r in _by_suite(text)["traces"]}
 
-    splits, trace = [], interior.trace_endomorphism
+    splits, trace = {}, interior.trace_endomorphism
+
+    def suite_run(name, *args):
+        splits[name] = []
+        return run_suite(name, *args)
+
     with monkeypatch.context() as patch:
+        patch.setattr(verifier, "run_suite", suite_run)
         patch.setattr(interior, "trace_endomorphism",
-                      lambda s: splits.append((s.p, s.q)) or trace(s))
+                      lambda s: next(reversed(splits.values())).append((s.p, s.q)) or trace(s))
         _, first = run(("all",), environ={})
-    assert sorted(splits) == [(2, 2), (2, 4), (4, 0), (4, 2)]
+    assert splits == {"interior": [(2, 2), (4, 0), (2, 4)],
+                      "traces": [(2, 2), (4, 2), (2, 4)],
+                      "boundary-d2d2": [], "boundary-d1d3": []}
 
     blocks = interior.endomorphism_blocks
 
@@ -452,7 +460,7 @@ def test_waiver_lapses_when_the_engine_drifts(monkeypatch):
 def test_cli_engine_exception_exits_three(monkeypatch, capsys):
     """An exception from the engine is an internal error: exit 3 and one
     stderr line, not a traceback and not the mismatch code 1."""
-    def broken(p, q, n, **shared):
+    def broken(p, q, n):
         raise ValueError("connection curvature two-form has nonzero fiber trace\n(probe)")
 
     monkeypatch.setattr(interior, "first_principles_coefficients", broken)
