@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Mapping
+from typing import Callable, Container, Mapping
 
 from .scalars import (
     GR_ONE,
@@ -171,6 +171,16 @@ class CliffordElement:
             # the coefficients form an integral domain: only 0 gives 0
             return CliffordElement._pruned(
                 reg, {w: c * other for w, c in self.terms.items()} if other else {})
+        return self.mul_on_words(other, None)
+
+    def mul_on_words(self, other: "CliffordElement", words: Container[Word] | None
+                     ) -> "CliffordElement":
+        """The words of ``self * other`` that lie in ``words`` (every word
+        when it is None).  A word pair whose product word is not in
+        ``words`` is skipped, not formed; each kept word has the value, the
+        monomial order and the place in word order it has in the whole
+        product, since words are summed apart."""
+        reg = self.registry
         if other.registry is not reg:
             raise RegistryMismatchError("elements over distinct registries")
         table = _WORD_PRODUCTS
@@ -181,12 +191,16 @@ class CliffordElement:
             (w1, c1), = self.terms.items()
             (w2, c2), = other.terms.items()
             sign, word = table.get((w1, w2)) or table.setdefault((w1, w2), word_mul(w1, w2))
+            if words is not None and word not in words:
+                return CliffordElement.zero(reg)
             piece = c1 * c2
             return CliffordElement._pruned(reg, {word: piece if sign > 0 else -piece})
         out: dict[Word, ScalarPoly] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 sign, word = table.get((w1, w2)) or table.setdefault((w1, w2), word_mul(w1, w2))
+                if words is not None and word not in words:
+                    continue
                 piece = c1 * c2 if sign > 0 else -(c1 * c2)
                 acc = out.get(word)
                 acc = piece if acc is None else acc + piece

@@ -21,9 +21,9 @@ import functools
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Container, Iterable, Mapping, NamedTuple
 
-from .clifford import CliffordElement, Frame
+from .clifford import CliffordElement, Frame, Word
 from .scalars import (
     GR,
     GR_I,
@@ -210,20 +210,43 @@ def build_model() -> Model:
 # jets
 
 
-def compose(left: Jets, right: Jets) -> Jets:
+def compose(left: Jets, right: Jets, words: Container[Word]) -> Jets:
     """The top order, with its d_xn jet, and the next order of the product of
     two operators from the top two orders of each, by the Leibniz rule
     sigma(PQ) = sum_a<=1 (-i)^a/a! d_xi_n^a p d_xn^a q (tangential
     x-derivatives vanish at the base point).  A left top order without a
     d_xn jet is constant in xn; the next order is formed only when both
-    tables carry one."""
+    tables carry one, and only on the Clifford ``words`` of the jets it
+    meets (:func:`partner_words`): each product skips the word pairs that
+    land elsewhere."""
     top, low = max(left), max(right)
     (p, *dp), (q, dq) = left[top], right[low]
     out = {top + low: (p * q, dp[0] * q + p * dq if dp else p * dq)}
     if top - 1 in left and low - 1 in right:
         (p1,), (q1,) = left[top - 1], right[low - 1]
-        out[top + low - 1] = (p * q1 + p1 * q + p.xi_derivative() * dq * _MI,)
+        nxt = (p.mul_on_words(q1, words) + p1.mul_on_words(q, words)
+               + p.xi_derivative().mul_on_words(dq, words) * _MI)
+        # in rising xn powers: the sum's own key order follows the keys each
+        # term keeps on ``words``, and pi+ reads a left jet by power alone
+        out[top + low - 1] = (XiRational._canonical(nxt.registry, dict(sorted(nxt.num.items())),
+                                                    nxt.a, nxt.b),)
     return out
+
+
+def partner_orders(others: Jets, order: int, n: int) -> tuple[int, ...]:
+    """The orders of the ``others`` table that a jet of ``order`` on the
+    other side meets in some case, highest first: left order r and right
+    order l meet when r + l + n - 1 >= 0."""
+    return tuple(o for o in sorted(others, reverse=True) if order + o + n - 1 >= 0)
+
+
+def partner_words(others: Jets, orders: Iterable[int]) -> set[Word]:
+    """Every Clifford word the ``others`` jets at ``orders`` carry, at any xn
+    order.  The fiber trace of a product of two words is zero unless they
+    agree, and pi+ and d/dxn act word by word and make no word, so a jet
+    is built and used on its partners' words alone."""
+    return {word for o in orders for jet in others[o]
+            for elem in jet.num.values() for word in elem.terms}
 
 
 def nabla_jets(model: Model) -> Jets:
@@ -274,9 +297,12 @@ def inverse_square(model: Model) -> Jets:
 
 
 def symbols_d2d2(model: Model) -> tuple[Jets, Jets]:
-    """nabla_X nabla_Y D^-2 against D^-2."""
-    inv2 = inverse_square(model)
-    return compose(nabla_jets(model), inv2), inv2
+    """nabla_X nabla_Y D^-2 against D^-2, the left order -1 and the right
+    order -3 on their partners' words (the top orders carry no other)."""
+    inv2, n = inverse_square(model), model.n
+    left = compose(nabla_jets(model), inv2, partner_words(inv2, partner_orders(inv2, -1, n)))
+    sigma3 = inv2[-3][0].on_words(partner_words(left, partner_orders(left, -3, n)))
+    return left, {-2: inv2[-2], -3: (sigma3,)}
 
 
 def sigma2_cube_num(model: Model) -> XiRational:
@@ -291,27 +317,35 @@ def sigma2_cube_num(model: Model) -> XiRational:
     return t1 + t2 + t3
 
 
-def sigma_m4_cube(model: Model) -> XiRational:
-    """Order ``-4`` symbol of the inverse cube at the base point."""
+def sigma_m4_cube(model: Model, words: Container[Word]) -> XiRational:
+    """Order ``-4`` symbol of the inverse cube at the base point, on the
+    Clifford ``words`` of the jets it meets alone: its two outer products
+    skip the word pairs that land elsewhere."""
     reg = model.registry
     hp = model.hp_poly
     cxin = model.c_xi_num
-    first = cxin * sigma2_cube_num(model) * cxin
+    first = (cxin * sigma2_cube_num(model)).mul_on_words(cxin, words)
     w = model.cdxn * model.cxi * (hp * _HALF)
     bracket = (XiRational(reg, {0: w, 2: w * 2, 4: w})
                + model.cdxn * cxin * (hp * (-2))
                + XiRational.build(reg, {1: 1}) * (cxin * model.cxi) * hp
                + XiRational.build(reg, {1: hp * 4}))
-    second = cxin * bracket * GR_I
+    second = cxin.mul_on_words(bracket, words) * GR_I
     return XiRational(reg, (first + second).num, 4, 4)
 
 
 def symbols_d1d3(model: Model) -> tuple[Jets, Jets]:
-    """nabla_X nabla_Y D^-1 against D^-3 = D^-1 D^-2, whose sigma_-4 is written out."""
-    inv1 = inverse_first(model)
-    return (compose(nabla_jets(model), inv1),
-            {-3: compose(inv1, inverse_square_top(model))[-3],
-             -4: (sigma_m4_cube(model),)})
+    """nabla_X nabla_Y D^-1 against D^-3 = D^-1 D^-2, whose sigma_-4 is
+    written out.  Each side's next order is built on the words of the jets
+    it meets, so those come first: the right sigma_-3 before the left order
+    0, and the left order 1 before sigma_-4 (the top orders carry no other
+    word).  inverse_square_top has no sigma_-3, so the right sigma_-3 has
+    no next order to build."""
+    inv1, n = inverse_first(model), model.n
+    right = {-3: compose(inv1, inverse_square_top(model), ())[-3]}
+    left = compose(nabla_jets(model), inv1, partner_words(right, partner_orders(right, 0, n)))
+    right[-4] = (sigma_m4_cube(model, partner_words(left, partner_orders(left, -4, n))),)
+    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -571,23 +605,19 @@ class Suite:
             getattr(self, key) == getattr(other, key) for key in self.__slots__[:-1])
 
     def partners(self, left: bool, order: int) -> tuple[int, ...]:
-        """The orders of the other factor's jets that a jet of ``order`` on
-        the left (or right) side meets in some case, highest first: left
-        order r and right order l meet when r + l + n - 1 >= 0."""
-        others = self.right if left else self.left
-        return tuple(o for o in sorted(others, reverse=True)
-                     if order + o + self.model.n - 1 >= 0)
+        """:func:`partner_orders` of a jet of ``order`` on the left (or
+        right) side."""
+        return partner_orders(self.right if left else self.left, order, self.model.n)
 
     def factor(self, plus: bool, order: int, xn_order: int, nxi: int) -> XiRational:
         """``nxi`` xn-covariable derivatives of jet ``[order][xn_order]``: of
         the left factor after pi+ when ``plus`` holds, else of the right
         factor.  Each is built at most once per suite.
 
-        The jet is first restricted to the Clifford words its partner jets
-        (``partners``, at any xn order) carry: the fiber trace of a product
-        of two words is zero unless they agree, and pi+ and d/dxn act word
-        by word and make no word, so no case value moves.  A jet that
-        carries no other word is used as it is."""
+        The jet is first cut to its partners' words (:func:`partner_words`
+        of :meth:`partners`).  ``load_suite``'s jets are built on those
+        words already, so the cut returns the jet itself; no case value
+        moves either way."""
         key = (plus, order, xn_order, nxi)
         got = self._factors.get(key)
         if got is None:
@@ -595,9 +625,8 @@ class Suite:
                 got = self.factor(plus, order, xn_order, nxi - 1).xi_derivative()
             else:
                 jets, others = (self.left, self.right) if plus else (self.right, self.left)
-                words = {word for o in self.partners(plus, order) for jet in others[o]
-                         for elem in jet.num.values() for word in elem.terms}
-                got = jets[order][xn_order].on_words(words)
+                got = jets[order][xn_order].on_words(
+                    partner_words(others, self.partners(plus, order)))
                 if plus:
                     got = got.pi_plus()
             self._factors[key] = got

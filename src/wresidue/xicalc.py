@@ -219,10 +219,17 @@ class XiRational:
             if not isinstance(other, _LOWER):
                 return NotImplemented
             return self.map_coeffs(lambda v: v * other)
+        return self.mul_on_words(other, None)
+
+    def mul_on_words(self, other: "XiRational", words: Container | None) -> "XiRational":
+        """The Clifford words of ``self * other`` that lie in ``words``
+        (every word when it is None), each coefficient product formed by
+        :meth:`CliffordElement.mul_on_words`, over the summed pole orders
+        made canonical."""
         out: NumDict = {}
         for m1, c1 in self.num.items():
             for m2, c2 in other.num.items():
-                prod = c1 * c2
+                prod = c1 * c2 if words is None else c1.mul_on_words(c2, words)
                 if prod:
                     key = m1 + m2
                     out[key] = out.get(key, CliffordElement.zero(self.registry)) + prod

@@ -27,7 +27,7 @@ from wresidue.reference import (
     load_suite,
 )
 from wresidue.clifford import CF, CliffordElement
-from wresidue.scalars import GR, GR_I, GR_ONE, ScalarPoly
+from wresidue.scalars import GR, GR_I, GR_ONE, KIND_CONN, KIND_HPRIME, ScalarPoly
 from wresidue.sphere import integrate_sphere, odd_class
 from wresidue.verifier import run
 from wresidue.xicalc import InsufficientDecayError, XiRational
@@ -483,3 +483,40 @@ def test_residue_at_minus_i_gives_every_case_value(suites, d2d2, d1d3, monkeypat
             wrong = assemble_boundary(suite)
         moved = {p.label for p, w in zip(plus.cases, wrong.cases) if p.value != w.value}
         assert moved == {p.label for p in plus.cases if p.value}, plus.suite
+
+
+# -- derivative weight and normalisation -------------------------------------
+#
+# In dimension 4 every term of the boundary density carries exactly one
+# derivative of the geometry, and the residue route gives it exactly one
+# factor pi (the xn integral) and one Omega3 (the sphere).  Weight 1: hp,
+# every connection atom and the derivatives XdY; weight 0: the field
+# components, the covariables and the markers.  The check reads no jet.
+
+# recorded rows that break it: (monomials of weight other than 1,
+# monomials not linear in pi and in Omega3)
+RECORDED_WEIGHT_FAULTS = {("boundary-d1d3", "b"): (12, 1), ("boundary-d1d3", "total"): (12, 1)}
+
+
+def _weight_faults(model, poly: ScalarPoly) -> tuple[int, int]:
+    weighted = {ind.id for ind in model.registry if ind.kind in (KIND_CONN, KIND_HPRIME)}
+    weight = normal = 0
+    for mono in poly.terms:
+        exps = dict(mono)
+        weight += sum(e for iid, e in mono if iid in weighted) != 1
+        normal += (exps.get(model.pi.id), exps.get(model.omega3.id)) != (1, 1)
+    return weight, normal
+
+
+def test_rows_have_weight_one_and_one_factor_pi_omega3(model, suites, d2d2, d1d3):
+    for got in (d2d2, d1d3):
+        for res in got.cases:
+            assert _weight_faults(model, res.value) == (0, 0), (got.suite, res.case)
+        rows = {**got.groups, "total": got.total}
+        for label, value in rows.items():
+            # a-I is all tangential derivatives, zero at the base point
+            assert (label == "a-I") != bool(value), (got.suite, label)
+            assert _weight_faults(model, value) == (0, 0), (got.suite, label)
+    faults = {(name, label): _weight_faults(model, value)
+              for name, suite in suites.items() for label, value in suite.expected.items()}
+    assert {key: f for key, f in faults.items() if f != (0, 0)} == RECORDED_WEIGHT_FAULTS

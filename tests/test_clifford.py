@@ -184,6 +184,30 @@ def _poly_element(reg, rng, atoms):
     return out
 
 
+def test_word_restricted_product_is_the_whole_product_cut(reg, monkeypatch):
+    """On a word set, the product keeps each word of the whole product that
+    lies in the set, with its value, monomial order and place in word
+    order, and forms one coefficient product per word pair that lands in
+    the set, none for the pairs it skips."""
+    atoms = [ScalarPoly.var(reg, reg.add(name, KIND_CONN)) for name in ("w0", "w1", "w2")]
+    rng = random.Random(43)
+    for _ in range(200):
+        a, b = _poly_element(reg, rng, atoms), _poly_element(reg, rng, atoms)
+        words = set(rng.sample(ALL_WORDS, rng.randint(0, 12)))
+        whole = a * b
+        want = [(w, list(p.terms.items())) for w, p in whole.terms.items() if w in words]
+        calls = []
+        with monkeypatch.context() as patch:
+            def counted(x, y, _orig=ScalarPoly.__mul__):
+                calls.append(1)
+                return _orig(x, y)
+            patch.setattr(ScalarPoly, "__mul__", counted)
+            got = a.mul_on_words(b, words)
+        assert _layout(got) == want
+        assert len(calls) == sum(word_mul(w1, w2)[1] in words for w1 in a.terms for w2 in b.terms)
+    assert a.mul_on_words(b, set(ALL_WORDS)) == a * b
+
+
 def _sum_by_addition(reg, pieces):
     out = CliffordElement.zero(reg)
     for elem, turn, scale in pieces:

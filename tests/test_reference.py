@@ -194,18 +194,24 @@ def test_display_checks_read_the_assembled_factor_table(suites, d2d2, d1d3, monk
             assert check.engine is suite.factor(*DISPLAY_FACTORS[name][check.record_id])
 
 
-# -- each boundary factor on its partners' words ----------------------------
+# -- each jet and boundary factor on its partners' words --------------------
 #
 # The whole-factor route below is the derivation without the word
-# restriction: every factor from its whole jet.
+# restriction: every jet built whole, and every factor from its whole jet.
+
+
+class _EveryWord:
+    def __contains__(self, word):
+        return True
 
 
 @pytest.fixture(scope="module")
 def whole_factor_suites(model):
-    """Each boundary suite loaded afresh with the word restriction turned
-    off, its cases assembled and each case's moved form evaluated."""
+    """Each boundary suite loaded afresh with every word cut turned off (at
+    ``partner_words``, the one place the cuts read their words from), its
+    cases assembled and each case's moved form evaluated."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(XiRational, "on_words", lambda self, words: self)
+        patch.setattr(reference, "partner_words", lambda others, orders: _EveryWord())
         out = {}
         for name in BOUNDARY_SUITES:
             suite = load_suite(name, model)
@@ -273,6 +279,25 @@ def test_restricted_factor_is_the_word_restriction_of_the_whole(suites, d2d2, d1
     assert dropped  # not vacuous: the restriction drops words somewhere
 
 
+def test_each_jet_is_built_on_its_partners_words(suites, whole_factor_suites):
+    """Every jet of both suites is its whole jet cut to its partners' words,
+    in pole orders and in xn-key, word and monomial order, so that the cut
+    in ``Suite.factor`` returns the jet itself; some jets are cut."""
+    cut = 0
+    for name, suite in suites.items():
+        whole_suite = whole_factor_suites[name][0]
+        for plus, jets, whole_jets in ((True, suite.left, whole_suite.left),
+                                       (False, suite.right, whole_suite.right)):
+            assert list(jets) == list(whole_jets)
+            for order in jets:
+                words = _partner_words(suite, plus, order)
+                for k, (jet, whole) in enumerate(zip(jets[order], whole_jets[order], strict=True)):
+                    assert _layout(jet) == _layout(whole.on_words(words)), (name, order, k)
+                    assert jet.on_words(words) is jet
+                    cut += whole.on_words(words) is not whole
+    assert cut == 4  # d2d2 left -1 and right -3, d1d3 left 0 and right -4
+
+
 def test_display_factors_are_the_unrestricted_derivation(suites, d2d2, d1d3,
                                                          whole_factor_suites):
     """Every factor a display check reads comes from a jet that the word
@@ -294,12 +319,14 @@ def test_suite_factor_table_is_not_compared(model, suites, d2d2):
     assert not fresh._factors and fresh == suite
 
 
-def test_boundary_jets_pinned(suites):
-    """Every jet of both suites, by suite, side, order and index.  ``render``
-    sorts its terms, so this pins values and pole orders, not key order
-    (the report pin guards what of that order the report reads)."""
+def test_boundary_jets_pinned(whole_factor_suites):
+    """Every whole jet of both suites, by suite, side, order and index
+    (``test_each_jet_is_built_on_its_partners_words`` ties the built jets to
+    these).  ``render`` sorts its terms, so this pins values and pole
+    orders, not key order (the report pin guards what of that order the
+    report reads)."""
     lines = [f"{name}/{side}/{order}/{k}: {jet.render()}"
-             for name, suite in suites.items()
+             for name, (suite, _, _) in whole_factor_suites.items()
              for side, jets in (("left", suite.left), ("right", suite.right))
              for order in sorted(jets, reverse=True)
              for k, jet in enumerate(jets[order])]
@@ -330,9 +357,16 @@ def test_compose_with_the_identity_returns_the_other_top_orders(model):
         top = max(jets)
         (p, *dp), (p1, *_) = jets[top], jets[top - 1]
         want = {top: (p, dp[0] if dp else zero), top - 1: (p1,)}
-        assert reference.compose(jets, one) == want
+        words = reference.partner_words(jets, (top - 1,))
+        assert reference.compose(jets, one, words) == want
         if dp:
-            assert reference.compose(one, jets) == want
+            assert reference.compose(one, jets, words) == want
+        # on part of the words, the next order is that part of p1, made
+        # canonical (the part may share a pole factor that p1 as a whole does not)
+        part = set(list(words)[:len(words) // 2])
+        cut = p1.on_words(part)
+        assert reference.compose(jets, one, part)[top - 1] == (
+            XiRational(reg, cut.num, cut.a, cut.b),)
 
 
 def test_compose_by_hand(model):
@@ -341,9 +375,12 @@ def test_compose_by_hand(model):
     reg = model.registry
     zero, xn = XiRational.zero(reg), XiRational.build(reg, {1: 1})
     d = XiRational.build(reg, {0: model.hp_poly, 1: model.cdxn}, 1, 0)
-    got = reference.compose({1: (xn,), 0: (zero,)},
-                            {0: (XiRational.build(reg, {0: 1}), d), -1: (zero,)})
+    right = {0: (XiRational.build(reg, {0: 1}), d), -1: (zero,)}
+    got = reference.compose({1: (xn,), 0: (zero,)}, right, {(), *model.cdxn.terms})
     assert got == {1: (xn, xn * d), 0: (d * GR(0, -1),)}
+    # on the identity word alone, the next order keeps hp and drops c(dxn)
+    got = reference.compose({1: (xn,), 0: (zero,)}, right, {()})
+    assert got[0] == (XiRational.build(reg, {0: model.hp_poly * GR(0, -1)}, 1, 0),)
 
 
 def test_compose_against_a_top_order_only_table_gives_the_top_entry(model):
@@ -353,11 +390,11 @@ def test_compose_against_a_top_order_only_table_gives_the_top_entry(model):
     nabla, inv1, inv2 = (reference.nabla_jets(model), reference.inverse_first(model),
                          reference.inverse_square(model))
     for left, right in ((inv1, inv2), (nabla, inv2), (nabla, inv1)):
-        full = reference.compose(left, right)
+        full = reference.compose(left, right, {()})
         want = {max(full): full[max(full)]}
         for cut_left, cut_right in ((left, {max(right): right[max(right)]}),
                                     ({max(left): left[max(left)]}, right)):
-            got = reference.compose(cut_left, cut_right)
+            got = reference.compose(cut_left, cut_right, {()})
             assert got == want
             assert [list(jet.num) for jet in got[max(full)]] == \
                 [list(jet.num) for jet in want[max(full)]]

@@ -276,6 +276,26 @@ def test_residue_is_the_minus_one_laurent_coefficient(sweep, seed, a, b):
         [(w, list(c.terms)) for w, c in want.terms.items()]
 
 
+def test_word_restricted_product_is_the_canonical_cut_product(reg):
+    """On a word set, the product of two elements is the whole product's
+    part on those words, made canonical: the part may share a pole factor
+    that the whole does not."""
+    rng = random.Random(47)
+    letters = ((CF, 1), (CF, 2), (HC, 1))
+    words = [(), ((CF, 1),), ((CF, 2),), ((HC, 1),), ((CF, 1), (CF, 2)), ((CF, 1), (HC, 1))]
+    for _ in range(100):
+        x, y = (XiRational(reg, _random_numerator(reg, rng, letters), rng.randint(0, 2),
+                           rng.randint(0, 2)) for _ in range(2))
+        keep = set(rng.sample(words, rng.randint(0, len(words))))
+        cut = (x * y).on_words(keep)
+        assert x.mul_on_words(y, keep) == XiRational(reg, cut.num, cut.a, cut.b)
+    # c(f1) (xn - i) + 1 over (xn - i) against 1: its c(f1) part alone
+    e = CliffordElement.generator(reg, CF, 1)
+    f = XiRational(reg, {1: e, 0: e * GR(0, -1) + CliffordElement.identity(reg)}, 1, 0)
+    got = f.mul_on_words(XiRational.build(reg, {0: 1}), {((CF, 1),)})
+    assert got == XiRational(reg, {0: e}) and (got.a, got.b) == (0, 0)
+
+
 def test_on_words_keeps_pole_orders_and_order(reg):
     """A word restriction is taken as is: the part on one word may share a
     linear factor with the denominator, and the copy keeps it, with the
