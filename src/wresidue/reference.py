@@ -224,12 +224,8 @@ def compose(left: Jets, right: Jets, words: Container[Word]) -> Jets:
     out = {top + low: (p * q, dp[0] * q + p * dq if dp else p * dq)}
     if top - 1 in left and low - 1 in right:
         (p1,), (q1,) = left[top - 1], right[low - 1]
-        nxt = (p.mul_on_words(q1, words) + p1.mul_on_words(q, words)
-               + p.xi_derivative().mul_on_words(dq, words) * _MI)
-        # in rising xn powers: the sum's own key order follows the keys each
-        # term keeps on ``words``, and pi+ reads a left jet by power alone
-        out[top + low - 1] = (XiRational._canonical(nxt.registry, dict(sorted(nxt.num.items())),
-                                                    nxt.a, nxt.b),)
+        out[top + low - 1] = (p.mul_on_words(q1, words) + p1.mul_on_words(q, words)
+                              + p.xi_derivative().mul_on_words(dq, words) * _MI,)
     return out
 
 
@@ -614,19 +610,16 @@ class Suite:
         the left factor after pi+ when ``plus`` holds, else of the right
         factor.  Each is built at most once per suite.
 
-        The jet is first cut to its partners' words (:func:`partner_words`
-        of :meth:`partners`).  ``load_suite``'s jets are built on those
-        words already, so the cut returns the jet itself; no case value
-        moves either way."""
+        No word is cut here: ``load_suite``'s jets are built on their
+        partners' words (:func:`partner_words` of :meth:`partners`)
+        already."""
         key = (plus, order, xn_order, nxi)
         got = self._factors.get(key)
         if got is None:
             if nxi:
                 got = self.factor(plus, order, xn_order, nxi - 1).xi_derivative()
             else:
-                jets, others = (self.left, self.right) if plus else (self.right, self.left)
-                got = jets[order][xn_order].on_words(
-                    partner_words(others, self.partners(plus, order)))
+                got = (self.left if plus else self.right)[order][xn_order]
                 if plus:
                     got = got.pi_plus()
             self._factors[key] = got

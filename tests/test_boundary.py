@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wresidue import xicalc
+from wresidue import reference, xicalc
 from wresidue.boundary import (
     CaseSpec,
     CaseResult,
@@ -415,13 +415,25 @@ def test_cases_and_partner_words_read_one_pairing_rule(model, suites):
 
 
 def test_no_partners_means_no_cases_and_no_factor_words(model, suites, monkeypatch):
-    monkeypatch.setattr(Suite, "partners", lambda self, left, order: ())
+    """With the pairing rule meeting no order, a suite has no cases, and
+    every jet built on its partners' words (each next order) carries no
+    word, nor do its factors; the top orders are built as before."""
+    monkeypatch.setattr(reference, "partner_orders", lambda others, order, n: ())
+    built_on_words = {"boundary-d2d2": {(True, -1), (False, -3)},
+                      "boundary-d1d3": {(True, 0), (False, -4)}}
     for name, suite in suites.items():
-        assert enumerate_cases(suite) == ()
         fresh = load_suite(name, model)
-        for plus, jets in ((True, fresh.left), (False, fresh.right)):
+        assert enumerate_cases(fresh) == ()
+        empty = set()
+        for plus, jets, usual in ((True, fresh.left, suite.left),
+                                  (False, fresh.right, suite.right)):
             for order in jets:
-                assert fresh.factor(plus, order, 0, 0).is_zero(), (name, plus, order)
+                if all(jet.is_zero() for jet in jets[order]):
+                    assert fresh.factor(plus, order, 0, 0).is_zero(), (name, plus, order)
+                    empty.add((plus, order))
+                else:
+                    assert jets[order] == usual[order], (name, plus, order)
+        assert empty == built_on_words[name]
 
 
 def _integrand(reg, num, a, b) -> XiRational:
