@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .reference import Suite
+from . import reference
 from .scalars import GR, GR_ONE, GaussianRational, Indeterminate, ScalarPoly
 from .sphere import integrate_sphere
 from .xicalc import XiRational
@@ -72,12 +72,12 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def enumerate_cases(suite: Suite) -> tuple[CaseSpec, ...]:
+def enumerate_cases(suite: reference.Suite) -> tuple[CaseSpec, ...]:
     """All derivative cases meeting the order constraint, in report order."""
     n = suite.model.n
     found = []
     for r in sorted(suite.left, reverse=True):
-        for l in suite.partners(True, r):
+        for l in reference.partner_orders(suite.right, r, n):
             budget = r + l + n - 1
             for k in range(budget + 1):
                 for j in range(budget + 1 - k):
@@ -104,7 +104,7 @@ class CaseResult(NamedTuple):
     @property
     def traced(self) -> XiRational | None:
         """The stated form's whole traced integrand, formed on each read."""
-        return None if self.factors is None else self.factors[0].product_trace(*self.factors[1:])
+        return None if self.factors is None else self.factors[0].product_trace(*self.factors[1:], ())
 
 
 class BoundaryResult(NamedTuple):
@@ -114,7 +114,7 @@ class BoundaryResult(NamedTuple):
     total: ScalarPoly
 
 
-def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
+def evaluate_case(suite: reference.Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     """One case; ``shift`` moves that many xn-covariable derivatives from the
     right factor onto the left one, with the integration-by-parts sign.
 
@@ -132,7 +132,7 @@ def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     right = suite.factor(False, case.l, case.k, case.j + 1 - shift)
 
     xi_ids = {ind.id for ind in model.xi}
-    traced = left.product_trace(right, model.p, model.q, even_in=xi_ids)
+    traced = left.product_trace(right, model.p, model.q, xi_ids)
     line_integral = traced.integrate(model.pi).scalar_part()
     averaged = integrate_sphere(line_integral, model.xi, model.omega3)
     sign = GR_ONE if shift % 2 == 0 else -GR_ONE
@@ -140,7 +140,7 @@ def evaluate_case(suite: Suite, case: CaseSpec, shift: int = 0) -> CaseResult:
     return CaseResult(case, value, factors=None if shift else (left, right, model.p, model.q))
 
 
-def assemble_boundary(suite: Suite) -> BoundaryResult:
+def assemble_boundary(suite: reference.Suite) -> BoundaryResult:
     """Evaluate every case both ways, check the two ways agree, and group."""
     registry = suite.model.registry
     results = []
@@ -169,7 +169,4 @@ def extrinsic_form(value: ScalarPoly, collar_ind: Indeterminate,
 
 def drop_components(value: ScalarPoly, inds: Sequence[Indeterminate]) -> ScalarPoly:
     """Zero out every monomial containing one of the given indeterminates."""
-    banned = {ind.id for ind in inds}
-    kept = {mono: c for mono, c in value.terms.items()
-            if not any(iid in banned for iid, _ in mono)}
-    return ScalarPoly(value.registry, kept)
+    return value.project(inds).get((), ScalarPoly.zero(value.registry))

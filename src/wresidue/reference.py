@@ -600,18 +600,13 @@ class Suite:
         return isinstance(other, Suite) and all(
             getattr(self, key) == getattr(other, key) for key in self.__slots__[:-1])
 
-    def partners(self, left: bool, order: int) -> tuple[int, ...]:
-        """:func:`partner_orders` of a jet of ``order`` on the left (or
-        right) side."""
-        return partner_orders(self.right if left else self.left, order, self.model.n)
-
     def factor(self, plus: bool, order: int, xn_order: int, nxi: int) -> XiRational:
         """``nxi`` xn-covariable derivatives of jet ``[order][xn_order]``: of
         the left factor after pi+ when ``plus`` holds, else of the right
         factor.  Each is built at most once per suite.
 
         No word is cut here: ``load_suite``'s jets are built on their
-        partners' words (:func:`partner_words` of :meth:`partners`)
+        partners' words (:func:`partner_words` of :func:`partner_orders`)
         already."""
         key = (plus, order, xn_order, nxi)
         got = self._factors.get(key)

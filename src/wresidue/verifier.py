@@ -218,7 +218,7 @@ def _corroborate(suite, result, rows) -> dict[str, tuple[tuple[str, ...], str]]:
                     if id(factor) not in substituted:
                         substituted[id(factor)] = factor.substitute(bound_atoms)
                 left, right, p, q = res.factors
-                small = substituted[id(left)].product_trace(substituted[id(right)], p, q)
+                small = substituted[id(left)].product_trace(substituted[id(right)], p, q, ())
                 sym = small.integrate(model.pi).scalar_part().eval_complex(bindings)
                 num = numeric_xi_oracle(small, bindings)
                 rel = abs(sym - num) / max(abs(sym), 1.0)

@@ -32,12 +32,6 @@ class InsufficientDecayError(ValueError):
 _LOWER = (int, Fraction, GaussianRational, ScalarPoly, CliffordElement)
 
 
-def _coerce_cliff(registry: Registry, value) -> CliffordElement:
-    if isinstance(value, CliffordElement):
-        return value
-    return CliffordElement.identity(registry, value)
-
-
 def _clean(num: Mapping[int, CliffordElement]) -> NumDict:
     return {m: c for m, c in num.items() if not c.is_zero()}
 
@@ -158,7 +152,9 @@ class XiRational:
     @staticmethod
     def build(registry: Registry, num: Mapping[int, object], a: int = 0, b: int = 0) -> "XiRational":
         """Numerator entries may be Clifford elements, scalar polys, or numbers."""
-        return XiRational(registry, {m: _coerce_cliff(registry, v) for m, v in num.items()}, a, b)
+        return XiRational(registry, {m: v if isinstance(v, CliffordElement)
+                                     else CliffordElement.identity(registry, v)
+                                     for m, v in num.items()}, a, b)
 
     # -- structure ---------------------------------------------------------
 
@@ -179,25 +175,21 @@ class XiRational:
 
     # -- ring operations ---------------------------------------------------
 
-    def _aligned(self, other: "XiRational") -> tuple[NumDict, NumDict, int, int]:
-        a, b = max(self.a, other.a), max(self.b, other.b)
-        n1, n2 = dict(self.num), dict(other.num)
-        for _ in range(a - self.a):
-            n1 = _num_mul_linear(n1, self.registry, 1)
-        for _ in range(b - self.b):
-            n1 = _num_mul_linear(n1, self.registry, -1)
-        for _ in range(a - other.a):
-            n2 = _num_mul_linear(n2, self.registry, 1)
-        for _ in range(b - other.b):
-            n2 = _num_mul_linear(n2, self.registry, -1)
-        return n1, n2, a, b
+    def _lifted(self, a: int, b: int) -> NumDict:
+        """The numerator over the pole orders (a, b), each at least the
+        element's own."""
+        num = self.num
+        for lift, sign in ((a - self.a, 1), (b - self.b, -1)):
+            for _ in range(lift):
+                num = _num_mul_linear(num, self.registry, sign)
+        return num
 
     def __add__(self, other):
         if not isinstance(other, XiRational):
             other = XiRational.build(self.registry, {0: other})
-        n1, n2, a, b = self._aligned(other)
-        out = dict(n1)
-        for m, c in n2.items():
+        a, b = max(self.a, other.a), max(self.b, other.b)
+        out = dict(self._lifted(a, b))
+        for m, c in other._lifted(a, b).items():
             out[m] = out.get(m, CliffordElement.zero(self.registry)) + c
         return XiRational(self.registry, out, a, b)
 
@@ -251,29 +243,28 @@ class XiRational:
         return self.map_coeffs(lambda c: c.substitute(bindings))
 
     def product_trace(self, other: "XiRational", p: int, q: int,
-                      even_in: Container[int] | None = None) -> "XiRational":
-        """Equivalent of ``(self * other).trace(p, q)`` via the word join.
+                      even_in: Container[int]) -> "XiRational":
+        """The fiber trace of ``self * other``, joined through the words, on
+        the monomial pairs that can survive the sphere average.
 
-        With ``even_in``, the ids of the sphere's covariables, two monomials
-        are joined only when their product can survive the sphere average,
-        that is, when their odd classes agree (``sphere.odd_class``): each
+        Two monomials are joined only when their odd classes in the
+        covariable ids ``even_in`` agree (``sphere.odd_class``): each
         coefficient is split by odd class (``_by_odd_class``) and joined
-        class by class.  At xn powers above a + b - 2 the join stays whole,
-        so that the degree check of :meth:`integrate` still reads every
-        monomial there.  That element is taken over the summed pole orders
-        as is, not made canonical: stripping a shared linear factor lowers
-        the degree and a + b alike, so it fails the degree check exactly
-        when the whole product does, and its residue is the residue of the
-        whole product's surviving monomials."""
+        class by class, so with ``even_in`` empty the join is the whole
+        ``(self * other).trace(p, q)``.  At xn powers above a + b - 2 the
+        join stays whole, so that the degree check of :meth:`integrate`
+        still reads every monomial there.  The element is taken over the
+        summed pole orders, not made canonical: stripping a shared linear
+        factor lowers the degree and a + b alike, so it changes neither the
+        degree check nor the residue."""
         reg = self.registry
         a, b = self.a + other.a, self.b + other.b
-        if even_in is not None:
-            parts = {id(c): _by_odd_class(c, even_in) for f in (self, other) for c in f.num.values()}
+        parts = {id(c): _by_odd_class(c, even_in) for f in (self, other) for c in f.num.values()}
         acc: dict[int, ScalarPoly] = {}
         for m1, c1 in self.num.items():
             for m2, c2 in other.num.items():
                 key = m1 + m2
-                if even_in is None or key > a + b - 2:
+                if key > a + b - 2:
                     piece = c1.product_trace(c2, p, q)
                 else:
                     part2, piece = parts[id(c2)], ScalarPoly.zero(reg)
@@ -285,8 +276,6 @@ class XiRational:
                 prev = acc.get(key)
                 acc[key] = piece if prev is None else prev + piece
         out = {m: CliffordElement.identity(reg, s) for m, s in acc.items()}
-        if even_in is None:
-            return XiRational(reg, out, a, b)
         return XiRational._canonical(reg, _clean(out), a, b)
 
     # -- calculus ----------------------------------------------------------
@@ -306,14 +295,10 @@ class XiRational:
                 dnum[m - 1] = dnum.get(m - 1, CliffordElement.zero(reg)) + c * GR(m)
         # d(N u^-a v^-b) = (N' u v - a N v - b N u) u^-(a+1) v^-(b+1)
         term = _num_mul_linear(_num_mul_linear(dnum, reg, 1), reg, -1)
-        if self.a:
-            nv = _num_mul_linear(self.num, reg, -1)
-            for m, c in nv.items():
-                term[m] = term.get(m, CliffordElement.zero(reg)) - c * GR(self.a)
-        if self.b:
-            nu = _num_mul_linear(self.num, reg, 1)
-            for m, c in nu.items():
-                term[m] = term.get(m, CliffordElement.zero(reg)) - c * GR(self.b)
+        for order, sign in ((self.a, -1), (self.b, 1)):
+            if order:
+                for m, c in _num_mul_linear(self.num, reg, sign).items():
+                    term[m] = term.get(m, CliffordElement.zero(reg)) - c * GR(order)
         return XiRational(reg, term, self.a + 1, self.b + 1)
 
     def _one_pole_derivative(self) -> "XiRational":
@@ -350,20 +335,24 @@ class XiRational:
             (num[m], sign * (m - k), math.comb(m, k))
             for m in range(k, self.degree() + 1) if m in num))
 
-    def laurent(self, at_plus: bool) -> dict[int, CliffordElement]:
-        """Principal-part Laurent coefficients in t = xn -+ i, from the pole
-        order up to ``t**-1``."""
+    def laurent(self, at_plus: bool, lowest: int | None = None) -> dict[int, CliffordElement]:
+        """Principal-part Laurent coefficients in t = xn -+ i, from
+        ``t**lowest`` (from the pole order when None) up to ``t**-1``.
+
+        With N = sum_k S_k t^k and (t + 2 sign i)^-other = sum_s e_s t^s,
+        that of t^j sums S_k e_(j+own-k) over k <= j + own < own; with no
+        other pole (e_s = 0 for s > 0) only S_(j+own) is read."""
         reg = self.registry
         sign = 1 if at_plus else -1  # the other linear factor is t + 2 sign i
         own, other = (self.a, self.b) if at_plus else (self.b, self.a)
+        lowest = -own if lowest is None else max(lowest, -own)
         shifted: NumDict = {}
-        # only S_k with k < own reach a principal coefficient
-        for k in range(min(own, self.degree() + 1)):
+        for k in range(0 if other else own + lowest, min(own, self.degree() + 1)):
             acc = self._shifted(k, sign)
             if acc:
                 shifted[k] = acc
         out: dict[int, CliffordElement] = {}
-        for j in range(-own, 0):
+        for j in range(lowest, 0):
             acc = CliffordElement.rotated_sum(reg, (
                 (coeff, *_expansion_coeff(other, j + own - k, sign))
                 for k, coeff in shifted.items()
@@ -409,23 +398,8 @@ class XiRational:
         return _clean(rem)
 
     def residue_at_plus_i(self) -> CliffordElement:
-        """The j = -1 coefficient of :meth:`laurent` at +i, built alone.
-
-        With N = sum_k S_k t^k in t = xn - i and (t + 2i)^-b = sum_s e_s t^s,
-        it is the sum of S_k e_(a-1-k) over k < a, taken in the order
-        :meth:`laurent` takes it; only S_0 .. S_(a-1) are needed, and only
-        S_(a-1) when there is no pole at -i (e_0 = 1, e_s = 0 otherwise)."""
-        return self._residue(1)
-
-    def _residue(self, sign: int) -> CliffordElement:
-        """The residue at ``sign * i``, as :meth:`residue_at_plus_i` builds
-        it, with the two poles' roles swapped when ``sign`` is -1."""
-        own, other = (self.a, self.b) if sign > 0 else (self.b, self.a)
-        if not own:
-            return CliffordElement.zero(self.registry)
-        return CliffordElement.rotated_sum(self.registry, (
-            (self._shifted(k, sign), *_expansion_coeff(other, own - 1 - k, sign))
-            for k in range(0 if other else own - 1, min(own, self.degree() + 1))))
+        """The j = -1 coefficient of :meth:`laurent` at +i, built alone."""
+        return self.laurent(True, -1).get(-1, CliffordElement.zero(self.registry))
 
     def on_words(self, words: Container) -> "XiRational":
         """The Clifford words in ``words``, over the same pole orders; the

@@ -25,6 +25,7 @@ from wresidue.reference import (
     expected_d2d2,
     expected_d1d3,
     load_suite,
+    partner_orders,
 )
 from wresidue.clifford import CF, CliffordElement
 from wresidue.scalars import GR, GR_I, GR_ONE, KIND_CONN, KIND_HPRIME, ScalarPoly
@@ -147,6 +148,60 @@ def test_leaf_gauge_atoms_stay_out_of_every_row_but_d1d3_b(model, d2d2, d1d3):
         for label, row in rows.items():
             if label not in allowed:
                 assert not held(row), (result.suite, label, held(row))
+
+
+# -- the leaf relabelling f1 <-> f2 ---------------------------------------------
+#
+# Swapping the two leaf frame vectors is a symmetry of the model: the
+# covariables, the field components and their derivatives swap indices 1 and
+# 2, the mixed families swap their leaf index, every family swaps directions
+# d1 and d2, and the one leaf atom pair wF12 changes sign (wF21 = -wF12).
+# Every row, engine and recorded, must be invariant.  The map acts on the
+# monomials directly and adds no atom to the model's registry.
+
+
+def _leaf_swap(model, wf12_sign: int = -1) -> dict[int, tuple[int, int]]:
+    """Atom id -> (relabelled atom id, sign)."""
+    s = {1: 2, 2: 1}
+    out = {}
+    for atoms in (model.xi, model.X, model.Y, model.dXY):
+        for a, ind in enumerate(atoms, start=1):
+            out[ind.id] = (atoms[s.get(a, a) - 1].id, 1)
+    for fam, sign, leaf in ((model.nabf, wf12_sign, False), (model.nabp, 1, False),
+                            (model.nabtm, 1, True), (model.smix, 1, True)):
+        for (i, k, d), ind in fam.items():
+            out[ind.id] = (fam[(s.get(i, i) if leaf else i, k, s.get(d, d))].id, sign)
+    return out
+
+
+def _relabelled(poly: ScalarPoly, swap) -> ScalarPoly:
+    terms = {}
+    for mono, c in poly.terms.items():
+        sign, new = 1, []
+        for iid, exp in mono:
+            nid, s = swap.get(iid, (iid, 1))
+            new.append((nid, exp))
+            sign *= s ** exp
+        key = tuple(sorted(new))
+        terms[key] = terms.get(key, GR(0)) + c * sign
+    return ScalarPoly(poly.registry, terms)
+
+
+def test_rows_are_invariant_under_the_leaf_relabelling(model, suites, d2d2, d1d3):
+    """Every engine and recorded row of both suites is invariant under
+    f1 <-> f2; the same map without the wF12 sign moves d1d3 b and total."""
+    swap = _leaf_swap(model)
+    assert all(swap[swap[iid][0]][0] == iid for iid in swap)  # an involution
+    moved_without_sign = set()
+    for result in (d2d2, d1d3):
+        rows = {**result.groups, "total": result.total}
+        for label, row in rows.items():
+            assert _relabelled(row, swap) == row, (result.suite, label)
+            if _relabelled(row, _leaf_swap(model, 1)) != row:
+                moved_without_sign.add((result.suite, label))
+        for label, row in suites[result.suite].expected.items():
+            assert _relabelled(row, swap) == row, (result.suite, "recorded", label)
+    assert moved_without_sign == {("boundary-d1d3", "b"), ("boundary-d1d3", "total")}
 
 
 def test_first_rows_vanish(d2d2, d1d3):
@@ -289,7 +344,7 @@ def test_moved_form_value_is_the_whole_products(suites):
                 continue
             res = evaluate_case(suite, case, shift)
             assert res.traced is None
-            whole = left.product_trace(right, model.p, model.q)
+            whole = left.product_trace(right, model.p, model.q, ())
             want = _value_from_the_whole_integrand(model, case, whole, shift)
             assert res.value == want, (suite.name, case)
             nonzero += bool(want)
@@ -317,8 +372,8 @@ def test_even_join_is_the_surviving_part_of_the_whole_product(suites):
         model = suite.model
         xi_ids = {ind.id for ind in model.xi}
         for case, shift, (left, right) in _factor_pairs(suite):
-            even = left.product_trace(right, model.p, model.q, even_in=xi_ids)
-            whole = left.product_trace(right, model.p, model.q)
+            even = left.product_trace(right, model.p, model.q, xi_ids)
+            whole = left.product_trace(right, model.p, model.q, ())
             assert (even.a, even.b) == (left.a + right.a, left.b + right.b)
             assert _even_part(even, xi_ids) == _even_part(whole, xi_ids)
             assert _sphere_average(model, even) == _sphere_average(model, whole)
@@ -402,16 +457,16 @@ def test_a_join_that_drops_one_odd_class_is_caught(model, monkeypatch, dropped, 
 
 
 def test_cases_and_partner_words_read_one_pairing_rule(model, suites):
-    """``Suite.partners`` is the budget rule r + l + n - 1 >= 0, highest
+    """``partner_orders`` is the budget rule r + l + n - 1 >= 0, highest
     order first, and both the cases and the word restriction read it."""
     for suite in suites.values():
-        for plus, mine, others in ((True, suite.left, suite.right),
-                                   (False, suite.right, suite.left)):
+        for mine, others in ((suite.left, suite.right), (suite.right, suite.left)):
             for order in mine:
-                assert suite.partners(plus, order) == tuple(
+                assert partner_orders(others, order, model.n) == tuple(
                     o for o in sorted(others, reverse=True) if order + o + model.n - 1 >= 0)
         pairs = {(c.r, c.l) for c in enumerate_cases(suite)}
-        assert pairs == {(r, l) for r in suite.left for l in suite.partners(True, r)}
+        assert pairs == {(r, l) for r in suite.left
+                         for l in partner_orders(suite.right, r, model.n)}
 
 
 def test_no_partners_means_no_cases_and_no_factor_words(model, suites, monkeypatch):
@@ -480,6 +535,10 @@ def test_an_integrand_of_odd_monomials_gives_zero(suites, monkeypatch):
 # -- the contour closed downwards -------------------------------------------
 
 
+def _residue_at_minus_i(f: XiRational) -> CliffordElement:
+    return f.laurent(False, -1).get(-1, CliffordElement.zero(f.registry))
+
+
 def test_residue_at_minus_i_gives_every_case_value(suites, d2d2, d1d3, monkeypatch):
     """-2 pi i Res at -i in place of 2 pi i Res at +i: every case value of
     both suites is the same, through the surviving monomials' residue at the
@@ -487,11 +546,11 @@ def test_residue_at_minus_i_gives_every_case_value(suites, d2d2, d1d3, monkeypat
     for plus in (d2d2, d1d3):
         suite = suites[plus.suite]
         with monkeypatch.context() as patch:
-            patch.setattr(XiRational, "residue_at_plus_i", lambda f: -f._residue(-1))
+            patch.setattr(XiRational, "residue_at_plus_i", lambda f: -_residue_at_minus_i(f))
             down = assemble_boundary(suite)
         assert [r.value for r in down.cases] == [r.value for r in plus.cases]
         with monkeypatch.context() as patch:
-            patch.setattr(XiRational, "residue_at_plus_i", lambda f: f._residue(-1))
+            patch.setattr(XiRational, "residue_at_plus_i", _residue_at_minus_i)
             wrong = assemble_boundary(suite)
         moved = {p.label for p, w in zip(plus.cases, wrong.cases) if p.value != w.value}
         assert moved == {p.label for p in plus.cases if p.value}, plus.suite
