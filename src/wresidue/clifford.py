@@ -23,6 +23,7 @@ from .scalars import (
     Registry,
     RegistryMismatchError,
     ScalarPoly,
+    _object_new,
 )
 
 CF = 0  # c(f_i), square -1
@@ -51,19 +52,26 @@ def word_mul_letter(word: Word, g: Generator) -> tuple[int, Word]:
     return sign, word + (g,)
 
 
-def word_mul(w1: Word, w2: Word) -> tuple[int, Word]:
-    """Product of two normal-ordered words: (sign, normal-ordered word)."""
-    sign = 1
-    word = w1
-    for g in w2:
-        s, word = word_mul_letter(word, g)
-        sign *= s
-    return sign, word
-
-
 # word_mul results by word pair, filled on first use, and under the key None
 # the square signs they were built from: a patched _SQ_SIGN starts it afresh
 _WORD_PRODUCTS: dict = {}
+
+
+def word_mul(w1: Word, w2: Word) -> tuple[int, Word]:
+    """Product of two normal-ordered words: (sign, normal-ordered word),
+    read from the word table, or folded letter by letter on first use."""
+    table = _WORD_PRODUCTS
+    if table.get(None) != _SQ_SIGN:
+        table.clear()
+        table[None] = dict(_SQ_SIGN)
+    out = table.get((w1, w2))
+    if out is None:
+        sign, word = 1, w1
+        for g in w2:
+            s, word = word_mul_letter(word, g)
+            sign *= s
+        out = table[w1, w2] = sign, word
+    return out
 
 
 def fiber_dimension(p: int, q: int) -> int:
@@ -94,7 +102,7 @@ class CliffordElement:
     @staticmethod
     def _pruned(registry: Registry, terms: dict) -> "CliffordElement":
         """An element from nonzero coefficients over ``registry``, taken as is."""
-        out = object.__new__(CliffordElement)
+        out = _object_new(CliffordElement)
         out.registry = registry
         out.terms = terms
         return out
@@ -142,7 +150,7 @@ class CliffordElement:
         for word, coeff in other.terms.items():
             acc = out.get(word)
             acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
+            if not acc.terms:
                 out.pop(word, None)
             else:
                 out[word] = acc
@@ -183,28 +191,28 @@ class CliffordElement:
         reg = self.registry
         if other.registry is not reg:
             raise RegistryMismatchError("elements over distinct registries")
-        table = _WORD_PRODUCTS
-        if table.get(None) != _SQ_SIGN:
-            table.clear()
-            table[None] = dict(_SQ_SIGN)
         if len(self.terms) == 1 and len(other.terms) == 1:
             (w1, c1), = self.terms.items()
             (w2, c2), = other.terms.items()
-            sign, word = table.get((w1, w2)) or table.setdefault((w1, w2), word_mul(w1, w2))
+            sign, word = word_mul(w1, w2)
+            prod = _object_new(CliffordElement)
+            prod.registry = reg
             if words is not None and word not in words:
-                return CliffordElement.zero(reg)
-            piece = c1 * c2
-            return CliffordElement._pruned(reg, {word: piece if sign > 0 else -piece})
+                prod.terms = {}
+            else:
+                piece = c1 * c2
+                prod.terms = {word: piece if sign > 0 else -piece}
+            return prod
         out: dict[Word, ScalarPoly] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                sign, word = table.get((w1, w2)) or table.setdefault((w1, w2), word_mul(w1, w2))
+                sign, word = word_mul(w1, w2)
                 if words is not None and word not in words:
                     continue
                 piece = c1 * c2 if sign > 0 else -(c1 * c2)
                 acc = out.get(word)
                 acc = piece if acc is None else acc + piece
-                if acc.is_zero():
+                if not acc.terms:
                     out.pop(word, None)
                 else:
                     out[word] = acc
@@ -303,9 +311,10 @@ class CliffordElement:
                             del acc[mono]
                 if not acc:
                     del words[word]
-        return CliffordElement._pruned(registry, {
-            w: t if t.__class__ is ScalarPoly else ScalarPoly._pruned(registry, t)
-            for w, t in words.items()})
+        for word, acc in words.items():
+            if acc.__class__ is dict:
+                words[word] = ScalarPoly._pruned(registry, acc)
+        return CliffordElement._pruned(registry, words)
 
     def map_coeffs(self, fn: Callable[[ScalarPoly], ScalarPoly]) -> "CliffordElement":
         return CliffordElement(self.registry, {w: fn(c) for w, c in self.terms.items()})

@@ -144,8 +144,8 @@ class GaussianRational:
         elif turn == 3:
             a, b = b, -a
         d = self._d
-        if d == 1 and den == 1:
-            return _new(a * num, b * num, 1)
+        if den == 1 and (d == 1 or num == 1):
+            return _new(a * num, b * num, d)
         g1, g2 = gcd(num, d), gcd(a, b, den)
         k = num // g1
         return _new(k * (a // g2), k * (b // g2), (d // g1) * (den // g2))
@@ -436,11 +436,18 @@ class ScalarPoly:
         other = self._lift(other)
         if other is NotImplemented:
             return other
-        if other.__class__ is ScalarPoly and len(other.terms) == 1:
-            # a constant polynomial scales like its one coefficient
-            other = other.terms.get((), other)
+        if other.__class__ is ScalarPoly:
+            if len(self.terms) == 1:  # 1 * other is other itself
+                c = self.terms.get(())
+                if c is not None and c._a == 1 and c._d == 1 and not c._b:
+                    return other
+            if len(other.terms) == 1:
+                # a constant polynomial scales like its one coefficient
+                other = other.terms.get((), other)
         if other.__class__ is GaussianRational:
-            if not other:
+            if other._a == 1 and other._d == 1 and not other._b:  # self * 1 is self
+                return self
+            if not (other._a or other._b):
                 return ScalarPoly.zero(self.registry)
             return ScalarPoly._pruned(self.registry, {m: c * other for m, c in self.terms.items()})
         out: dict[Monomial, GaussianRational] = {}

@@ -73,7 +73,8 @@ def _synthetic_div(num: NumDict, registry: Registry, sign: int) -> NumDict:
     quot: NumDict = {}
     carry = zero = CliffordElement.zero(registry)
     for m in range(max(num, default=0), 0, -1):
-        carry = CliffordElement.rotated_sum(registry, ((carry, sign, 1), (num.get(m, zero), 0, 1)))
+        top = num.get(m, zero)
+        carry = CliffordElement.rotated_sum(registry, ((carry, sign, 1), (top, 0, 1))) if carry else top
         if carry:
             quot[m - 1] = carry
     return quot
@@ -250,21 +251,23 @@ class XiRational:
         Two monomials are joined only when their odd classes in the
         covariable ids ``even_in`` agree (``sphere.odd_class``): each
         coefficient is split by odd class (``_by_odd_class``) and joined
-        class by class, so with ``even_in`` empty the join is the whole
-        ``(self * other).trace(p, q)``.  At xn powers above a + b - 2 the
-        join stays whole, so that the degree check of :meth:`integrate`
+        class by class.  With ``even_in`` empty every monomial's class is
+        ``()``, so the join is the whole ``(self * other).trace(p, q)``,
+        taken whole without the split.  At xn powers above a + b - 2 the
+        join stays whole too, so that the degree check of :meth:`integrate`
         still reads every monomial there.  The element is taken over the
         summed pole orders, not made canonical: stripping a shared linear
         factor lowers the degree and a + b alike, so it changes neither the
         degree check nor the residue."""
         reg = self.registry
         a, b = self.a + other.a, self.b + other.b
-        parts = {id(c): _by_odd_class(c, even_in) for f in (self, other) for c in f.num.values()}
+        parts = {id(c): _by_odd_class(c, even_in)
+                 for f in (self, other) for c in f.num.values()} if even_in else {}
         acc: dict[int, ScalarPoly] = {}
         for m1, c1 in self.num.items():
             for m2, c2 in other.num.items():
                 key = m1 + m2
-                if key > a + b - 2:
+                if not even_in or key > a + b - 2:
                     piece = c1.product_trace(c2, p, q)
                 else:
                     part2, piece = parts[id(c2)], ScalarPoly.zero(reg)

@@ -14,6 +14,7 @@ from wresidue.clifford import (
     Frame,
     fiber_dimension,
     word_mul,
+    word_mul_letter,
 )
 from wresidue.oracles import generator_matrices, matrix_trace, monomial_mul, word_matrix
 from wresidue.scalars import (
@@ -69,16 +70,39 @@ def _word_element(reg, word, coeff=1):
     return CliffordElement(reg, {word: ScalarPoly.const(reg, coeff)})
 
 
+def _word_mul_by_letters(w1, w2):
+    """The uncached normal ordering: ``w1`` times each letter of ``w2``."""
+    sign, word = 1, w1
+    for g in w2:
+        s, word = word_mul_letter(word, g)
+        sign *= s
+    return sign, word
+
+
 def test_word_product_table_matches_word_mul(reg):
     """Every product of two of the 64 words over the six letters, through
-    the table, equals the uncached normal ordering."""
+    the memoised ``word_mul`` and its table, equals the uncached normal
+    ordering, cold and warm."""
     assert len(ALL_WORDS) == 64
-    for w1 in ALL_WORDS:
-        for w2 in ALL_WORDS:
-            sign, word = word_mul(w1, w2)
-            assert _word_element(reg, w1) * _word_element(reg, w2) == \
-                _word_element(reg, word, sign)
-            assert clifford._WORD_PRODUCTS[w1, w2] == (sign, word)
+    clifford._WORD_PRODUCTS.clear()
+    for _ in range(2):
+        for w1 in ALL_WORDS:
+            for w2 in ALL_WORDS:
+                sign, word = _word_mul_by_letters(w1, w2)
+                assert word_mul(w1, w2) == (sign, word)
+                assert _word_element(reg, w1) * _word_element(reg, w2) == \
+                    _word_element(reg, word, sign)
+                assert clifford._WORD_PRODUCTS[w1, w2] == (sign, word)
+
+
+def test_memoised_word_mul_follows_the_square_signs(monkeypatch):
+    """A warm table does not outlive a patched square sign, nor its undo."""
+    hh = ((HC, 1),)
+    assert word_mul(hh, hh) == (1, ())
+    monkeypatch.setitem(clifford._SQ_SIGN, HC, -1)
+    assert word_mul(hh, hh) == (-1, ())
+    monkeypatch.undo()
+    assert word_mul(hh, hh) == (1, ())
 
 
 def test_one_word_constructors_keep_their_checks(reg):
@@ -206,6 +230,29 @@ def test_word_restricted_product_is_the_whole_product_cut(reg, monkeypatch):
         assert _layout(got) == want
         assert len(calls) == sum(word_mul(w1, w2)[1] in words for w1 in a.terms for w2 in b.terms)
     assert a.mul_on_words(b, set(ALL_WORDS)) == a * b
+
+
+def test_unit_coefficients_keep_the_other_factor(reg):
+    """A generator or the identity times an element, on either side, keeps
+    the element's word order and each coefficient's monomial order, and
+    sums or negations of the product leave the element as it was."""
+    atoms = [ScalarPoly.var(reg, reg.add(name, KIND_CONN)) for name in ("w0", "w1", "w2")]
+    rng = random.Random(47)
+    units = [CliffordElement.identity(reg, one) for one in (1, Fraction(1), GR(1))]
+    units += [_gen(reg, *letter) for letter in LETTERS]
+    for _ in range(100):
+        elem = _poly_element(reg, rng, atoms)
+        before = _layout(elem)
+        for unit in units:
+            (u,) = unit.terms
+            for prod, side in ((unit * elem, lambda w: (u, w)), (elem * unit, lambda w: (w, u))):
+                want = []
+                for w, poly in elem.terms.items():
+                    sign, word = word_mul(*side(w))
+                    want.append((word, [(m, c * sign) for m, c in poly.terms.items()]))
+                assert _layout(prod) == want
+                _ = (-prod, prod + elem, prod - elem, prod * prod)
+                assert _layout(elem) == before
 
 
 def _sum_by_addition(reg, pieces):

@@ -228,6 +228,24 @@ def test_poly_ring_axioms(reg):
         assert a - a == ScalarPoly.zero(reg)
 
 
+def test_unit_factor_is_the_identity(reg):
+    """``p * x`` and ``x * p`` equal ``p`` in value and monomial order for
+    every spelling ``x`` of one, and adding to or negating the product
+    leaves ``p`` as it was."""
+    rng = random.Random(13)
+    polys = [_random_poly(reg, rng) for _ in range(60)]
+    polys += [ScalarPoly.const(reg, 1), ScalarPoly.const(reg, GR(0, 2)), ScalarPoly.zero(reg)]
+    for p in polys:
+        before = list(p.terms.items())
+        for one in (1, Fraction(1), GR(1), ScalarPoly.const(reg, 1)):
+            for prod in (p * one, one * p):
+                assert prod.__class__ is ScalarPoly
+                assert prod == p and list(prod.terms) == list(p.terms)
+                _ = (prod + _vars(reg)[0], -prod, prod - p, prod * prod)
+                assert list(p.terms.items()) == before
+    assert ScalarPoly.const(reg, 1) * GR(3) == ScalarPoly.const(reg, 3)
+
+
 def test_poly_power_matches_repeated_product(reg):
     x, y, _ = _vars(reg)
     p = x + y * GR(2)

@@ -182,3 +182,35 @@ def test_no_public_function_is_left_unnamed():
     """A public module-level function that no code, test or benchmark names
     is a leftover of a path that was replaced."""
     assert _unnamed_public(ROOT) == []
+
+
+_SHARED = ("terms", "num")
+_MUTATORS = ("pop", "popitem", "update", "setdefault", "clear")
+
+
+def _in_place_mutations(package: Path) -> list[str]:
+    """Every spot that changes a ``terms`` or ``num`` mapping in place: an
+    item assigned or deleted, an in-place operator, or a mutating method
+    call."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif isinstance(node, ast.AugAssign):
+                target = node.target
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATORS:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Attribute) and target.attr in _SHARED:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_terms_or_numerator_is_changed_in_place():
+    """Products by one return an operand itself and sums share untouched
+    coefficients, so one ``terms`` or ``num`` mapping can sit in several
+    values; changing one in place would change them all."""
+    assert _in_place_mutations(PACKAGE) == []
