@@ -236,7 +236,8 @@ class CliffordElement:
     # -- structure ---------------------------------------------------------
 
     def scalar_part(self) -> ScalarPoly:
-        return self.terms.get((), ScalarPoly.zero(self.registry))
+        part = self.terms.get(())
+        return ScalarPoly.zero(self.registry) if part is None else part
 
     def trace(self, p: int, q: int) -> ScalarPoly:
         """Fiber trace: only the identity word survives, weighted by rank."""
@@ -406,10 +407,7 @@ class Frame:
         out = (self.family(product(ps, ps), leaf, lambda j, l: gen(CF, j) * gen(CF, l), quarter)
                + self.family(product(qs, qs), perp, lambda s, t: gen(CN, s) * gen(CN, t)
                              - gen(HC, s) * gen(HC, t), quarter))
-        return out if mix is None else out + self.mixed_connection(mix)
-
-    def mixed_connection(self, mix: Callable[[int, int], ScalarPoly]) -> CliffordElement:
-        """The mixed family of :meth:`spin_connection` alone."""
-        return self.family(product(range(1, self.p + 1), range(1, self.q + 1)), mix,
-                           lambda j, s: self.gen(CF, j) * self.gen(CN, s),
-                           GaussianRational(Fraction(1, 2)))
+        if mix is None:
+            return out
+        return out + self.family(product(ps, qs), mix, lambda j, s: gen(CF, j) * gen(CN, s),
+                                 GaussianRational(Fraction(1, 2)))

@@ -54,23 +54,14 @@ class InteriorSetting(Frame):
     def r_perp(self, r: int, u: int, t: int, s: int) -> ScalarPoly:
         return self._antisymmetric("Rp", KIND_CURV, (r, u), (t, s))
 
-    # connection-term atoms for one direction tag; the two quadratic families
-    # are antisymmetric, the mixing family is not
-    def conn_leaf(self, tag: str, j: int, l: int) -> ScalarPoly:
-        return self._antisymmetric(f"w{tag}F", KIND_CONN, (j, l))
-
-    def conn_perp(self, tag: str, s: int, t: int) -> ScalarPoly:
-        return self._antisymmetric(f"w{tag}P", KIND_CONN, (s, t))
-
-    def conn_mix(self, tag: str, j: int, s: int) -> ScalarPoly:
-        return self.var(self.registry.get_or_add(f"w{tag}S{j}{s}", KIND_CONN))
-
     def connection_term(self, tag: str) -> CliffordElement:
-        """Generic connection-form value: quarter-weighted quadratic families
-        plus the half-weighted mixing family."""
-        return self.spin_connection(lambda j, l: self.conn_leaf(tag, j, l),
-                                    lambda s, t: self.conn_perp(tag, s, t),
-                                    lambda j, s: self.conn_mix(tag, j, s))
+        """Generic connection-form value for one direction tag: antisymmetric
+        atoms in the two quadratic families, generic ones in the mixing
+        family."""
+        return self.spin_connection(
+            lambda j, l: self._antisymmetric(f"w{tag}F", KIND_CONN, (j, l)),
+            lambda s, t: self._antisymmetric(f"w{tag}P", KIND_CONN, (s, t)),
+            lambda j, s: self.var(self.registry.get_or_add(f"w{tag}S{j}{s}", KIND_CONN)))
 
 
 def endomorphism_blocks(setting: InteriorSetting) -> dict[str, CliffordElement]:
@@ -135,12 +126,13 @@ def curvature_form_traces(setting: InteriorSetting) -> dict[str, ScalarPoly]:
     }
 
 
-def first_principles_coefficients(p: int, q: int, n: int) -> dict[str, Fraction | ScalarPoly]:
-    """The interior coefficients keyed as :func:`reference.interior_expected`:
-    the quadratic-form weight ``v * Tr(Id) / 6`` and the two-form weight
-    ``v / 2 * tr(Omega)``, both in units of ``pi**(n/2)``, the metric
-    scalar-curvature weight, and the endomorphism-trace multiple of the
-    curvature marker."""
+def first_principles_coefficients(p: int, q: int) -> dict[str, Fraction | ScalarPoly]:
+    """The interior coefficients in dimension ``n = p + q``, keyed as
+    :func:`reference.interior_expected`: the quadratic-form weight
+    ``v * Tr(Id) / 6`` and the two-form weight ``v / 2 * tr(Omega)``, both
+    in units of ``pi**(n/2)``, the metric scalar-curvature weight, and the
+    endomorphism-trace multiple of the curvature marker."""
+    n = p + q
     if n % 2:
         raise ValueError("only even total dimension is supported")
     setting = InteriorSetting(p, q)

@@ -305,10 +305,9 @@ def sigma2_cube_num(model: Model) -> XiRational:
     """Numerator of the second-order symbol of the cubed operator."""
     reg = model.registry
     conn = model.pair(model.connection)
-    mixed = model.pair(lambda d: model.mixed_connection(
-        lambda j, s: model.var(model.smix[(j, s, d)])))
+    with_mixed = model.pair(lambda d: model.connection(d, model.smix))
     t1 = XiRational(reg, {0: model.cdxn * model.hp_poly})
-    t2 = model.c_xi_num * ((conn + mixed) * 4 - model.collar_bracket * 2)
+    t2 = model.c_xi_num * (with_mixed * 4 - model.collar_bracket * 2)
     t3 = conn * XiRational.build(reg, {0: 1, 2: 1})
     return t1 + t2 + t3
 
@@ -643,14 +642,15 @@ def load_suite(name: str, model: Model | None = None) -> Suite:
 # interior expected data
 
 
-INTERIOR_CASES: tuple[tuple[int, int, int], ...] = ((2, 2, 4), (4, 0, 4), (2, 4, 6))
+INTERIOR_CASES: tuple[tuple[int, int], ...] = ((2, 2), (4, 0), (2, 4))
 
 
-def interior_expected(p: int, q: int, n: int) -> dict[str, Fraction]:
-    """Closed-form interior coefficients: the quadratic-form weight (as a
-    multiple of pi**(n/2)), the metric scalar-curvature weight, and the
-    curvature-two-form weight (identically zero)."""
-    vol = Fraction(2 ** (p // 2 + q + 1), 6 * math.factorial(n // 2 - 1))
+def interior_expected(p: int, q: int) -> dict[str, Fraction]:
+    """Closed-form interior coefficients in dimension ``n = p + q``: the
+    quadratic-form weight (as a multiple of pi**(n/2)), the metric
+    scalar-curvature weight, and the curvature-two-form weight (identically
+    zero)."""
+    vol = Fraction(2 ** (p // 2 + q + 1), 6 * math.factorial((p + q) // 2 - 1))
     return {
         "einstein": vol,
         "scalar": Fraction(2) ** (p // 2 + q - 3),

@@ -62,8 +62,8 @@ _INTERIOR_KEYS = ("einstein", "scalar", "two-form", "endo-trace")
 # Every record id each suite reports, in report order, so that waiver labels
 # can be checked before any suite runs.
 RECORD_IDS: dict[str, tuple[str, ...]] = {
-    "interior": tuple(f"rank-{p}-{q}-dim-{n}-{key}"
-                      for p, q, n in reference.INTERIOR_CASES for key in _INTERIOR_KEYS),
+    "interior": tuple(f"rank-{p}-{q}-dim-{p + q}-{key}"
+                      for p, q in reference.INTERIOR_CASES for key in _INTERIOR_KEYS),
     "traces": ("endo-block-mixed-trace", "endo-block-leaf-trace", "endo-block-perp-trace",
                "endo-trace-rank-2-2", "endo-trace-rank-4-2", "endo-trace-rank-2-4",
                "two-letter-leaf-pair", "perp-pair-difference",
@@ -108,14 +108,14 @@ def _fmt(x: float) -> str:
 
 def _interior_records() -> list[ClaimRecord]:
     records = []
-    for p, q, n in reference.INTERIOR_CASES:
-        got = interior.first_principles_coefficients(p, q, n)
-        want = reference.interior_expected(p, q, n)
-        units = {"einstein": f" * pi^{n // 2}", "endo-trace": " * s"}
+    for p, q in reference.INTERIOR_CASES:
+        got = interior.first_principles_coefficients(p, q)
+        want = reference.interior_expected(p, q)
+        units = {"einstein": f" * pi^{(p + q) // 2}", "endo-trace": " * s"}
         for key in _INTERIOR_KEYS:
             unit = units.get(key, "")
             w, g = want[key], got[key]
-            records.append(_claim(f"rank-{p}-{q}-dim-{n}-{key}", f"{w}{unit}",
+            records.append(_claim(f"rank-{p}-{q}-dim-{p + q}-{key}", f"{w}{unit}",
                                   f"{g}{unit}", not (g - w),
                                   note="closed form vs first-principles assembly"))
     return records
@@ -136,7 +136,7 @@ def _trace_records(model) -> list[ClaimRecord]:
             tr.is_zero(), note="curvature block of the endomorphism traces to zero"))
 
     for (p, q), (co, _) in traced.items():
-        want = reference.interior_expected(p, q, p + q)["endo-trace"]
+        want = reference.interior_expected(p, q)["endo-trace"]
         records.append(_claim(f"endo-trace-rank-{p}-{q}", f"{want} * s",
                               f"{co} * s", co == want))
 

@@ -38,17 +38,17 @@ _ROWS = ("a-I", "a-II", "a-III", "b", "c", "total")
 
 
 def test_interior_constants_dual_route():
-    closed = interior_expected(2, 2, 4)
+    closed = interior_expected(2, 2)
     assert closed["einstein"] == Fraction(8, 3)  # times the implied pi^2
     assert closed["two-form"] == 0
     assert closed["scalar"] == 1
-    for p, q, n in INTERIOR_CASES:
-        got = first_principles_coefficients(p, q, n)
-        want = interior_expected(p, q, n)
-        assert got["einstein"] == want["einstein"], (p, q, n)
-        assert got["scalar"] == want["scalar"], (p, q, n)
-        assert not (got["two-form"] - want["two-form"]), (p, q, n)
-        assert got["endo-trace"] == want["endo-trace"], (p, q, n)
+    for p, q in INTERIOR_CASES:
+        got = first_principles_coefficients(p, q)
+        want = interior_expected(p, q)
+        assert got["einstein"] == want["einstein"], (p, q)
+        assert got["scalar"] == want["scalar"], (p, q)
+        assert not (got["two-form"] - want["two-form"]), (p, q)
+        assert got["endo-trace"] == want["endo-trace"], (p, q)
 
 
 def test_trace_suite_reductions(model):

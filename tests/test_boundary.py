@@ -27,7 +27,7 @@ from wresidue.reference import (
     load_suite,
     partner_orders,
 )
-from wresidue.clifford import CF, CliffordElement
+from wresidue.clifford import CF, CliffordElement, word_mul
 from wresidue.scalars import GR, GR_I, GR_ONE, KIND_CONN, KIND_HPRIME, ScalarPoly
 from wresidue.sphere import integrate_sphere, odd_class
 from wresidue.verifier import run
@@ -202,6 +202,49 @@ def test_rows_are_invariant_under_the_leaf_relabelling(model, suites, d2d2, d1d3
         for label, row in suites[result.suite].expected.items():
             assert _relabelled(row, swap) == row, (result.suite, "recorded", label)
     assert moved_without_sign == {("boundary-d1d3", "b"), ("boundary-d1d3", "total")}
+
+
+_LEAF_LETTERS = {(CF, 1): (CF, 2), (CF, 2): (CF, 1)}
+
+
+def _relabelled_jet(jet: XiRational, swap, letters=_LEAF_LETTERS) -> XiRational:
+    """``jet`` with its atoms relabelled by ``swap`` and the generators
+    swapped by ``letters`` in every Clifford word, each word normal-ordered
+    again with the sign of ``word_mul``."""
+    num = {}
+    for power, elem in jet.num.items():
+        terms = {}
+        for word, coeff in elem.terms.items():
+            sign, image = 1, ()
+            for letter in word:
+                s, image = word_mul(image, (letters.get(letter, letter),))
+                sign *= s
+            terms[image] = _relabelled(coeff, swap) * sign
+        num[power] = CliffordElement(jet.registry, terms)
+    return XiRational(jet.registry, num, jet.a, jet.b)
+
+
+def test_jets_are_invariant_under_the_leaf_relabelling(model, suites):
+    """Every left and right jet of both suites, d_xn jets included, equals
+    its image under f1 <-> f2.  Each part of the map acts: without the wF12
+    sign two d1d3 jets move, and without c(f1) <-> c(f2) every d1d3 jet."""
+    swap, unsigned = _leaf_swap(model), _leaf_swap(model, 1)
+    d1d3, moved_without_sign, moved_without_words = set(), set(), set()
+    for name, suite in suites.items():
+        for side, jets in (("left", suite.left), ("right", suite.right)):
+            for order, entries in jets.items():
+                for k, jet in enumerate(entries):
+                    key = (name, side, order, k)
+                    assert _relabelled_jet(jet, swap) == jet, key
+                    if name == "boundary-d1d3":
+                        d1d3.add(key)
+                    if _relabelled_jet(jet, unsigned) != jet:
+                        moved_without_sign.add(key)
+                    if _relabelled_jet(jet, swap, {}) != jet:
+                        moved_without_words.add(key)
+    assert moved_without_sign == {("boundary-d1d3", "left", 0, 0),
+                                  ("boundary-d1d3", "right", -4, 0)}
+    assert moved_without_words == d1d3
 
 
 def test_first_rows_vanish(d2d2, d1d3):
@@ -569,25 +612,72 @@ def test_residue_at_minus_i_gives_every_case_value(suites, d2d2, d1d3, monkeypat
 RECORDED_WEIGHT_FAULTS = {("boundary-d1d3", "b"): (12, 1), ("boundary-d1d3", "total"): (12, 1)}
 
 
-def _weight_faults(model, poly: ScalarPoly) -> tuple[int, int]:
+def _weight_breaks(model, rows) -> dict:
+    """The rows that break the check, keyed as in ``rows``, each with its
+    rendered monomials of weight other than 1 and those not linear in pi
+    and in Omega3."""
     weighted = {ind.id for ind in model.registry if ind.kind in (KIND_CONN, KIND_HPRIME)}
-    weight = normal = 0
-    for mono in poly.terms:
-        exps = dict(mono)
-        weight += sum(e for iid, e in mono if iid in weighted) != 1
-        normal += (exps.get(model.pi.id), exps.get(model.omega3.id)) != (1, 1)
-    return weight, normal
+    out = {}
+    for key, poly in rows.items():
+        weight, normal = [], []
+        for mono, c in poly.terms.items():
+            exps, text = dict(mono), ScalarPoly(poly.registry, {mono: c}).render()
+            if sum(e for iid, e in mono if iid in weighted) != 1:
+                weight.append(text)
+            if (exps.get(model.pi.id), exps.get(model.omega3.id)) != (1, 1):
+                normal.append(text)
+        if weight or normal:
+            out[key] = (weight, normal)
+    return out
+
+
+def _rows(results) -> dict:
+    """Every row of the assembled ``results``, keyed (suite, label)."""
+    return {(got.suite, label): value for got in results
+            for label, value in {**got.groups, "total": got.total}.items()}
 
 
 def test_rows_have_weight_one_and_one_factor_pi_omega3(model, suites, d2d2, d1d3):
     for got in (d2d2, d1d3):
-        for res in got.cases:
-            assert _weight_faults(model, res.value) == (0, 0), (got.suite, res.case)
-        rows = {**got.groups, "total": got.total}
-        for label, value in rows.items():
+        assert _weight_breaks(model, {res.case: res.value for res in got.cases}) == {}, got.suite
+        for (name, label), value in _rows([got]).items():
             # a-I is all tangential derivatives, zero at the base point
-            assert (label == "a-I") != bool(value), (got.suite, label)
-            assert _weight_faults(model, value) == (0, 0), (got.suite, label)
-    faults = {(name, label): _weight_faults(model, value)
-              for name, suite in suites.items() for label, value in suite.expected.items()}
-    assert {key: f for key, f in faults.items() if f != (0, 0)} == RECORDED_WEIGHT_FAULTS
+            assert (label == "a-I") != bool(value), (name, label)
+    assert _weight_breaks(model, _rows([d2d2, d1d3])) == {}
+    faults = _weight_breaks(model, {(name, label): value for name, suite in suites.items()
+                                    for label, value in suite.expected.items()})
+    assert {key: (len(w), len(n)) for key, (w, n) in faults.items()} == RECORDED_WEIGHT_FAULTS
+
+
+def _drop_collar_hp(model):
+    model.collar_bracket = XiRational.build(model.registry, {1: Fraction(3, 2)})
+
+
+def _square_wf12d1(model):
+    atom, antisym = model.nabf[(1, 2, 1)], model.antisym
+
+    def squared(family, a, b, d):
+        entry = antisym(family, a, b, d)
+        hit = family is model.nabf and {a, b} == {1, 2} and d == 1
+        return entry * model.var(atom) if hit else entry
+    model.antisym = squared
+
+
+@pytest.mark.parametrize("mutate, broken, mark", [
+    (_drop_collar_hp, {("boundary-d2d2", "b"), ("boundary-d2d2", "c"),
+                       ("boundary-d2d2", "total"), ("boundary-d1d3", "c"),
+                       ("boundary-d1d3", "total")}, None),
+    (_square_wf12d1, {("boundary-d1d3", "b"), ("boundary-d1d3", "total")}, "wF12d1^2"),
+], ids=["collar-hp-dropped", "wF12d1-squared"])
+def test_weight_check_names_the_rows_an_engine_mutation_breaks(mutate, broken, mark):
+    """On a fresh model, hp dropped from the collar bracket leaves terms of
+    weight 0 and a squared connection atom terms of weight 2; the check
+    names every row they reach, and only by its weight."""
+    model = Model()
+    mutate(model)
+    breaks = _weight_breaks(model, _rows(
+        [assemble_boundary(load_suite(name, model)) for name in BOUNDARY_SUITES]))
+    assert set(breaks) == broken
+    for key, (weight, normal) in breaks.items():
+        assert weight and not normal, key
+        assert all(("hp" not in text) if mark is None else (mark in text) for text in weight), key

@@ -107,18 +107,18 @@ def test_derivative_and_commutator_traces_vanish():
 
 
 def test_dual_route_agreement():
-    for p, q, n in INTERIOR_CASES:
-        closed = interior_expected(p, q, n)
-        derived = first_principles_coefficients(p, q, n)
-        assert set(derived) == set(closed), (p, q, n)
-        assert derived["einstein"] == closed["einstein"], (p, q, n)
-        assert derived["scalar"] == closed["scalar"], (p, q, n)
-        assert derived["two-form"].is_zero() and closed["two-form"] == 0, (p, q, n)
-        assert derived["endo-trace"] == closed["endo-trace"], (p, q, n)
+    for p, q in INTERIOR_CASES:
+        closed = interior_expected(p, q)
+        derived = first_principles_coefficients(p, q)
+        assert set(derived) == set(closed), (p, q)
+        assert derived["einstein"] == closed["einstein"], (p, q)
+        assert derived["scalar"] == closed["scalar"], (p, q)
+        assert derived["two-form"].is_zero() and closed["two-form"] == 0, (p, q)
+        assert derived["endo-trace"] == closed["endo-trace"], (p, q)
 
 
 def test_reference_rank_values():
-    table = interior_expected(2, 2, 4)
+    table = interior_expected(2, 2)
     assert table["einstein"] == Fraction(8, 3)
     assert table["scalar"] == 1
     assert table["two-form"] == 0
@@ -127,7 +127,7 @@ def test_reference_rank_values():
 
 def test_parity_guards():
     with pytest.raises(ValueError):
-        first_principles_coefficients(2, 2, 5)
+        first_principles_coefficients(2, 1)
     with pytest.raises(ValueError):
         InteriorSetting(3, 2)
 

@@ -552,10 +552,10 @@ def test_builtin_waivers_cover_disputed_rows():
 
 
 def test_interior_expected_closed_forms():
-    for (p, q, n), einstein in (((2, 2, 4), Fraction(8, 3)),
-                                ((4, 0, 4), Fraction(4, 3)),
-                                ((2, 4, 6), Fraction(16, 3))):
-        table = interior_expected(p, q, n)
+    for (p, q), einstein in (((2, 2), Fraction(8, 3)),
+                             ((4, 0), Fraction(4, 3)),
+                             ((2, 4), Fraction(16, 3))):
+        table = interior_expected(p, q)
         assert table["einstein"] == einstein
         assert table["scalar"] == Fraction(2) ** (p // 2 + q - 3)
         assert table["two-form"] == 0

@@ -152,18 +152,22 @@ def test_no_private_name_or_import_is_left_unused():
 
 
 def _unnamed_public(root: Path) -> list[str]:
-    """Public module-level functions of the package that no file under
-    ``src/``, ``tests/`` or ``perfbench/`` names outside their own
-    definition; a name in a string (such as a tracer target) counts."""
+    """Public module-level functions of the package, and public methods and
+    properties of its module-level classes, that no file under ``src/``,
+    ``tests/`` or ``perfbench/`` names outside their own definition; a name
+    in a string, or a part of a dotted name in one (such as the tracer
+    target ``"XiRational.pi_plus"``), counts."""
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for folder in ("src", "tests", "perfbench")
              for path in sorted((root / folder).rglob("*.py"))]
 
     def names(tree):
         yield from _names(tree)
-        yield from (node.value for node in ast.walk(tree)
-                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                    and node.value.isidentifier())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if all(part.isidentifier() for part in parts):
+                    yield from parts
 
     named: dict[str, int] = {}
     for tree in trees:
@@ -171,16 +175,22 @@ def _unnamed_public(root: Path) -> list[str]:
             named[name] = named.get(name, 0) + 1
     found = []
     for path in sorted((root / "src" / "wresidue").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                if named.get(node.name, 0) == sum(n == node.name for n in names(node)):
-                    found.append(f"{path.name}: {node.name} is named nowhere else")
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        defs = [(node.name, node) for node in body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{node.name}", node) for cls in body if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for label, node in defs:
+            if node.name.startswith("_"):
+                continue
+            if named.get(node.name, 0) == sum(n == node.name for n in names(node)):
+                found.append(f"{path.name}: {label} is named nowhere else")
     return found
 
 
 def test_no_public_function_is_left_unnamed():
-    """A public module-level function that no code, test or benchmark names
-    is a leftover of a path that was replaced."""
+    """A public module-level function, or a public method or property of a
+    package class, that no code, test or benchmark names is a leftover of a
+    path that was replaced."""
     assert _unnamed_public(ROOT) == []
 
 

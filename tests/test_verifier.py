@@ -20,6 +20,7 @@ from wresidue.report import (
     waiver_reason,
 )
 from wresidue.cli import build_parser, main
+from wresidue.scalars import KIND_CONN
 from wresidue.verifier import (
     RECORD_IDS,
     ConfigurationError,
@@ -209,9 +210,9 @@ def test_environment_waiver_flows_through_run(model, monkeypatch, tmp_path):
 def test_environment_waiver_covers_interior_records(monkeypatch, tmp_path):
     orig = reference.interior_expected
 
-    def tampered(p, q, n):
-        row = dict(orig(p, q, n))
-        if (p, q, n) == (2, 2, 4):
+    def tampered(p, q):
+        row = dict(orig(p, q))
+        if (p, q) == (2, 2):
             row["scalar"] = row["scalar"] * 2
         return row
 
@@ -238,7 +239,8 @@ def test_nonzero_two_form_trace_is_a_mismatch(monkeypatch):
 
     def with_identity(self, tag):
         term = orig(self, tag)
-        return term + self.ident(self.conn_leaf(tag, 1, 2)) if tag == "Da" else term
+        leaf12 = self._antisymmetric(f"w{tag}F", KIND_CONN, (1, 2))
+        return term + self.ident(leaf12) if tag == "Da" else term
 
     monkeypatch.setattr(interior.InteriorSetting, "connection_term", with_identity)
     code, text = run(("interior",), environ={})
@@ -460,7 +462,7 @@ def test_waiver_lapses_when_the_engine_drifts(monkeypatch):
 def test_cli_engine_exception_exits_three(monkeypatch, capsys):
     """An exception from the engine is an internal error: exit 3 and one
     stderr line, not a traceback and not the mismatch code 1."""
-    def broken(p, q, n):
+    def broken(p, q):
         raise ValueError("connection curvature two-form has nonzero fiber trace\n(probe)")
 
     monkeypatch.setattr(interior, "first_principles_coefficients", broken)
