@@ -9,6 +9,7 @@ the engine itself fails.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .reference import ALL_SUITES
@@ -40,7 +41,15 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).splitlines())
         sys.stderr.write(f"wres-verify: internal error: {type(exc).__name__}: {message}\n")
         return 3
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, a full disk: an I/O error
+        sys.stderr.write(f"wres-verify: error: cannot write the report: {exc}\n")
+        # the interpreter's last flush then writes what is left to nowhere
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 2
     return code
 
 

@@ -377,16 +377,26 @@ class Frame:
             raise ValueError(f"frame index {a} out of range 1..{self.n}")
         return self.gen(CF, a) if a <= self.p else self.gen(CN, a - self.p)
 
+    def antisymmetric(self, name: str, kind: str, *pairs: tuple[int, int]) -> ScalarPoly:
+        """The atom ``name.format(*slots)`` of ``kind``, antisymmetric in each
+        slot pair: zero on equal slots, slots sorted with a sign per swap."""
+        sign, slots = 1, ()
+        for a, b in pairs:
+            if a == b:
+                return ScalarPoly.zero(self.registry)
+            if a > b:
+                a, b, sign = b, a, -sign
+            slots += (a, b)
+        atom = self.var(self.registry.get_or_add(name.format(*slots), kind))
+        return atom if sign > 0 else -atom
+
     def family(self, indices, coeff: Callable[..., ScalarPoly],
                letters: Callable[..., CliffordElement], weight) -> CliffordElement:
-        """Sum of ``letters(*i) * coeff(*i) * weight`` over the index tuples
-        ``i``, in their order; zero coefficients are skipped."""
-        out = CliffordElement.zero(self.registry)
-        for idx in indices:
-            co = coeff(*idx)
-            if co:
-                out = out + letters(*idx) * (co * weight)
-        return out
+        """Sum of ``letters(*i) * coeff(*i) * weight``, ``weight`` an int or a
+        Fraction, over the index tuples ``i`` in their order, in one
+        ``rotated_sum`` pass; zero coefficients are skipped."""
+        return CliffordElement.rotated_sum(self.registry, (
+            (letters(*idx) * co, 0, weight) for idx in indices if (co := coeff(*idx))))
 
     def spin_connection(self, leaf: Callable[[int, int], ScalarPoly],
                         perp: Callable[[int, int], ScalarPoly],
@@ -403,11 +413,11 @@ class Frame:
         Coefficients are requested in that order, each family row by row.
         """
         gen, ps, qs = self.gen, range(1, self.p + 1), range(1, self.q + 1)
-        quarter = GaussianRational(Fraction(1, 4))
+        quarter = Fraction(1, 4)
         out = (self.family(product(ps, ps), leaf, lambda j, l: gen(CF, j) * gen(CF, l), quarter)
                + self.family(product(qs, qs), perp, lambda s, t: gen(CN, s) * gen(CN, t)
                              - gen(HC, s) * gen(HC, t), quarter))
         if mix is None:
             return out
         return out + self.family(product(ps, qs), mix, lambda j, s: gen(CF, j) * gen(CN, s),
-                                 GaussianRational(Fraction(1, 2)))
+                                 Fraction(1, 2))

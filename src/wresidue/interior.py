@@ -30,37 +30,24 @@ class InteriorSetting(Frame):
         super().__init__(p, q)
         self.scurv = self.registry.add("s", KIND_MARKER)
 
-    def _antisymmetric(self, prefix: str, kind: str, *pairs: tuple[int, int]) -> ScalarPoly:
-        """The atom named ``prefix`` plus its slots, antisymmetric in each
-        slot pair: zero on equal slots, slots sorted with a sign per swap."""
-        sign, slots = 1, ()
-        for a, b in pairs:
-            if a == b:
-                return ScalarPoly.zero(self.registry)
-            if a > b:
-                a, b, sign = b, a, -sign
-            slots += (a, b)
-        atom = self.registry.get_or_add(prefix + "".join(map(str, slots)), kind)
-        return self.var(atom) * GR(sign)
-
     # curvature pairings; each is antisymmetric in its last two slots, and the
     # one-family / perp-family pairings also in their first two
     def r_mixed(self, i: int, r: int, t: int, s: int) -> ScalarPoly:
-        return self._antisymmetric(f"Rm{i}{r}", KIND_CURV, (t, s))
+        return self.antisymmetric(f"Rm{i}{r}{{}}{{}}", KIND_CURV, (t, s))
 
     def r_leaf(self, i: int, j: int, t: int, s: int) -> ScalarPoly:
-        return self._antisymmetric("Rf", KIND_CURV, (i, j), (t, s))
+        return self.antisymmetric("Rf{}{}{}{}", KIND_CURV, (i, j), (t, s))
 
     def r_perp(self, r: int, u: int, t: int, s: int) -> ScalarPoly:
-        return self._antisymmetric("Rp", KIND_CURV, (r, u), (t, s))
+        return self.antisymmetric("Rp{}{}{}{}", KIND_CURV, (r, u), (t, s))
 
     def connection_term(self, tag: str) -> CliffordElement:
         """Generic connection-form value for one direction tag: antisymmetric
         atoms in the two quadratic families, generic ones in the mixing
         family."""
         return self.spin_connection(
-            lambda j, l: self._antisymmetric(f"w{tag}F", KIND_CONN, (j, l)),
-            lambda s, t: self._antisymmetric(f"w{tag}P", KIND_CONN, (s, t)),
+            lambda j, l: self.antisymmetric(f"w{tag}F{{}}{{}}", KIND_CONN, (j, l)),
+            lambda s, t: self.antisymmetric(f"w{tag}P{{}}{{}}", KIND_CONN, (s, t)),
             lambda j, s: self.var(self.registry.get_or_add(f"w{tag}S{j}{s}", KIND_CONN)))
 
 
@@ -70,7 +57,7 @@ def endomorphism_blocks(setting: InteriorSetting) -> dict[str, CliffordElement]:
     (in that nesting order, which sets atom order) of
     ``curv(a, b, t, s) * first(a) second(b) hatc(h_s) hatc(h_t)``, built
     pair by pair: ``first(a) second(b)`` times the (t, s) family."""
-    quarter = GR(Fraction(1, 4))
+    quarter = Fraction(1, 4)
     scalar = setting.ident(setting.var(setting.scurv) * quarter)
     ps, qs = range(1, setting.p + 1), range(1, setting.q + 1)
     leaf, perp = setting.c, lambda s: setting.gen(CN, s)

@@ -87,6 +87,10 @@ class Model(Frame):
         self.nabp = family("wP", combinations(range(1, q + 1), 2))
         self.nabtm = family("wM", mixed)
         self.smix = family("sh", mixed)
+        # the boundary divergence of the inward normal h_q: minus its atoms with
+        # each f_a in direction a and with each h_s, s < q, in direction p + s
+        self.div_atoms = (tuple(self.nabtm[a, q, a] for a in range(1, p + 1)),
+                          tuple(self.nabp[s, q, p + s] for s in range(1, q)))
 
         # c(xi) = c(xi') + xn c(dxn): the inward unit conormal is the last
         # frame vector
@@ -126,17 +130,6 @@ class Model(Frame):
     def sigma_hat(self) -> ScalarPoly:
         return sum(self.var(x) * self.var(y) for x, y in zip(self.X[:-1], self.Y[:-1]))
 
-    # -- antisymmetric coefficient access ----------------------------------
-
-    def antisym(self, family, a: int, b: int, d: int) -> ScalarPoly:
-        """Entry (a, b) in direction ``d`` of the antisymmetric ``family``
-        (``nabf`` or ``nabp``), which holds only its a < b atoms."""
-        if a == b:
-            return ScalarPoly.zero(self.registry)
-        if a < b:
-            return self.var(family[(a, b, d)])
-        return -self.var(family[(b, a, d)])
-
     # -- connection values (quadratic Clifford words) ----------------------
 
     def connection(self, d: int, mixed: Mapping[tuple[int, int, int], Indeterminate]
@@ -146,8 +139,8 @@ class Model(Frame):
         double-covariant symbols; without it, the leaf and perp families
         alone."""
         return self.spin_connection(
-            lambda j, l: self.antisym(self.nabf, j, l, d),
-            lambda s, t: self.antisym(self.nabp, s, t, d),
+            lambda j, l: self.antisymmetric(f"wF{{}}{{}}d{d}", KIND_CONN, (j, l)),
+            lambda s, t: self.antisymmetric(f"wP{{}}{{}}d{d}", KIND_CONN, (s, t)),
             None if mixed is None else lambda j, s: self.var(mixed[(j, s, d)]))
 
     @functools.cached_property
@@ -160,8 +153,7 @@ class Model(Frame):
     def div_poly(self) -> ScalarPoly:
         """Boundary divergence of the inward normal; the traces suite checks
         it against the fiber trace of the base symbol."""
-        return -(self.var(self.nabp[(1, 2, 3)]) + self.var(self.nabtm[(1, 2, 1)])
-                 + self.var(self.nabtm[(2, 2, 2)]))
+        return -sum(self.var(atom) for family in self.div_atoms for atom in family)
 
     @functools.cached_property
     def row_shapes(self) -> dict[str, RowShape]:
@@ -175,7 +167,7 @@ class Model(Frame):
         sig = ("[sum_a<4 Xa*Ya]", self.sigma_hat, ((self.X[0], self.Y[0]),))
         nn = ("X4*Y4", self.n_hat, ((self.X[-1], self.Y[-1]),))
         xy = ("X(Y4)", var(self.dXY[-1]), ((self.dXY[-1],),))
-        div = ("div", self.div_poly, ((self.nabp[(1, 2, 3)],), (self.nabtm[(1, 2, 1)],)))
+        div = ("div", self.div_poly, tuple(family[:1] for family in self.div_atoms))
         hp, pi, om = ((ind.name, var(ind), ((ind,),)) for ind in (self.hp, self.pi, self.omega3))
         layout = {"sigma_hp": (sig, hp, pi, om), "normal_hp": (nn, hp, pi, om),
                   "xy_pi": (xy, pi, om), "xy": (xy, om),
@@ -304,10 +296,11 @@ def symbols_d2d2(model: Model) -> tuple[Jets, Jets]:
 def sigma2_cube_num(model: Model) -> XiRational:
     """Numerator of the second-order symbol of the cubed operator."""
     reg = model.registry
-    conn = model.pair(model.connection)
-    with_mixed = model.pair(lambda d: model.connection(d, model.smix))
+    conn, zero = model.pair(model.connection), ScalarPoly.zero(reg)
+    mixed = model.pair(lambda d: model.spin_connection(
+        lambda *_: zero, lambda *_: zero, lambda j, s: model.var(model.smix[j, s, d])))
     t1 = XiRational(reg, {0: model.cdxn * model.hp_poly})
-    t2 = model.c_xi_num * (with_mixed * 4 - model.collar_bracket * 2)
+    t2 = model.c_xi_num * ((conn + mixed) * 4 - model.collar_bracket * 2)
     t3 = conn * XiRational.build(reg, {0: 1, 2: 1})
     return t1 + t2 + t3
 

@@ -654,13 +654,13 @@ def _drop_collar_hp(model):
 
 
 def _square_wf12d1(model):
-    atom, antisym = model.nabf[(1, 2, 1)], model.antisym
+    atom, antisymmetric = model.nabf[(1, 2, 1)], model.antisymmetric
 
-    def squared(family, a, b, d):
-        entry = antisym(family, a, b, d)
-        hit = family is model.nabf and {a, b} == {1, 2} and d == 1
+    def squared(name, kind, *pairs):
+        entry = antisymmetric(name, kind, *pairs)
+        hit = name == "wF{}{}d1" and set(pairs[0]) == {1, 2}
         return entry * model.var(atom) if hit else entry
-    model.antisym = squared
+    model.antisymmetric = squared
 
 
 @pytest.mark.parametrize("mutate, broken, mark", [

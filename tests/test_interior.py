@@ -1,11 +1,14 @@
+import functools
 import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from wresidue.clifford import CN, HC
+from wresidue import oracles
+from wresidue.clifford import CF, CN, HC
 from wresidue.interior import (
     InteriorSetting,
     curvature_form_traces,
@@ -14,7 +17,7 @@ from wresidue.interior import (
     trace_endomorphism,
 )
 from wresidue.reference import INTERIOR_CASES, interior_expected
-from wresidue.scalars import GR
+from wresidue.scalars import GR, KIND_CURV
 
 RANKS = ((2, 2), (4, 2), (2, 4))
 
@@ -71,7 +74,7 @@ def _term_by_term_blocks(setting):
     """The curvature blocks one four-letter term at a time:
     ``curv(a, b, t, s) * first(a) second(b) hatc(h_s) hatc(h_t) / 4`` over
     (a, b, t, s) in that nesting order."""
-    quarter = GR(Fraction(1, 4))
+    quarter = Fraction(1, 4)
     ps, qs = range(1, setting.p + 1), range(1, setting.q + 1)
     hc, leaf, perp = (lambda s: setting.gen(HC, s)), setting.c, (lambda s: setting.gen(CN, s))
 
@@ -98,6 +101,75 @@ def test_blocks_built_pair_by_pair_are_the_term_by_term_blocks():
                     p, q, name, word)
         # with no perp directions every block is empty
         assert any(el.terms for el in want.values()) == bool(q), (p, q)
+
+
+_I_POWERS = (GR(1), GR(0, 1), GR(-1), GR(0, -1))
+
+
+def _add_matrix(out: dict, mat: oracles.MonomialMatrix, scale: GR) -> None:
+    """``out += scale * mat``, ``out`` a sparse 8x8 matrix keyed (row, col)."""
+    for r, (c, phase) in enumerate(zip(*mat)):
+        out[r, c] = out.get((r, c), GR(0)) + scale * _I_POWERS[phase]
+
+
+def _blocks_off_their_formula(setting, blocks) -> set[str]:
+    """The curvature blocks at (2, 2) whose matrix, at seeded rational
+    curvature atoms, is not that of the ``endomorphism_blocks`` docstring:
+    the sum over a, b, t, s of ``curv(a, b, t, s) / 4 * first(a) second(b)
+    hatc(h_s) hatc(h_t)``, its generator matrices multiplied in letter order
+    and its curvature values read off the atoms here, not by the engine."""
+    rng = random.Random(7)
+    values = {ind.name: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+              for ind in setting.registry if ind.kind == KIND_CURV}
+    bound = {setting.registry.by_name(name): GR(v) for name, v in values.items()}
+
+    def atom(stem, *pairs) -> Fraction:
+        sign, slots = 1, ()
+        for a, b in pairs:
+            if a == b:
+                return Fraction(0)
+            if a > b:
+                a, b, sign = b, a, -sign
+            slots += (a, b)
+        return sign * values[stem + "".join(map(str, slots))]
+
+    mats = oracles.generator_matrices()
+    formula = {"mixed-pair": (CF, CN, lambda a, b, t, s: atom(f"Rm{a}{b}", (t, s))),
+               "leaf-pair": (CF, CF, lambda a, b, t, s: atom("Rf", (a, b), (t, s))),
+               "perp-pair": (CN, CN, lambda a, b, t, s: atom("Rp", (a, b), (t, s)))}
+    off = set()
+    for name, (first, second, curv) in formula.items():
+        want, got = {}, {}
+        for a, b, t, s in product((1, 2), repeat=4):
+            letters = ((first, a), (second, b), (HC, s), (HC, t))
+            product_matrix = functools.reduce(oracles.monomial_mul, (mats[g] for g in letters))
+            _add_matrix(want, product_matrix, GR(curv(a, b, t, s) / 4))
+        for word, coeff in blocks[name].terms.items():
+            _add_matrix(got, oracles.word_matrix(word), coeff.substitute(bound).constant_part())
+        if {k: v for k, v in want.items() if v} != {k: v for k, v in got.items() if v}:
+            off.add(name)
+    return off
+
+
+def _with_pairing(pairing: str, term: tuple, change) -> InteriorSetting:
+    """A (2, 2) setting whose curvature ``pairing`` reads ``change(own,
+    *term)`` at the one index tuple ``term``, ``own`` its own pairing."""
+    setting = InteriorSetting(2, 2)
+    orig = getattr(setting, pairing)
+    setattr(setting, pairing, lambda *i: change(orig, *i) if i == term else orig(*i))
+    return setting
+
+
+def test_curvature_blocks_read_as_their_docstring_formula():
+    """Each curvature block is its docstring formula entry by entry, and the
+    reader sees one term dropped and one term with s and t swapped."""
+    setting = InteriorSetting(2, 2)
+    assert _blocks_off_their_formula(setting, endomorphism_blocks(setting)) == set()
+    for block, pairing, change in (
+            ("leaf-pair", "r_leaf", lambda curv, *i: curv(*i) * 0),
+            ("mixed-pair", "r_mixed", lambda curv, a, b, t, s: curv(a, b, s, t))):
+        setting = _with_pairing(pairing, (1, 2, 1, 2), change)
+        assert _blocks_off_their_formula(setting, endomorphism_blocks(setting)) == {block}
 
 
 def test_derivative_and_commutator_traces_vanish():

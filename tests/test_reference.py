@@ -42,8 +42,8 @@ def test_markers_are_formal(model):
 
 
 def test_divergence_scalar(model):
-    want = -(model.antisym(model.nabp, 1, 2, 3) + model.var(model.nabtm[(1, 2, 1)])
-             + model.var(model.nabtm[(2, 2, 2)]))
+    want = -(model.antisymmetric("wP{}{}d3", KIND_CONN, (1, 2))
+             + model.var(model.nabtm[(1, 2, 1)]) + model.var(model.nabtm[(2, 2, 2)]))
     assert model.div_poly == want
 
 

@@ -2,6 +2,9 @@ import gc
 import hashlib
 import json
 import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,7 @@ from wresidue.report import (
     waiver_reason,
 )
 from wresidue.cli import build_parser, main
-from wresidue.scalars import KIND_CONN
+from wresidue.scalars import KIND_CONN, ScalarPoly
 from wresidue.verifier import (
     RECORD_IDS,
     ConfigurationError,
@@ -29,6 +32,7 @@ from wresidue.verifier import (
     run,
     run_suite,
 )
+from wresidue.xicalc import XiRational
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -239,7 +243,7 @@ def test_nonzero_two_form_trace_is_a_mismatch(monkeypatch):
 
     def with_identity(self, tag):
         term = orig(self, tag)
-        leaf12 = self._antisymmetric(f"w{tag}F", KIND_CONN, (1, 2))
+        leaf12 = self.antisymmetric(f"w{tag}F{{}}{{}}", KIND_CONN, (1, 2))
         return term + self.ident(leaf12) if tag == "Da" else term
 
     monkeypatch.setattr(interior.InteriorSetting, "connection_term", with_identity)
@@ -338,6 +342,94 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _reversed(mapping: dict) -> dict:
+    return dict(reversed(mapping.items()))
+
+
+def _shuffled(seed: int):
+    rng = random.Random(seed)
+
+    def shuffle(mapping: dict) -> dict:
+        items = list(mapping.items())
+        rng.shuffle(items)
+        return dict(items)
+    return shuffle
+
+
+def _reorder_terms(patch, reorder):
+    """Every Clifford element's words and every polynomial's monomials, as
+    they are built, in the order ``reorder`` gives them."""
+    for cls in (clifford.CliffordElement, ScalarPoly):
+        def pruned(registry, terms, _pruned=cls._pruned):
+            out = _pruned(registry, terms)
+            out.terms = reorder(out.terms)
+            return out
+
+        def init(self, registry, terms=None, _init=cls.__init__):
+            _init(self, registry, terms)
+            self.terms = reorder(self.terms)
+        patch.setattr(cls, "_pruned", staticmethod(pruned))
+        patch.setattr(cls, "__init__", init)
+
+
+def _reversed_xn(value: XiRational) -> XiRational:
+    return XiRational._canonical(value.registry, _reversed(value.num), value.a, value.b)
+
+
+def _reverse_jets(patch, side: int):
+    """The xn keys of every jet on one ``side`` (0 left, 1 right) reversed."""
+    for name in ("symbols_d2d2", "symbols_d1d3"):
+        def reversed_side(model, _symbols=getattr(reference, name)):
+            jets = list(_symbols(model))
+            jets[side] = {order: tuple(map(_reversed_xn, jet))
+                          for order, jet in jets[side].items()}
+            return tuple(jets)
+        patch.setattr(reference, name, reversed_side)
+
+
+def test_report_reads_only_the_xn_key_order(workloads, model, monkeypatch, capsys, tmp_path):
+    """The report bytes read no word or monomial order: reversing or
+    shuffling it everywhere moves no pinned digest.  They do read the xn key
+    order of the factors the corroboration integrates, which sets its float
+    sums: reversing it in every pi+ result moves both reports, and in the
+    right jets the full one; the left jets reach the report through pi+
+    alone, so theirs moves nothing.  Every run builds a fresh model, so no
+    reordered object reaches the cached one."""
+    monkeypatch.setattr(verifier, "build_model", reference.Model)
+    pins = workloads.PINS
+
+    def digests():
+        assert main(["--suite", "all"]) == 0
+        full = _sha256(capsys.readouterr().out.encode("utf-8"))
+        emit = tmp_path / str(len(os.listdir(tmp_path)))
+        assert main(["--suite", "boundary-d2d2", "--format", "md",
+                     "--emit-intermediates", str(emit)]) == 0
+        md = _sha256(capsys.readouterr().out.encode("utf-8"))
+        files = {f.name: _sha256(f.read_bytes()) for f in emit.iterdir()}
+        return (full == pins["verify-all"]["stdout"], md == pins["d2d2-emit"]["stdout"],
+                files == pins["d2d2-emit"]["files"])
+
+    x, y = model.var(model.hp), model.var(model.pi)
+    monomials, words = list((x + y).terms), list((model.c(1) + model.c(2)).terms)
+    for case, reorder in (("reversed", _reversed), *((f"seed {seed}", _shuffled(seed))
+                                                      for seed in (1, 2, 3))):
+        with monkeypatch.context() as patch:
+            _reorder_terms(patch, reorder)
+            if reorder is _reversed:  # the patch reaches what the engine builds
+                assert list((x + y).terms) == monomials[::-1]
+                assert list((model.c(1) + model.c(2)).terms) == words[::-1]
+            assert digests() == (True, True, True), case
+    with monkeypatch.context() as patch:
+        pi_plus = XiRational.pi_plus
+        patch.setattr(XiRational, "pi_plus", lambda self: _reversed_xn(pi_plus(self)))
+        assert digests()[:2] == (False, False)
+    for side, full_held in ((0, True), (1, False)):
+        with monkeypatch.context() as patch:
+            _reverse_jets(patch, side)
+            assert digests() == (full_held, True, True), side
+    assert reference.build_model() is model
+
+
 def test_cli_json_run(capsys):
     code = main(["--suite", "interior"])
     out = capsys.readouterr().out
@@ -433,6 +525,26 @@ def test_cli_intermediate_write_error_exits_two(tmp_path, monkeypatch, capsys):
     assert err.endswith("\n") and err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == [f"boundary-d2d2-{label}.txt" for label in
                                             ("a-I", "a-II", "a-III", "b", "c")]
+
+
+def test_cli_closed_stdout_exits_two():
+    """A report that cannot be written is an I/O error: a child whose stdout
+    pipe has no reader before it writes exits 2 with one stderr line, and
+    the interpreter's last flush adds no traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != WAIVER_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "wresidue.cli", "--suite", "interior"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    err = done.stderr.decode("utf-8")
+    assert done.returncode == 2, err
+    assert err.startswith("wres-verify: error: cannot write the report: ")
+    assert err.endswith("\n") and err.count("\n") == 1
 
 
 def test_waiver_lapses_when_the_engine_drifts(monkeypatch):
