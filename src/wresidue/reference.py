@@ -248,21 +248,25 @@ def nabla_jets(model: Model) -> Jets:
                 + model.field(model.Y) * xblk,)}
 
 
+def parametrix(sigma: Jets, top: Jets) -> Jets:
+    """``top``, an inverse's top order q with its d_xn jet dq, and the next
+    order -q (s_1 q + (-i) d_xi_n s_0 dq) from the operator's top two orders
+    s_0, s_1: the order that ``compose(sigma, .)`` needs to vanish at -1."""
+    k, low = max(sigma), max(top)
+    (s0,), (s1,), (q, dq) = sigma[k], sigma[k - 1], top[low]
+    return {**top, low - 1: ((-q) * (s1 * q + s0.xi_derivative() * _MI * dq),)}
+
+
 def inverse_first(model: Model) -> Jets:
-    """sigma_-1 = i c(xi)/|xi|^2 of the inverse first-order operator, its
-    d_xn jet, and sigma_-2."""
-    reg = model.registry
-    hp = model.hp_poly
-    cxin = model.c_xi_num
+    """sigma_-1 = i c(xi)/|xi|^2 of the inverse first-order operator and its
+    d_xn jet, and sigma_-2 by :func:`parametrix` of the operator's symbol."""
+    reg, hp = model.registry, model.hp_poly
+    icxi = model.c_xi_num * GR_I
     half = model.cxi * (hp * _HALF)
-    inner = XiRational(reg, {0: half, 2: half}) + cxin * -hp
-    sandwich = cxin * model.sigma0_base * cxin
-    lift = cxin * (model.cdxn * model.cxi) * (hp * _HALF)
-    deep = cxin * model.cdxn * cxin * -hp
-    return {-1: (XiRational(reg, (cxin * GR_I).num, 1, 1),
-                 XiRational(reg, (inner * GR_I).num, 2, 2)),
-            -2: (XiRational(reg, sandwich.num, 2, 2) + XiRational(reg, lift.num, 2, 2)
-                 + XiRational(reg, deep.num, 3, 3),)}
+    inner = XiRational(reg, {0: half, 2: half}) + model.c_xi_num * -hp
+    return parametrix({1: (icxi,), 0: (XiRational.build(reg, {0: model.sigma0_base}),)},
+                      {-1: (XiRational(reg, icxi.num, 1, 1),
+                            XiRational(reg, (inner * GR_I).num, 2, 2))})
 
 
 def inverse_square_top(model: Model) -> Jets:
@@ -273,15 +277,11 @@ def inverse_square_top(model: Model) -> Jets:
 
 
 def inverse_square(model: Model) -> Jets:
-    """:func:`inverse_square_top` and sigma_-3 of the inverse square."""
-    reg = model.registry
-    # -2 times the base connection paired with xi: the first-order content
-    # of the squared operator's subleading symbol
+    """:func:`inverse_square_top` and sigma_-3 by :func:`parametrix`; sigma_1 of
+    the square is i(-2 times the base connection paired with xi + bracket)."""
     bracket = model.pair(lambda d: model.connection(d, model.nabtm)) * (-2) + model.collar_bracket
-    term1 = XiRational.build(reg, {1: model.hp_poly * GR(0, -2)})
-    term2 = XiRational.build(reg, {0: 1, 2: 1}) * (bracket * _MI)
-    return {**inverse_square_top(model),
-            -3: (XiRational(reg, (term1 + term2).num, 3, 3),)}
+    square = {2: (XiRational.build(model.registry, {0: 1, 2: 1}),), 1: (bracket * GR_I,)}
+    return parametrix(square, inverse_square_top(model))
 
 
 def symbols_d2d2(model: Model) -> tuple[Jets, Jets]:

@@ -410,6 +410,109 @@ def test_compose_against_a_top_order_only_table_gives_the_top_entry(model):
                 [list(jet.num) for jet in want[max(full)]]
 
 
+# -- the parametrix rule and the known vanishing --------------------------
+
+
+def _on_sphere(model, jet: XiRational) -> XiRational:
+    """``jet`` at xi' = (2/3, 1/3, 2/3), a point of the unit sphere: the
+    jets' poles take |xi'| = 1, but their numerators keep |xi'|^2 unreduced."""
+    return jet.substitute({ind: GR(Fraction(v, 3)) for ind, v in zip(model.xi, (2, 1, 2))})
+
+
+def _operator_symbols(model):
+    """The top two orders of sigma(D), sigma(D^2) and sigma(D^3) at the base
+    point, the last with ``sigma2_cube_num`` as its second order."""
+    reg = model.registry
+    icxi, square = model.c_xi_num * GR(0, 1), XiRational.build(reg, {0: 1, 2: 1})
+    bracket = model.pair(lambda d: model.connection(d, model.nabtm)) * (-2) + model.collar_bracket
+    return ({1: (icxi,), 0: (XiRational.build(reg, {0: model.sigma0_base}),)},
+            {2: (square,), 1: (bracket * GR(0, 1),)},
+            {3: (icxi * square,), 2: (reference.sigma2_cube_num(model),)})
+
+
+def test_parametrix_inverts_the_first_and_second_order_symbols(model):
+    """D o D^-1 and D^2 o D^-2 read 1 at order 0 and 0 at order -1: the next
+    orders of ``inverse_first`` and ``inverse_square`` are the parametrix
+    of the operator's symbol.  D o D^-1 reads |xi|^2/|xi|^2 at order 0, so
+    it reads 1 and 0 only on the unit sphere."""
+    reg = model.registry
+    one, zero = XiRational.build(reg, {0: 1}), XiRational.zero(reg)
+    sigma_d, sigma_d2, _ = _operator_symbols(model)
+    first = reference.compose(sigma_d, reference.inverse_first(model), None)
+    assert first[0][0] != one
+    assert [_on_sphere(model, first[k][0]) for k in (0, -1)] == [one, zero]
+    assert first[-1][0]  # not zero before substitution
+    second = reference.compose(sigma_d2, reference.inverse_square(model), None)
+    assert [second[k][0] for k in (0, -1)] == [one, zero]
+
+
+def test_inverse_cube_sigma_m4_departs_from_the_parametrix_rule(model):
+    """D^3 o D^-3, with D^-3's sigma_-4 the hand-written ``sigma_m4_cube``,
+    reads 1 at order 0 but not 0 at order -1, even on the unit sphere, where
+    every coefficient of the residual carries the collar rate hp.  The first
+    half of ``sigma_m4_cube``, c(xi) N c(xi) over (4, 4) with N =
+    ``sigma2_cube_num``, is the rule's -q sigma_2 q exactly; its second half
+    is not the rule's Leibniz term -q (-i) d_xi_n sigma_3 dq, whose poles
+    are (5, 5)."""
+    reg = model.registry
+    _, _, sigma_d3 = _operator_symbols(model)
+    top = reference.compose(reference.inverse_first(model), reference.inverse_square_top(model),
+                            None)
+    m4 = reference.sigma_m4_cube(model, None)
+    cube = reference.compose(sigma_d3, {-3: top[-3], -4: (m4,)}, None)
+    assert _on_sphere(model, cube[0][0]) == XiRational.build(reg, {0: 1})
+    residual = _on_sphere(model, cube[-1][0])
+    assert (residual.a, residual.b) == (2, 2)
+    assert sum(len(poly.terms) for elem in residual.num.values()
+               for poly in elem.terms.values()) == 10
+    assert residual.render() == (
+        "[([(1+1i)*hp]c(f1).c(h2) + [(1/2+1/2i)*hp]c(f2).c(h2) + [(1+1i)*hp]c(h1).c(h2))"
+        " + ([(5+5i)*hp])xn + ([(-4/3-1i)*hp]c(f1).c(h2) + [(-2/3-1/2i)*hp]c(f2).c(h2)"
+        " + [(-4/3-1i)*hp]c(h1).c(h2))xn^2 + ([-1/3*hp]c(f1).c(h2) + [-1/6*hp]c(f2).c(h2)"
+        " + [-1/3*hp]c(h1).c(h2))xn^4] / (xn-i)^2(xn+i)^2")
+
+    (q, dq), cxin = top[-3], model.c_xi_num
+    first = XiRational(reg, (cxin * reference.sigma2_cube_num(model) * cxin).num, 4, 4)
+    assert first == -(q * sigma_d3[2][0] * q)
+    second, leibniz = m4 - first, -(q * (sigma_d3[3][0].xi_derivative() * dq)) * GR(0, -1)
+    assert ((second.a, second.b), (leibniz.a, leibniz.b)) == ((4, 4), (5, 5))
+    assert _on_sphere(model, second) != _on_sphere(model, leibniz)
+
+
+WANG_LABELS = {(-1, -1, 0, 0, 1): "a-I", (-1, -1, 0, 1, 0): "a-II",
+               (-1, -1, 1, 0, 0): "a-III", (-1, -2, 0, 0, 0): "b", (-2, -1, 0, 0, 0): "c"}
+
+
+def _wang_boundary(model, inverse):
+    return assemble_boundary(reference.Suite("wang", model, inverse, inverse, WANG_LABELS, {}))
+
+
+def test_boundary_term_of_the_inverse_squared_vanishes(model):
+    """Wang (Lett. Math. Phys. 80, 2007, "Gravity and the noncommutative
+    residue for manifolds with boundary"), as recalled, not reread: in
+    dimension 4, the boundary term of Wres[pi+ D^-1 o pi+ D^-1] vanishes.
+
+    With ``inverse_first`` on both sides the cases (-1, -1) sum to 0 and the
+    two cross cases cancel.  The total sees the Clifford shape of sigma_-2,
+    not its coefficients: an odd xn c(h_2) term moves it, while an added
+    c(f_1) term or an even word leaves it at 0."""
+    reg, inverse = model.registry, reference.inverse_first(model)
+    result = _wang_boundary(model, inverse)
+    assert len(result.cases) == 7
+    groups, zero = result.groups, ScalarPoly.zero(reg)
+    pi_omega = model.var(model.pi) * model.var(model.omega3)
+    cross = pi_omega * (model.div_poly - model.hp_poly * Fraction(3, 4))
+    assert groups["a-I"] + groups["a-II"] + groups["a-III"] == zero
+    assert (groups["b"], groups["c"], result.total) == (cross, -cross, zero)
+
+    hp = model.hp_poly
+    for extra, total in ((XiRational(reg, {1: model.c(4) * hp}, 2, 2), pi_omega * hp * GR(0, -1)),
+                         (XiRational(reg, {0: model.c(1) * hp}, 2, 2), zero),
+                         (XiRational(reg, {0: model.c(1) * model.c(2) * hp}, 2, 2), zero)):
+        mutated = {**inverse, -2: (inverse[-2][0] + extra,)}
+        assert _wang_boundary(model, mutated).total == total
+
+
 def test_display_checks_all_reproduce(suites):
     seen = []
     for name, suite in suites.items():
