@@ -216,8 +216,9 @@ def compose(left: Jets, right: Jets, words: Container[Word]) -> Jets:
     out = {top + low: (p * q, dp[0] * q + p * dq if dp else p * dq)}
     if top - 1 in left and low - 1 in right:
         (p1,), (q1,) = left[top - 1], right[low - 1]
-        out[top + low - 1] = (p.mul_on_words(q1, words) + p1.mul_on_words(q, words)
-                              + p.xi_derivative().mul_on_words(dq, words) * _MI,)
+        out[top + low - 1] = (XiRational.sum((
+            p.mul_on_words(q1, words), p1.mul_on_words(q, words),
+            p.xi_derivative().mul_on_words(dq, words) * _MI)),)
     return out
 
 
@@ -244,8 +245,8 @@ def nabla_jets(model: Model) -> Jets:
     xblk, yblk = (sum(blk * model.var(ind) for blk, ind in zip(conn, atoms)) * GR_I
                   for atoms in (model.X, model.Y))
     return {2: (-model.t_full_num,),
-            1: (model.field(model.dXY) * GR_I + model.field(model.X) * yblk
-                + model.field(model.Y) * xblk,)}
+            1: (XiRational.sum((model.field(model.dXY) * GR_I, model.field(model.X) * yblk,
+                                model.field(model.Y) * xblk)),)}
 
 
 def parametrix(sigma: Jets, top: Jets) -> Jets:
@@ -300,9 +301,9 @@ def sigma2_cube_num(model: Model) -> XiRational:
     mixed = model.pair(lambda d: model.spin_connection(
         lambda *_: zero, lambda *_: zero, lambda j, s: model.var(model.smix[j, s, d])))
     t1 = XiRational(reg, {0: model.cdxn * model.hp_poly})
-    t2 = model.c_xi_num * ((conn + mixed) * 4 - model.collar_bracket * 2)
+    t2 = model.c_xi_num * XiRational.sum((conn * 4, mixed * 4, model.collar_bracket * -2))
     t3 = conn * XiRational.build(reg, {0: 1, 2: 1})
-    return t1 + t2 + t3
+    return XiRational.sum((t1, t2, t3))
 
 
 def sigma_m4_cube(model: Model, words: Container[Word]) -> XiRational:
@@ -314,10 +315,10 @@ def sigma_m4_cube(model: Model, words: Container[Word]) -> XiRational:
     cxin = model.c_xi_num
     first = (cxin * sigma2_cube_num(model)).mul_on_words(cxin, words)
     w = model.cdxn * model.cxi * (hp * _HALF)
-    bracket = (XiRational(reg, {0: w, 2: w * 2, 4: w})
-               + model.cdxn * cxin * (hp * (-2))
-               + XiRational.build(reg, {1: 1}) * (cxin * model.cxi) * hp
-               + XiRational.build(reg, {1: hp * 4}))
+    bracket = XiRational.sum((XiRational(reg, {0: w, 2: w * 2, 4: w}),
+                              model.cdxn * cxin * (hp * (-2)),
+                              XiRational.build(reg, {1: 1}) * (cxin * model.cxi) * hp,
+                              XiRational.build(reg, {1: hp * 4})))
     second = cxin.mul_on_words(bracket, words) * GR_I
     return XiRational(reg, (first + second).num, 4, 4)
 

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Container, Iterable, Mapping, Sequence
 
-from .scalars import GR, GR_ZERO, Indeterminate, Monomial, ScalarPoly
+from .scalars import GR, GR_ZERO, Indeterminate, Monomial, ScalarPoly, _mono_mul
 
 
 def _double_factorial(n: int) -> int:
@@ -80,7 +80,7 @@ def integrate_sphere(value: ScalarPoly, xi_inds: Sequence[Indeterminate],
         frac = moment_fraction(exps)
         if not frac:
             continue
-        new_mono = tuple(sorted(rest + [(omega_ind.id, 1)]))
+        new_mono = _mono_mul(tuple(rest), ((omega_ind.id, 1),))
         acc = out.get(new_mono, GR_ZERO) + coeff * GR(frac)
         if acc.is_zero():
             out.pop(new_mono, None)

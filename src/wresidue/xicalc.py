@@ -80,13 +80,24 @@ def _synthetic_div(num: NumDict, registry: Registry, sign: int) -> NumDict:
     return quot
 
 
+def _combine(registry: Registry, pieces) -> NumDict:
+    """The numerator summing ``elem * i**turn * scale * xn**m`` over the
+    ``(m, elem, turn, scale)`` in ``pieces``, the one rule by which numerators
+    are built term by term: grouped by power in the order each is first met,
+    each power summed by one :meth:`CliffordElement.rotated_sum` in piece
+    order, and powers that sum to zero dropped at the end.  Key, word and
+    monomial order are those of adding the pieces one by one into a dict
+    with ``+``."""
+    groups: dict[int, list] = {}
+    for m, elem, turn, scale in pieces:
+        groups.setdefault(m, []).append((elem, turn, scale))
+    return _clean({m: CliffordElement.rotated_sum(registry, g) for m, g in groups.items()})
+
+
 def _num_mul_linear(num: NumDict, registry: Registry, sign: int) -> NumDict:
     """Multiply the numerator by (xn - sign * i); -sign * i is i**(sign + 2)."""
-    pieces: dict[int, list] = {}
-    for m, coeff in num.items():
-        pieces.setdefault(m + 1, []).append((coeff, 0, 1))
-        pieces.setdefault(m, []).append((coeff, sign + 2, 1))
-    return _clean({m: CliffordElement.rotated_sum(registry, p) for m, p in pieces.items()})
+    return _combine(registry, ((k, coeff, turn, 1) for m, coeff in num.items()
+                               for k, turn in ((m + 1, 0), (m, sign + 2))))
 
 
 def _by_odd_class(elem: CliffordElement, xi_ids: Container[int]) -> dict[tuple, CliffordElement]:
@@ -185,14 +196,24 @@ class XiRational:
                 num = _num_mul_linear(num, self.registry, sign)
         return num
 
+    @staticmethod
+    def sum(terms) -> "XiRational":
+        """The sum of one or more elements: each lifted once to the largest
+        pole orders, summed by :func:`_combine` in term order and made
+        canonical once.  Key, word and monomial order are those of a fold of
+        ``+`` unless a partial sum of it is lifted again, or made canonical,
+        or drops a power that a later term brings back (here it keeps its
+        place)."""
+        terms = tuple(terms)
+        reg = terms[0].registry
+        a, b = max(t.a for t in terms), max(t.b for t in terms)
+        return XiRational(reg, _combine(reg, ((m, c, 0, 1) for t in terms
+                                              for m, c in t._lifted(a, b).items())), a, b)
+
     def __add__(self, other):
         if not isinstance(other, XiRational):
             other = XiRational.build(self.registry, {0: other})
-        a, b = max(self.a, other.a), max(self.b, other.b)
-        out = dict(self._lifted(a, b))
-        for m, c in other._lifted(a, b).items():
-            out[m] = out.get(m, CliffordElement.zero(self.registry)) + c
-        return XiRational(self.registry, out, a, b)
+        return XiRational.sum((self, other))
 
     __radd__ = __add__
 
@@ -219,14 +240,11 @@ class XiRational:
         (every word when it is None), each coefficient product formed by
         :meth:`CliffordElement.mul_on_words`, over the summed pole orders
         made canonical."""
-        out: NumDict = {}
-        for m1, c1 in self.num.items():
-            for m2, c2 in other.num.items():
-                prod = c1 * c2 if words is None else c1.mul_on_words(c2, words)
-                if prod:
-                    key = m1 + m2
-                    out[key] = out.get(key, CliffordElement.zero(self.registry)) + prod
-        return XiRational(self.registry, out, self.a + other.a, self.b + other.b)
+        prods = ((m1 + m2, c1 * c2 if words is None else c1.mul_on_words(c2, words))
+                 for m1, c1 in self.num.items() for m2, c2 in other.num.items())
+        # a zero product takes no place in the key order
+        num = _combine(self.registry, ((m, prod, 0, 1) for m, prod in prods if prod))
+        return XiRational(self.registry, num, self.a + other.a, self.b + other.b)
 
     def __rmul__(self, other):
         if not isinstance(other, _LOWER):
@@ -263,7 +281,7 @@ class XiRational:
         a, b = self.a + other.a, self.b + other.b
         parts = {id(c): _by_odd_class(c, even_in)
                  for f in (self, other) for c in f.num.values()} if even_in else {}
-        acc: dict[int, ScalarPoly] = {}
+        pieces = []
         for m1, c1 in self.num.items():
             for m2, c2 in other.num.items():
                 key = m1 + m2
@@ -274,12 +292,9 @@ class XiRational:
                     for cls, part1 in parts[id(c1)].items():
                         if cls in part2:
                             piece = piece + part1.product_trace(part2[cls], p, q)
-                if piece.is_zero():
-                    continue
-                prev = acc.get(key)
-                acc[key] = piece if prev is None else prev + piece
-        out = {m: CliffordElement.identity(reg, s) for m, s in acc.items()}
-        return XiRational._canonical(reg, _clean(out), a, b)
+                if piece:
+                    pieces.append((key, CliffordElement.identity(reg, piece), 0, 1))
+        return XiRational._canonical(reg, _combine(reg, pieces), a, b)
 
     # -- calculus ----------------------------------------------------------
 
@@ -292,17 +307,14 @@ class XiRational:
         """d/dxn over both linear factors, which the constructor strips back
         to canonical form; right for any pole orders."""
         reg = self.registry
-        dnum: NumDict = {}
-        for m, c in self.num.items():
-            if m > 0:
-                dnum[m - 1] = dnum.get(m - 1, CliffordElement.zero(reg)) + c * GR(m)
+        dnum = _combine(reg, ((m - 1, c, 0, m) for m, c in self.num.items() if m > 0))
         # d(N u^-a v^-b) = (N' u v - a N v - b N u) u^-(a+1) v^-(b+1)
-        term = _num_mul_linear(_num_mul_linear(dnum, reg, 1), reg, -1)
+        pieces = [(m, c, 0, 1) for m, c in
+                  _num_mul_linear(_num_mul_linear(dnum, reg, 1), reg, -1).items()]
         for order, sign in ((self.a, -1), (self.b, 1)):
             if order:
-                for m, c in _num_mul_linear(self.num, reg, sign).items():
-                    term[m] = term.get(m, CliffordElement.zero(reg)) - c * GR(order)
-        return XiRational(reg, term, self.a + 1, self.b + 1)
+                pieces += ((m, c, 2, order) for m, c in _num_mul_linear(self.num, reg, sign).items())
+        return XiRational(reg, _combine(reg, pieces), self.a + 1, self.b + 1)
 
     def _one_pole_derivative(self) -> "XiRational":
         """d/dxn with one pole, at sign * i of order ``own``:
@@ -316,27 +328,13 @@ class XiRational:
         takes the higher power of N first."""
         reg, num = self.registry, self.num
         sign, own = (1, self.a) if self.a else (-1, self.b)
-        out: NumDict = {}
-        for m in range(max(num), -1, -1):
-            pieces = []
-            if m + 1 in num:
-                pieces.append((num[m + 1], sign + 2, m + 1))
-            if m != own and m in num:
-                pieces.append((num[m], 0, m - own))
-            coeff = CliffordElement.rotated_sum(reg, pieces)
-            if coeff:
-                out[m] = coeff
+        out = _combine(reg, (
+            (m, num[k], turn, scale) for m in range(max(num), -1, -1)
+            for k, turn, scale in ((m + 1, sign + 2, m + 1), (m, 0, m - own))
+            if k in num and scale))
         if sign > 0:
             return XiRational._canonical(reg, out, own + 1, 0)
         return XiRational._canonical(reg, out, 0, own + 1)
-
-    def _shifted(self, k: int, sign: int) -> CliffordElement:
-        """Coefficient of t^k in the numerator rewritten in t = xn - sign * i:
-        the sum over m >= k of N_m comb(m, k) (sign * i)^(m - k)."""
-        num = self.num
-        return CliffordElement.rotated_sum(self.registry, (
-            (num[m], sign * (m - k), math.comb(m, k))
-            for m in range(k, self.degree() + 1) if m in num))
 
     def laurent(self, at_plus: bool, lowest: int | None = None) -> dict[int, CliffordElement]:
         """Principal-part Laurent coefficients in t = xn -+ i, from
@@ -345,24 +343,20 @@ class XiRational:
         With N = sum_k S_k t^k and (t + 2 sign i)^-other = sum_s e_s t^s,
         that of t^j sums S_k e_(j+own-k) over k <= j + own < own; with no
         other pole (e_s = 0 for s > 0) only S_(j+own) is read."""
-        reg = self.registry
+        reg, num, top = self.registry, self.num, self.degree() + 1
         sign = 1 if at_plus else -1  # the other linear factor is t + 2 sign i
         own, other = (self.a, self.b) if at_plus else (self.b, self.a)
         lowest = -own if lowest is None else max(lowest, -own)
-        shifted: NumDict = {}
-        for k in range(0 if other else own + lowest, min(own, self.degree() + 1)):
-            acc = self._shifted(k, sign)
-            if acc:
-                shifted[k] = acc
-        out: dict[int, CliffordElement] = {}
-        for j in range(lowest, 0):
-            acc = CliffordElement.rotated_sum(reg, (
-                (coeff, *_expansion_coeff(other, j + own - k, sign))
-                for k, coeff in shifted.items()
-                if j + own - k == 0 or (other and j + own - k > 0)))
-            if acc:
-                out[j] = acc
-        return out
+        # S_k, the coefficient of t^k in N rewritten in t = xn - sign * i, is
+        # the sum over m >= k of N_m comb(m, k) (sign * i)^(m - k)
+        shifted = _combine(reg, (
+            (k, num[m], sign * (m - k), math.comb(m, k))
+            for k in range(0 if other else own + lowest, min(own, top))
+            for m in range(k, top) if m in num))
+        return _combine(reg, (
+            (j, coeff, *_expansion_coeff(other, j + own - k, sign))
+            for j in range(lowest, 0) for k, coeff in shifted.items()
+            if j + own - k == 0 or (other and j + own - k > 0)))
 
     def pi_plus(self) -> "XiRational":
         """Principal part at +i (the positive half-plane projection)."""
@@ -381,11 +375,10 @@ class XiRational:
         # sum_j c_j (xn - c)^(own + j) over the single-pole denominator, with
         # c = sign * i; own + j rises with j, so the keys k come out rising
         powers = [(own + j, coeff) for j, coeff in self.laurent(at_plus).items()]
-        out: NumDict = {
-            k: CliffordElement.rotated_sum(reg, (
-                (coeff, -sign * (power - k), math.comb(power, k))
-                for power, coeff in powers if power >= k))
-            for k in range(max((power for power, _ in powers), default=-1) + 1)}
+        out = _combine(reg, (
+            (k, coeff, -sign * (power - k), math.comb(power, k))
+            for k in range(max((power for power, _ in powers), default=-1) + 1)
+            for power, coeff in powers if power >= k))
         if at_plus:
             return XiRational(reg, out, own, 0)
         return XiRational(reg, out, 0, own)

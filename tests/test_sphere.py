@@ -116,3 +116,15 @@ def test_survivors_are_the_monomials_with_a_nonzero_moment(setting):
         mono = tuple(sorted([(ind.id, e) for ind, e in zip(xi, exps) if e]
                             + [(spectator.id, rng.randint(1, 3))] * rng.randint(0, 1)))
         assert (not odd_class(mono, xi_ids)) == bool(moment_fraction(exps))
+
+
+def test_integrating_a_measure_multiple_squares_the_marker(setting):
+    """An input that already carries the total-measure marker comes out with
+    the marker squared: the one monomial that multiplying by it gives, not
+    the marker listed twice."""
+    reg, xi, omega = setting
+    marker = ScalarPoly.var(reg, omega)
+    got = integrate_sphere(marker * ScalarPoly.var(reg, xi[0], 2) + marker, xi, omega)
+    assert got == marker * marker * GR(Fraction(4, 3))
+    assert list(got.terms) == [((omega.id, 2),)]
+    assert got.render() == (marker * marker * GR(Fraction(4, 3))).render()

@@ -173,18 +173,21 @@ def _unnamed_public(root: Path) -> list[str]:
     for tree in trees:
         for name in names(tree):
             named[name] = named.get(name, 0) + 1
-    found = []
-    for path in sorted((root / "src" / "wresidue").glob("*.py")):
+    return [f"{module}: {label} is named nowhere else"
+            for module, label, node in _public_defs(root / "src" / "wresidue")
+            if named.get(node.name, 0) == sum(n == node.name for n in names(node))]
+
+
+def _public_defs(package: Path):
+    """``(module file, qualified name, node)`` of every public module-level
+    function and every public method or property of a module-level class."""
+    for path in sorted(package.glob("*.py")):
         body = ast.parse(path.read_text(encoding="utf-8")).body
         defs = [(node.name, node) for node in body if isinstance(node, ast.FunctionDef)]
         defs += [(f"{cls.name}.{node.name}", node) for cls in body if isinstance(cls, ast.ClassDef)
                  for node in cls.body if isinstance(node, ast.FunctionDef)]
-        for label, node in defs:
-            if node.name.startswith("_"):
-                continue
-            if named.get(node.name, 0) == sum(n == node.name for n in names(node)):
-                found.append(f"{path.name}: {label} is named nowhere else")
-    return found
+        yield from ((path.name, label, node) for label, node in defs
+                    if not node.name.startswith("_"))
 
 
 def test_no_public_function_is_left_unnamed():
@@ -192,6 +195,68 @@ def test_no_public_function_is_left_unnamed():
     package class, that no code, test or benchmark names is a leftover of a
     path that was replaced."""
     assert _unnamed_public(ROOT) == []
+
+
+# Public functions that none of the runs below calls, each with its reason.
+_NOT_RUN = {
+    "reference.py: derived_d2d2": "the frozen d2d2 re-derivation, asserted by "
+                                  "test_second_composition_rows_exact and not reported",
+    "reference.py: derived_d1d3_structure": "the legible part of the d1d3 re-derivation, "
+                                            "asserted by the reference tests",
+    "xicalc.py: XiRational.coeff_derivative": "a benchmark tracer target; no run "
+                                              "differentiates in an atom",
+    "clifford.py: CliffordElement.derivative": "reached through coeff_derivative alone",
+    "scalars.py: ScalarPoly.derivative": "reached through coeff_derivative alone",
+    "xicalc.py: XiRational.zero": "pi+ or pi- of an element without that pole and an "
+                                  "empty word cut; no run meets either",
+}
+
+# every function of the package entered while the report, the d2d2-emit
+# workload and one pass of each property-sweep check run
+_RUNS = """
+import random, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+entered = set()
+sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code) if event == "call" else None)
+import sweep, workloads
+from wresidue import scalars, verifier
+verifier.run(["all"])
+workloads.run("d2d2-emit", 1, {emit!r})
+for name, check, _ in sweep.PROPERTIES:
+    reg = scalars.Registry()
+    assert check(random.Random(f"1/{{name}}"), reg, reg.add("pi", scalars.KIND_MARKER)), name
+reg = scalars.Registry()
+assert sweep.sphere_moment((2, 2, 2), reg, [reg.add(f"xi{{k}}", scalars.KIND_XI) for k in (1, 2, 3)])
+sys.setprofile(None)
+for code in entered:
+    print(code.co_filename, code.co_qualname)
+"""
+
+
+def _not_run(root: Path, emit: Path) -> list[str]:
+    """The public functions of the package (``_public_defs``) that no run of
+    ``_RUNS`` enters, in a fresh interpreter, so that no model or jet cached
+    by an earlier test hides a call."""
+    package = root / "src" / "wresidue"
+    code = _RUNS.format(src=str(package.parent), perfbench=str(root / "perfbench"), emit=str(emit))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    entered = set()
+    for line in done.stdout.splitlines():
+        filename, qualname = line.rsplit(" ", 1)
+        if Path(filename).resolve().parent == package:
+            entered.add(f"{Path(filename).name}: {qualname}")
+    return sorted(label for module, name, _ in _public_defs(package)
+                  if (label := f"{module}: {name}") not in entered)
+
+
+def test_every_public_function_runs_or_is_listed(tmp_path):
+    """Each public function, method and property of the package is entered by
+    the report run, the d2d2-emit workload or the property sweep, or is in
+    ``_NOT_RUN`` with its reason, and every entry there is still unrun.  A
+    name check alone passes an unused method whose name some other attribute
+    shares."""
+    assert _not_run(ROOT, tmp_path) == sorted(_NOT_RUN)
 
 
 _SHARED = ("terms", "num")

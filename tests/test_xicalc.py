@@ -484,3 +484,122 @@ def test_pole_test_finds_the_linear_factors_it_must(sweep):
             assert _vanishes_at(_num_mul_linear(num, reg, sign), sign)
             assert _vanishes_at(num, sign) == _vanishes_by_full_grouping(num, sign)
             assert not _vanishes_at(_with_late_remainder(num, reg), sign)
+
+
+# -- the one sum rule against power-by-power binary addition ------------------
+
+
+def _lifted_by_product(f, a, b):
+    num = f.num
+    for lift, sign in ((a - f.a, 1), (b - f.b, -1)):
+        for _ in range(lift):
+            num = _mul_linear_by_product(num, f.registry, sign)
+    return num
+
+
+def _add_by_powers(x, y):
+    """``x + y`` as numerators were summed before the one sum rule: both
+    lifted to the larger pole orders, ``y`` added power by power with
+    ``CliffordElement.__add__`` into a copy of ``x``."""
+    reg = x.registry
+    a, b = max(x.a, y.a), max(x.b, y.b)
+    out = dict(_lifted_by_product(x, a, b))
+    for m, c in _lifted_by_product(y, a, b).items():
+        out[m] = out.get(m, CliffordElement.zero(reg)) + c
+    return XiRational(reg, out, a, b)
+
+
+def _mul_by_powers(x, y, words):
+    """``x.mul_on_words(y, words)``, each nonzero product added into its power."""
+    reg, out = x.registry, {}
+    for m1, c1 in x.num.items():
+        for m2, c2 in y.num.items():
+            prod = c1 * c2 if words is None else c1.mul_on_words(c2, words)
+            if prod:
+                out[m1 + m2] = out.get(m1 + m2, CliffordElement.zero(reg)) + prod
+    return XiRational(reg, out, x.a + y.a, x.b + y.b)
+
+
+def _two_pole_derivative_by_powers(f):
+    """(N' u v - a N v - b N u) / (u^(a+1) v^(b+1)) with u = xn - i, v = xn + i."""
+    reg, zero = f.registry, CliffordElement.zero(f.registry)
+    dnum = {m - 1: c * GR(m) for m, c in f.num.items() if m}
+    out = _mul_linear_by_product(_mul_linear_by_product(dnum, reg, 1), reg, -1)
+    for order, sign in ((f.a, -1), (f.b, 1)):
+        if order:
+            for m, c in _mul_linear_by_product(f.num, reg, sign).items():
+                out[m] = out.get(m, zero) - c * GR(order)
+    return XiRational(reg, out, f.a + 1, f.b + 1)
+
+
+def _one_pole_derivative_by_powers(f):
+    """(m - own) N_m + (m + 1) N_(m+1) (-sign i) at each power m, from the top
+    down, over the pole order own + 1."""
+    reg, zero = f.registry, CliffordElement.zero(f.registry)
+    sign, own = (1, f.a) if f.a else (-1, f.b)
+    out = {}
+    for m in range(max(f.num), -1, -1):
+        for k, scale in ((m + 1, GR(0, -sign) * (m + 1)), (m, GR(m - own))):
+            if k in f.num and scale:
+                out[m] = out.get(m, zero) + f.num[k] * scale
+    num = {m: c for m, c in out.items() if c}
+    return XiRational._canonical(reg, num, own + 1, 0) if sign > 0 else \
+        XiRational._canonical(reg, num, 0, own + 1)
+
+
+def _same(got, want):
+    assert got == want
+    assert (got.a, got.b, _layout(got.num)) == (want.a, want.b, _layout(want.num))
+
+
+def test_sum_rule_is_addition_power_by_power(sweep):
+    """``XiRational.sum``, ``+``, ``-``, ``mul_on_words`` and both
+    derivatives, all built by the one sum rule, equal the power-by-power
+    addition they replace in value and in xn key, word and monomial order.
+    The sums' later terms raise no pole order past the first two terms',
+    so no partial sum of the fold is lifted again."""
+    rng = random.Random(29)
+    words = [(), ((CF, 1),), ((HC, 1),), ((CF, 1), (HC, 1))]
+    for _ in range(60):
+        reg = Registry()
+        draw = lambda a, b: XiRational(reg, _random_numerator(reg, rng, sweep.LETTERS), a, b)
+        x, y = draw(rng.randint(0, 2), rng.randint(0, 2)), draw(rng.randint(0, 2), rng.randint(0, 2))
+        a, b = max(x.a, y.a), max(x.b, y.b)
+        terms = [x, y] + [draw(rng.randint(0, a), rng.randint(0, b))
+                          for _ in range(rng.randint(0, 2))]
+        want = terms[0]
+        for t in terms[1:]:
+            want = _add_by_powers(want, t)
+        _same(XiRational.sum(terms), want)
+        _same(x + y, _add_by_powers(x, y))
+        _same(x - y, _add_by_powers(x, -y))
+        keep = set(rng.sample(words, rng.randint(1, len(words))))
+        _same(x * y, _mul_by_powers(x, y, None))
+        _same(x.mul_on_words(y, keep), _mul_by_powers(x, y, keep))
+        if x:
+            _same(x._two_pole_derivative(), _two_pole_derivative_by_powers(x))
+            one = XiRational(reg, x.num, *rng.choice(((x.a + 1, 0), (0, x.b + 1))))
+            _same(one._one_pole_derivative(), _one_pole_derivative_by_powers(one))
+
+
+def test_sum_rule_keeps_a_cancelled_power_in_its_first_place(reg):
+    """A power that cancels and comes back keeps the place where it was first
+    met: in a product, as the power-by-power addition keeps it, and in a
+    sum.  A fold of binary ``+`` drops it from the partial sum and so puts
+    it last; the two agree when it was last already."""
+    g, h = (CliffordElement.generator(reg, kind, 1) for kind in (CF, HC))
+    one = CliffordElement.identity(reg)
+    # power 2 of x * y: x0 y2 + x1 y1 = g - g cancels, and x2 y0 = h comes back
+    x = XiRational(reg, {0: one, 1: g, 2: h}, 1, 0)
+    y = XiRational(reg, {2: g, 1: -one, 0: one}, 0, 1)
+    got = x * y
+    _same(got, _mul_by_powers(x, y, None))
+    assert list(got.num) == [2, 1, 0, 3, 4] and got.num[2] == h
+    # power 3 cancels between the first two terms and the third brings it back
+    t1, t2 = XiRational(reg, {0: one, 1: g, 3: h}, 2, 2), XiRational(reg, {1: h, 3: -h}, 2, 2)
+    t3 = XiRational(reg, {3: g, 0: h}, 2, 2)
+    _same(XiRational.sum((t1, t2, t3)), _add_by_powers(_add_by_powers(t1, t2), t3))
+    assert list(XiRational.sum((t1, t2, t3)).num) == [0, 1, 3]
+    early = XiRational(reg, {3: h, 0: one}, 2, 2)
+    got, fold = XiRational.sum((early, t2, t3)), _add_by_powers(_add_by_powers(early, t2), t3)
+    assert got == fold and list(got.num) == [3, 0, 1] and list(fold.num) == [0, 1, 3]
