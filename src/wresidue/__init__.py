@@ -7,27 +7,4 @@ compares them against frozen recorded tables.  Everything is exact; floats
 appear only in corroborating oracles.
 """
 
-from .clifford import CliffordElement
-from .reference import ALL_SUITES, build_model
-from .report import REPORT_VERSION, SuiteReport
-from .scalars import GR, GaussianRational, Registry, ScalarPoly
-from .verifier import run, run_suite
-from .xicalc import XiRational
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_SUITES",
-    "CliffordElement",
-    "GR",
-    "GaussianRational",
-    "Registry",
-    "REPORT_VERSION",
-    "ScalarPoly",
-    "SuiteReport",
-    "XiRational",
-    "build_model",
-    "run",
-    "run_suite",
-    "__version__",
-]

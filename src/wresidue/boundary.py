@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple, Sequence
 
 from . import reference
@@ -63,15 +64,6 @@ def case_prefactor(case: CaseSpec) -> GaussianRational:
     return GR_ONE.turn_scale(-(case.alpha_abs + case.j + case.k + 1) % 4, 1, denom)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def enumerate_cases(suite: reference.Suite) -> tuple[CaseSpec, ...]:
     """All derivative cases meeting the order constraint, in report order."""
     n = suite.model.n
@@ -85,8 +77,9 @@ def enumerate_cases(suite: reference.Suite) -> tuple[CaseSpec, ...]:
                     key = (r, l, k, j, rem)
                     if key not in suite.labels:
                         raise KeyError(f"no label registered for case {key} in {suite.name}")
-                    for alpha in _compositions(rem, n - 1):
-                        found.append(CaseSpec(suite.labels[key], r, l, k, j, alpha))
+                    found += (CaseSpec(suite.labels[key], r, l, k, j, alpha)
+                              for alpha in product(range(rem + 1), repeat=n - 1)
+                              if sum(alpha) == rem)
     found.sort(key=CaseSpec.sort_key)
     return tuple(found)
 

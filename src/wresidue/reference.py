@@ -252,22 +252,23 @@ def nabla_jets(model: Model) -> Jets:
 def parametrix(sigma: Jets, top: Jets) -> Jets:
     """``top``, an inverse's top order q with its d_xn jet dq, and the next
     order -q (s_1 q + (-i) d_xi_n s_0 dq) from the operator's top two orders
-    s_0, s_1: the order that ``compose(sigma, .)`` needs to vanish at -1."""
+    s_0, s_1 (no d_xn jet of s_0 is read): the order that
+    ``compose(sigma, .)`` needs to vanish at -1."""
     k, low = max(sigma), max(top)
-    (s0,), (s1,), (q, dq) = sigma[k], sigma[k - 1], top[low]
+    (s0, *_), (s1,), (q, dq) = sigma[k], sigma[k - 1], top[low]
     return {**top, low - 1: ((-q) * (s1 * q + s0.xi_derivative() * _MI * dq),)}
 
 
 def inverse_first(model: Model) -> Jets:
     """sigma_-1 = i c(xi)/|xi|^2 of the inverse first-order operator and its
-    d_xn jet, and sigma_-2 by :func:`parametrix` of the operator's symbol."""
-    reg, hp = model.registry, model.hp_poly
-    icxi = model.c_xi_num * GR_I
-    half = model.cxi * (hp * _HALF)
-    inner = XiRational(reg, {0: half, 2: half}) + model.c_xi_num * -hp
-    return parametrix({1: (icxi,), 0: (XiRational.build(reg, {0: model.sigma0_base}),)},
-                      {-1: (XiRational(reg, icxi.num, 1, 1),
-                            XiRational(reg, (inner * GR_I).num, 2, 2))})
+    d_xn jet, the top order of sigma(D) composed with the inverse square's,
+    and sigma_-2 by :func:`parametrix`.  The d_xn jet of sigma_1(D) = i c(xi)
+    is i(hp/2) c(xi'), the collar rate's one hand-entered term."""
+    reg = model.registry
+    sigma = {1: (model.c_xi_num * GR_I,
+                 XiRational.build(reg, {0: model.cxi * (model.hp_poly * GR(0, _HALF))})),
+             0: (XiRational.build(reg, {0: model.sigma0_base}),)}
+    return parametrix(sigma, compose(sigma, inverse_square_top(model), ()))
 
 
 def inverse_square_top(model: Model) -> Jets:

@@ -369,12 +369,8 @@ class ScalarPoly:
         return ScalarPoly._pruned(registry, {(): value} if value else {})
 
     @staticmethod
-    def var(registry: Registry, ind: Indeterminate, exp: int = 1) -> "ScalarPoly":
-        if exp < 0:
-            raise ValueError("exponent must be nonnegative")
-        if exp == 0:
-            return ScalarPoly.const(registry, GR_ONE)
-        return ScalarPoly(registry, {((ind.id, exp),): GR_ONE})
+    def var(registry: Registry, ind: Indeterminate) -> "ScalarPoly":
+        return ScalarPoly(registry, {((ind.id, 1),): GR_ONE})
 
     # -- helpers -----------------------------------------------------------
 

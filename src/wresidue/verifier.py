@@ -339,13 +339,19 @@ def run_suite(name, model=None, waivers=None, emit_dir=None) -> SuiteReport:
     model = model if model is not None else build_model()
     if waivers is None:
         waivers = _checked_waivers()
+    if emit_dir is not None:  # "" names no directory, not the working one
+        try:
+            os.makedirs(emit_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create intermediates directory: {exc}") from exc
     texts: dict[str, str] = {}
     if name == "interior":
         records = _interior_records()
     elif name == "traces":
         records = _trace_records(model)
     else:
-        records, texts = _boundary_records(load_suite(name, model), bool(emit_dir))
+        records, texts = _boundary_records(load_suite(name, model), emit_dir is not None)
     try:
         for file_name, text in texts.items():
             with open(os.path.join(emit_dir, file_name), "w", encoding="utf-8") as fh:
@@ -371,12 +377,6 @@ def run(names, fmt="json", emit_dir=None, environ=None):
         else:
             raise UnknownSuiteError(name)
     waivers = _checked_waivers(environ)
-    if emit_dir:
-        try:
-            os.makedirs(emit_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot create intermediates directory: {exc}") from exc
     model = build_model()
     # the suites make short-lived objects by the million but few cycles, so
     # the cyclic collector waits until they are done

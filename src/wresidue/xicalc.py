@@ -369,8 +369,6 @@ class XiRational:
     def _principal(self, at_plus: bool) -> "XiRational":
         reg = self.registry
         own = self.a if at_plus else self.b
-        if own == 0:
-            return XiRational.zero(reg)
         sign = 1 if at_plus else -1
         # sum_j c_j (xn - c)^(own + j) over the single-pole denominator, with
         # c = sign * i; own + j rises with j, so the keys k come out rising

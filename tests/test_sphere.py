@@ -89,7 +89,7 @@ def test_integrate_sphere_keeps_spectator_atoms(setting):
     reg, xi, omega = setting
     from wresidue.scalars import KIND_HPRIME
     hp = reg.add("hp", KIND_HPRIME)
-    poly = (ScalarPoly.var(reg, xi[0], 2) * ScalarPoly.var(reg, hp)
+    poly = (ScalarPoly.var(reg, xi[0]) ** 2 * ScalarPoly.var(reg, hp)
             + ScalarPoly.var(reg, xi[0]) * ScalarPoly.var(reg, xi[1]))
     got = integrate_sphere(poly, xi, omega)
     want = (ScalarPoly.var(reg, hp) * ScalarPoly.var(reg, omega)
@@ -99,7 +99,7 @@ def test_integrate_sphere_keeps_spectator_atoms(setting):
 
 def test_integrate_sphere_result_free_of_covariables(setting):
     reg, xi, omega = setting
-    poly = ScalarPoly.var(reg, xi[0], 2) + ScalarPoly.var(reg, xi[2], 4)
+    poly = ScalarPoly.var(reg, xi[0]) ** 2 + ScalarPoly.var(reg, xi[2]) ** 4
     got = integrate_sphere(poly, xi, omega)
     ids = {iid for mono in got.terms for iid, _ in mono}
     assert not (ids & {ind.id for ind in xi})
@@ -124,7 +124,7 @@ def test_integrating_a_measure_multiple_squares_the_marker(setting):
     the marker listed twice."""
     reg, xi, omega = setting
     marker = ScalarPoly.var(reg, omega)
-    got = integrate_sphere(marker * ScalarPoly.var(reg, xi[0], 2) + marker, xi, omega)
+    got = integrate_sphere(marker * ScalarPoly.var(reg, xi[0]) ** 2 + marker, xi, omega)
     assert got == marker * marker * GR(Fraction(4, 3))
     assert list(got.terms) == [((omega.id, 2),)]
     assert got.render() == (marker * marker * GR(Fraction(4, 3))).render()

@@ -458,10 +458,12 @@ def test_cli_usage_errors():
 @pytest.mark.parametrize("case", ["waiver-shape", "waiver-missing", "waiver-suite",
                                   "waiver-label", "waiver-row-label", "waiver-all-label",
                                   "waiver-suite-list", "waiver-empty-reason",
-                                  "emit-under-file"])
+                                  "emit-under-file", "emit-empty"])
 def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
     """Exit 2 with one stderr line, and nothing written: no intermediate
-    file, and no jet built when the waiver file or a waiver's suite is bad."""
+    file, in the working directory either, and no jet built when the
+    waiver file or a waiver's suite is bad."""
+    monkeypatch.chdir(tmp_path)
     calls = []
     for name in ("symbols_d2d2", "symbols_d1d3"):
         def counted(m, _orig=getattr(reference, name), _name=name):
@@ -501,7 +503,7 @@ def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
     else:
         monkeypatch.delenv(WAIVER_ENV, raising=False)
         (tmp_path / "plain").write_text("")
-        argv[-1] = str(tmp_path / "plain" / "sub")
+        argv[-1] = "" if case == "emit-empty" else str(tmp_path / "plain" / "sub")
         want = "cannot create intermediates directory: "
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -509,6 +511,7 @@ def test_cli_configuration_errors_exit_two(case, tmp_path, monkeypatch, capsys):
     assert err.startswith(f"wres-verify: error: {want}")
     assert err.endswith("\n") and err.count("\n") == 1
     assert not emit.exists() or os.listdir(emit) == []
+    assert not list(tmp_path.rglob("*.txt"))
     assert calls == []
 
 
